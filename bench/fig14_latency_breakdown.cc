@@ -7,8 +7,9 @@
 //
 // The per-phase numbers come from the metrics engine's phase attribution:
 // the FS/journal emit kSync* spans (src/trace/trace_point.h), the tracer
-// forwards every completed span into per-phase histograms (src/metrics) and
-// this bench reads a MetricsSnapshot — no bench-specific aggregation.
+// keeps a per-point duration histogram of them, and this bench reads those
+// as the phase.* series of a MetricsSnapshot (src/metrics) — no
+// bench-specific aggregation.
 //
 // On top of that, the MQFS fsync run attaches the causal critical-path
 // profiler (src/profile) and reports the per-edge blame vector — the "where
@@ -59,6 +60,7 @@ Breakdown RunBreakdown(BenchContext& ctx, JournalKind kind, SyncMode mode,
     for (int i = 0; i < 100; ++i) {
       if (i == warmup) {  // skip warm-up
         metrics.ResetAggregation();
+        stack.tracer()->ResetAggregation();
         if (profiler != nullptr) {
           profiler->ResetAggregation();
         }

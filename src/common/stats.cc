@@ -136,35 +136,4 @@ std::string Histogram::Summary() const {
   return buf;
 }
 
-CounterSet::Handle CounterSet::Intern(const std::string& name) {
-  auto [it, inserted] = index_.try_emplace(name, static_cast<Handle>(slots_.size()));
-  if (inserted) {
-    slots_.push_back(Slot{name, 0});
-  }
-  return it->second;
-}
-
-void CounterSet::Add(const std::string& name, uint64_t delta) {
-  slots_[Intern(name)].value += delta;
-}
-
-uint64_t CounterSet::Get(const std::string& name) const {
-  auto it = index_.find(name);
-  return it == index_.end() ? 0 : slots_[it->second].value;
-}
-
-void CounterSet::Reset() {
-  for (Slot& slot : slots_) {
-    slot.value = 0;
-  }
-}
-
-std::map<std::string, uint64_t> CounterSet::counters() const {
-  std::map<std::string, uint64_t> out;
-  for (const Slot& slot : slots_) {
-    out.emplace(slot.name, slot.value);
-  }
-  return out;
-}
-
 }  // namespace ccnvme

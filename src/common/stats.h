@@ -1,14 +1,11 @@
-// Measurement helpers: latency histograms (log-bucketed) and named counters.
-// Benchmarks use these to report the same statistics the paper reports
-// (average / p99 latency, throughput, traffic counts).
+// Measurement helper: log-bucketed latency histograms. Benchmarks use it to
+// report the same statistics the paper reports (average / p99 latency).
 #ifndef SRC_COMMON_STATS_H_
 #define SRC_COMMON_STATS_H_
 
 #include <array>
 #include <cstdint>
-#include <map>
 #include <string>
-#include <vector>
 
 namespace ccnvme {
 
@@ -56,39 +53,6 @@ class Histogram {
   double sum_sq_ = 0.0;
   uint64_t min_ = ~0ull;
   uint64_t max_ = 0;
-};
-
-// A bag of named monotonic counters, used for PCIe traffic accounting.
-//
-// Hot paths intern the name once (at setup time) and bump through the
-// returned Handle — an array index, no string hashing or map lookup per
-// increment. The name-keyed interface remains for cold paths and for
-// snapshot/diff consumers.
-class CounterSet {
- public:
-  // Stable for the life of the CounterSet (Reset() zeroes values but keeps
-  // every interned slot).
-  using Handle = uint32_t;
-
-  // Returns the handle for |name|, creating a zeroed slot on first use.
-  Handle Intern(const std::string& name);
-
-  void Add(Handle handle, uint64_t delta = 1) { slots_[handle].value += delta; }
-  uint64_t Get(Handle handle) const { return slots_[handle].value; }
-
-  void Add(const std::string& name, uint64_t delta = 1);
-  uint64_t Get(const std::string& name) const;
-  void Reset();
-  // Snapshot-diff support: a name-keyed view of every interned counter.
-  std::map<std::string, uint64_t> counters() const;
-
- private:
-  struct Slot {
-    std::string name;
-    uint64_t value = 0;
-  };
-  std::vector<Slot> slots_;
-  std::map<std::string, Handle> index_;
 };
 
 }  // namespace ccnvme

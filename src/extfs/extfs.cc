@@ -213,6 +213,7 @@ Status ExtFs::Unmount() {
     }
   }
   CCNVME_RETURN_IF_ERROR(journal_->Shutdown());
+  journal_->StopActors();
 
   Buffer sbbuf;
   CCNVME_RETURN_IF_ERROR(blk_->ReadSync(0, 1, &sbbuf));

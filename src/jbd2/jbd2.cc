@@ -79,7 +79,8 @@ Jbd2Journal::Jbd2Journal(Simulator* sim, BlockLayer* blk, BufferCache* cache,
       free_blocks_(area_blocks_ - 1),
       mu_(sim),
       commit_cv_(sim),
-      ckpt_mu_(sim) {
+      ckpt_mu_(sim),
+      stopped_(sim) {
   // Classic journaling uses one compound journal: all areas fused.
   sim_->Spawn("kjournald", [this] { CommitLoop(); });
 }
@@ -162,8 +163,11 @@ void Jbd2Journal::CommitLoop() {
     std::shared_ptr<TxState> tx;
     {
       SimLockGuard guard(mu_);
-      while (!commit_requested_) {
+      while (!commit_requested_ && !stopping_) {
         commit_cv_.Wait(mu_);
+      }
+      if (!commit_requested_) {
+        break;  // stopping with no commit left to run
       }
       commit_requested_ = false;
       tx = running_;
@@ -185,6 +189,16 @@ void Jbd2Journal::CommitLoop() {
                      static_cast<uint64_t>(tx->waiters) * costs_.jbd2_per_waiter_ns);
     tx->durable.Signal();
   }
+  stopped_.Signal();
+}
+
+void Jbd2Journal::StopActors() {
+  {
+    SimLockGuard guard(mu_);
+    stopping_ = true;
+    commit_cv_.NotifyOne();
+  }
+  stopped_.Wait();
 }
 
 Status Jbd2Journal::CommitOne(const std::shared_ptr<TxState>& tx) {

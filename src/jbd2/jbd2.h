@@ -73,6 +73,7 @@ class Jbd2Journal : public Journal {
   void RevokeBlock(BlockNo block) override;
   Status Recover() override;
   Status Shutdown() override;
+  void StopActors() override;
 
   uint64_t commits() const { return commits_; }
   uint64_t checkpoints() const { return checkpoints_; }
@@ -121,6 +122,8 @@ class Jbd2Journal : public Journal {
   SimMutex ckpt_mu_;
   std::shared_ptr<TxState> running_;
   bool commit_requested_ = false;
+  bool stopping_ = false;     // StopActors: kjournald returns once idle
+  SimCompletion stopped_;     // kjournald has returned
   std::vector<BlockNo> pending_revocations_;
   // home block -> latest revoking tx id; checkpoint and recovery skip
   // journal copies older than the revocation.

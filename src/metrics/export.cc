@@ -108,34 +108,6 @@ std::string ExportJson(const MetricsSnapshot& snap, bool pretty) {
   return w.os.str();
 }
 
-std::string ExportPrometheusText(const MetricsSnapshot& snap) {
-  std::ostringstream os;
-  for (const auto& [name, value] : snap.counters) {
-    const std::string prom = PromName(name);
-    os << "# TYPE " << prom << " counter\n" << prom << " " << value << "\n";
-  }
-  for (const auto& [name, value] : snap.gauges) {
-    const std::string prom = PromName(name);
-    os << "# TYPE " << prom << " gauge\n" << prom << " " << value << "\n";
-  }
-  for (const auto& [name, histo] : snap.histograms) {
-    const std::string prom = PromName(name);
-    os << "# TYPE " << prom << " summary\n";
-    os << prom << "{quantile=\"0.5\"} " << histo.Percentile(0.5) << "\n";
-    os << prom << "{quantile=\"0.9\"} " << histo.Percentile(0.9) << "\n";
-    os << prom << "{quantile=\"0.99\"} " << histo.Percentile(0.99) << "\n";
-    os << prom << "{quantile=\"0.999\"} " << histo.Percentile(0.999) << "\n";
-    os << prom << "_sum " << histo.sum() << "\n";
-    os << prom << "_count " << histo.count() << "\n";
-  }
-  os << "# TYPE ccnvme_monitor_violations_total counter\n";
-  for (const auto& [name, stat] : snap.monitors) {
-    os << "ccnvme_monitor_violations_total{monitor=\"" << name << "\"} "
-       << stat.violations << "\n";
-  }
-  return os.str();
-}
-
 std::string ExportPrometheusText(const SnapshotStats& snap) {
   std::ostringstream os;
   for (const auto& [name, value] : snap.counters) {

@@ -1,12 +1,14 @@
 // Snapshot exporters + the parser tools/metrics_report uses to read dumps.
 //
-// Two wire formats from one MetricsSnapshot:
-//  - JSON: full structured dump (counters, gauges, histogram summary stats,
-//    monitor violations). StorageStack appends one compact line per run when
-//    CCNVME_METRICS is set, so a bench sweep yields a JSONL file.
-//  - Prometheus text exposition: counters, gauges, summary-style quantiles
-//    and ccnvme_monitor_violations_total{monitor="..."} series. Metric names
-//    have dots rewritten to underscores and a "ccnvme_" prefix.
+// Two wire formats:
+//  - JSON, from a live MetricsSnapshot: full structured dump (counters,
+//    gauges, histogram summary stats, monitor violations). StorageStack
+//    appends one compact line per run when CCNVME_METRICS is set, so a bench
+//    sweep yields a JSONL file.
+//  - Prometheus text exposition, from a parsed JSON dump: counters, gauges,
+//    summary-style quantiles and ccnvme_monitor_violations_total{monitor=
+//    "..."} series. Metric names have dots rewritten to underscores and a
+//    "ccnvme_" prefix.
 #ifndef SRC_METRICS_EXPORT_H_
 #define SRC_METRICS_EXPORT_H_
 
@@ -21,7 +23,6 @@ namespace ccnvme {
 
 // |pretty| = indented multi-line; false = one compact line (JSONL-friendly).
 std::string ExportJson(const MetricsSnapshot& snap, bool pretty = true);
-std::string ExportPrometheusText(const MetricsSnapshot& snap);
 
 // Writes |snap| as pretty JSON to |path| (empty or "-" = stdout). Returns
 // false on I/O error. Shared by the --metrics[=path] CLI flags.
@@ -52,9 +53,8 @@ struct SnapshotStats {
   uint64_t TotalViolations() const;
 };
 
-// Re-exports a parsed snapshot as Prometheus text (same format as the live
-// exporter, with quantiles taken from the serialized summary stats). Lets
-// tools/metrics_report convert a JSON dump without a live registry.
+// Renders a parsed snapshot as Prometheus text, with quantiles taken from
+// the serialized summary stats (tools/metrics_report --prom).
 std::string ExportPrometheusText(const SnapshotStats& snap);
 
 // Parses one JSON snapshot (as produced by ExportJson). Returns false and

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "src/trace/tracer.h"
+
 namespace ccnvme {
 
 template <typename V>
@@ -100,17 +102,7 @@ uint64_t MetricsSnapshot::TotalViolations() const {
 }
 
 Metrics::Metrics(Simulator* sim)
-    : sim_(sim), monitors_(std::make_unique<InvariantMonitors>(sim)) {
-  for (size_t i = 0; i < kNumTracePoints; ++i) {
-    const char* name = TracePointName(static_cast<TracePoint>(i));
-    phase_histo_[i] = registry_.Histo(std::string("phase.") + name);
-    event_counter_[i] = registry_.Counter(std::string("event.") + name);
-  }
-  for (size_t i = 0; i < kNumTraceCounters; ++i) {
-    traffic_counter_[i] = registry_.Counter(TraceCounterName(static_cast<TraceCounter>(i)));
-  }
-  ring_drop_counter_ = registry_.Counter("trace.ring_dropped_open_req");
-}
+    : sim_(sim), monitors_(std::make_unique<InvariantMonitors>(sim)) {}
 
 Metrics::~Metrics() = default;
 
@@ -120,6 +112,19 @@ MetricsSnapshot Metrics::TakeSnapshot() const {
   snap.counters = registry_.CounterView();
   snap.gauges = registry_.GaugeView();
   snap.histograms = registry_.HistoView();
+  if (const Tracer* tracer = sim_->tracer()) {
+    for (size_t i = 0; i < kNumTracePoints; ++i) {
+      const TracePoint p = static_cast<TracePoint>(i);
+      const Tracer::PointAgg& agg = tracer->agg(p);
+      snap.histograms[std::string("phase.") + TracePointName(p)] = agg.dur_ns;
+      // agg.count counts spans and instants; dur_ns holds the spans only.
+      snap.counters[std::string("event.") + TracePointName(p)] =
+          agg.count - agg.dur_ns.count();
+    }
+    for (const auto& [name, value] : tracer->CounterSnapshot()) {
+      snap.counters[name] = value;
+    }
+  }
   for (size_t i = 0; i < kNumMonitors; ++i) {
     const MonitorId id = static_cast<MonitorId>(i);
     MonitorStat stat;

@@ -8,10 +8,11 @@
 // than now(), no I/O — so enabling metrics provably changes no virtual
 // timestamps (tests/metrics_test.cc fingerprints a run both ways).
 //
-// Phase attribution rides the tracer: Tracer::EndSpan forwards every
-// completed span (already tagged with req/tx context via TraceContext) to
-// Metrics::OnSpanEnd, which feeds a per-phase histogram. Benches that used
-// to keep bespoke aggregations (fig14, table1) now read a MetricsSnapshot.
+// Phase attribution is read, not copied: TakeSnapshot fills "phase.<p>"
+// (span durations), "event.<p>" (instant counts) and the pcie.* traffic
+// counters from the simulator's tracer, the one store those aggregates
+// live in. Benches that used to keep bespoke aggregations (fig14, table1)
+// read a MetricsSnapshot.
 #ifndef SRC_METRICS_METRICS_H_
 #define SRC_METRICS_METRICS_H_
 
@@ -23,7 +24,6 @@
 
 #include "src/common/stats.h"
 #include "src/metrics/monitors.h"
-#include "src/trace/trace_point.h"
 
 namespace ccnvme {
 
@@ -101,10 +101,8 @@ struct MetricsSnapshot {
   uint64_t TotalViolations() const;
 };
 
-// Facade the rest of the stack talks to: owns the registry + monitors and
-// pre-interns one histogram per trace span point ("phase.<name>"), one
-// counter per instant point ("event.<name>") and one per traffic counter,
-// so the tracer-forwarded hot paths are pure array ops.
+// Facade the rest of the stack talks to: owns the registry + monitors, and
+// snapshots them together with the tracer's aggregates.
 class Metrics {
  public:
   explicit Metrics(Simulator* sim);
@@ -117,45 +115,21 @@ class Metrics {
   InvariantMonitors& monitors() { return *monitors_; }
   const InvariantMonitors& monitors() const { return *monitors_; }
 
-  // --- Hot paths, called by the tracer on every span/instant/counter ------
-  void OnSpanEnd(TracePoint point, uint64_t dur_ns) {
-    registry_.Observe(phase_histo_[static_cast<size_t>(point)], dur_ns);
-  }
-  void OnInstant(TracePoint point) {
-    registry_.Add(event_counter_[static_cast<size_t>(point)]);
-  }
-  void OnTraceCounter(TraceCounter counter, uint64_t delta) {
-    registry_.Add(traffic_counter_[static_cast<size_t>(counter)], delta);
-  }
-  // Tracer ring wraparound discarded an event of a still-open request.
-  void OnRingDrop(uint64_t delta = 1) { registry_.Add(ring_drop_counter_, delta); }
-
-  // Direct access to a phase histogram (bench/fig14 reads these live).
-  const Histogram& PhaseHistogram(TracePoint point) const {
-    return registry_.histo(phase_histo_[static_cast<size_t>(point)]);
-  }
-  uint64_t EventCount(TracePoint point) const {
-    return registry_.counter(event_counter_[static_cast<size_t>(point)]);
-  }
-  uint64_t TrafficCount(TraceCounter counter) const {
-    return registry_.counter(traffic_counter_[static_cast<size_t>(counter)]);
-  }
-
+  // The registry and monitors, plus the tracer's phase.*, event.* and
+  // pcie.* aggregates when the simulator has a tracer (one without, as in
+  // the offline inspect tools, omits those series).
   MetricsSnapshot TakeSnapshot() const;
 
-  // Clears metric values for steady-state measurement (mirrors
-  // Tracer::ResetAggregation). Monitor violation state is deliberately kept:
-  // a violation during warmup is still a violation.
+  // Clears the registry's values for steady-state measurement; the tracer's
+  // aggregates are reset by Tracer::ResetAggregation. Monitor violation
+  // state is deliberately kept: a violation during warmup is still a
+  // violation.
   void ResetAggregation();
 
  private:
   Simulator* sim_;
   MetricsRegistry registry_;
   std::unique_ptr<InvariantMonitors> monitors_;
-  MetricsRegistry::Handle phase_histo_[kNumTracePoints];
-  MetricsRegistry::Handle event_counter_[kNumTracePoints];
-  MetricsRegistry::Handle traffic_counter_[kNumTraceCounters];
-  MetricsRegistry::Handle ring_drop_counter_ = 0;
 };
 
 }  // namespace ccnvme

@@ -126,9 +126,11 @@ NvLogJournal::NvLogJournal(Simulator* sim, BlockLayer* blk, NvmDevice* nvm,
       mu_(sim),
       drain_cv_(sim),
       space_cv_(sim),
-      idle_cv_(sim) {
+      idle_cv_(sim),
+      stopped_(sim) {
   log_.Init();
   CCNVME_CHECK_GE(options_.drainers, 1u) << "NvLog needs at least one drainer";
+  live_drainers_ = options_.drainers;
   for (uint32_t i = 0; i < options_.drainers; ++i) {
     sim_->Spawn("nvlog_draind/" + std::to_string(i), [this] { DrainLoop(); });
   }
@@ -273,6 +275,12 @@ void NvLogJournal::DrainLoop() {
       while (!CanClaimFront()) {
         if (pending_.empty() && draining_ == 0) {
           idle_cv_.NotifyAll();
+        }
+        if (stopping_) {
+          if (--live_drainers_ == 0) {
+            stopped_.Signal();
+          }
+          return;
         }
         drain_cv_.Wait(mu_);
       }
@@ -428,6 +436,15 @@ Status NvLogJournal::Shutdown() {
   }
   drain_all_ = false;
   return OkStatus();
+}
+
+void NvLogJournal::StopActors() {
+  {
+    SimLockGuard guard(mu_);
+    stopping_ = true;
+    drain_cv_.NotifyAll();
+  }
+  stopped_.Wait();
 }
 
 }  // namespace ccnvme

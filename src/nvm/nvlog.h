@@ -124,6 +124,7 @@ class NvLogJournal : public Journal {
   void RevokeBlock(BlockNo block) override { (void)block; }
   Status Recover() override;
   Status Shutdown() override;
+  void StopActors() override;
 
   NvLog& log() { return log_; }
   uint64_t appended_entries() const { return appended_entries_; }
@@ -177,6 +178,9 @@ class NvLogJournal : public Journal {
   std::deque<PendingEntry> pending_;
   bool drain_all_ = false;   // shutdown: skip the absorb window
   uint32_t draining_ = 0;    // batches between claim and retire
+  bool stopping_ = false;    // StopActors: idle drainers return
+  uint32_t live_drainers_ = 0;
+  SimCompletion stopped_;    // the last drainer has returned
   // Home blocks covered by in-flight batches: a later log entry for one of
   // these may not be claimed until the earlier batch retires.
   std::map<uint64_t, uint32_t> claimed_lbas_;

@@ -253,15 +253,8 @@ void CriticalPathProfiler::Finalize(uint64_t req_id, const TraceEvent& root,
       agg[sub_key] += ns;
     }
   }
-  if (!have_slowest_ || profile.latency_ns() > slowest_.latency_ns()) {
-    slowest_ = profile;
-    have_slowest_ = true;
-  }
   for (RequestObserver* observer : request_observers_) {
     observer->OnRequestProfile(profile, pending.events);
-  }
-  if (samples_.size() < options_.max_samples) {
-    samples_.push_back(std::move(profile));
   }
 }
 
@@ -305,9 +298,6 @@ void CriticalPathProfiler::ResetAggregation() {
   latency_ns_.Reset();
   blame_.clear();
   wait_detail_.clear();
-  samples_.clear();
-  slowest_ = RequestProfile{};
-  have_slowest_ = false;
   for (RequestObserver* observer : request_observers_) {
     observer->OnResetAggregation();
   }

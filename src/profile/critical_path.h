@@ -74,9 +74,6 @@ struct BlameKey {
 struct ProfilerOptions {
   // Span point that delimits one request (profile window = this span).
   TracePoint root = TracePoint::kSyncTotal;
-  // Retained finished request profiles (exemplars for reports). The slowest
-  // request is always retained in addition.
-  size_t max_samples = 32;
   // Bounded buffers for not-yet-finalized requests / transactions; oldest
   // entries are evicted deterministically when exceeded.
   size_t max_pending_requests = 1 << 16;
@@ -149,22 +146,16 @@ class CriticalPathProfiler : public TraceSink {
   // Largest aggregate contributor; meaningful once finished_requests() > 0.
   BlameKey DominantKey() const;
 
-  // Retained exemplars (first max_samples finished requests, append order).
-  const std::deque<RequestProfile>& samples() const { return samples_; }
-  // Profile of the slowest finished request (nullptr before the first).
-  const RequestProfile* slowest() const {
-    return have_slowest_ ? &slowest_ : nullptr;
-  }
-
-  // Clears aggregates + retained profiles; keeps in-flight buffers so a
-  // warm-up boundary mid-run stays consistent (mirrors
-  // Tracer::ResetAggregation). Forwarded to the request observer.
+  // Clears aggregates; keeps in-flight buffers so a warm-up boundary mid-run
+  // stays consistent (mirrors Tracer::ResetAggregation). Forwarded to the
+  // request observers.
   void ResetAggregation();
 
   const ProfilerOptions& options() const { return options_; }
 
   // Downstream consumer of finished per-request profiles (the what-if
-  // engine, the tail-forensics layer). Receives each profile at
+  // engine, the tail-forensics layer, which keeps the slowest requests as
+  // exemplars). Receives each profile at
   // finalization together with the request's raw buffered events, which
   // carry the structure the merged blame vector has already collapsed:
   // every individual wait interval and run span with begin/end/device. The
@@ -205,9 +196,6 @@ class CriticalPathProfiler : public TraceSink {
   Histogram latency_ns_;
   std::map<uint32_t, KeyAgg> blame_;
   std::map<uint32_t, std::map<uint32_t, uint64_t>> wait_detail_;
-  std::deque<RequestProfile> samples_;
-  RequestProfile slowest_;
-  bool have_slowest_ = false;
   std::vector<RequestObserver*> request_observers_;
 };
 

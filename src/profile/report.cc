@@ -112,20 +112,6 @@ std::string FormatBlameReport(const CriticalPathProfiler& profiler,
     }
     os << "  latency: " << profiler.latency_ns().Summary() << "\n";
   }
-
-  if (options.show_slowest && profiler.slowest() != nullptr) {
-    const auto& slow = *profiler.slowest();
-    os << "\n-- slowest request (req " << slow.req_id << ", tx " << slow.tx_id
-       << ", latency " << slow.latency_ns() << " ns) --\n";
-    for (const auto& seg : slow.critical_path) {
-      char buf[160];
-      std::snprintf(buf, sizeof(buf), "  [%12llu, %12llu) %-28s %12llu ns\n",
-                    static_cast<unsigned long long>(seg.begin_ns),
-                    static_cast<unsigned long long>(seg.end_ns), seg.key.name(),
-                    static_cast<unsigned long long>(seg.dur_ns()));
-      os << buf;
-    }
-  }
   return os.str();
 }
 

@@ -17,12 +17,12 @@ struct BlameReportOptions {
   size_t top_k = 10;             // rows in the blame table
   size_t wait_detail_k = 5;      // sub-rows per expanded wait edge
   bool show_histograms = true;   // per-key blame distribution summaries
-  bool show_slowest = true;      // critical path of the slowest request
 };
 
 // Aggregate text report: total blame table (run + wait keys, descending),
-// each wait edge expanded into its causal sub-attribution, optional
-// per-key histograms, and the slowest request's exact critical path.
+// each wait edge expanded into its causal sub-attribution, and optional
+// per-key histograms. The slowest request's critical path is the tail
+// layer's first exemplar (FormatTailReport).
 std::string FormatBlameReport(const CriticalPathProfiler& profiler,
                               const BlameReportOptions& options = {});
 

@@ -5,7 +5,7 @@
 // it finished — the complete span tree and wait edges (the raw buffered
 // event stream the profiler hands its observers, which is immune to
 // trace-ring wraparound), the exact blame vector and critical path, the
-// tracer counter snapshot, the metrics counter/monitor snapshot, and the
+// metrics counter/monitor snapshot (tracer counters included), and the
 // signature verdicts — so a p99.9 outlier from a million-request bench can
 // be walked edge-by-edge long after the ring has overwritten its events.
 //
@@ -40,7 +40,6 @@ struct Exemplar {
   std::string phase;  // workload phase label at completion time
   CriticalPathProfiler::RequestProfile profile;
   std::vector<TraceEvent> events;  // complete span tree + wait edges
-  std::map<std::string, uint64_t> trace_counters;
   std::map<std::string, uint64_t> metric_counters;
   uint64_t monitor_violations = 0;
   std::vector<Verdict> verdicts;

@@ -42,6 +42,12 @@ TailForensics::TailForensics(TailOptions options)
 void TailForensics::Attach(CriticalPathProfiler* profiler) {
   CCNVME_CHECK(profiler != nullptr);
   profiler->AddRequestObserver(this);
+  profiler_ = profiler;
+}
+
+const CriticalPathProfiler& TailForensics::profiler() const {
+  CCNVME_CHECK(profiler_ != nullptr) << "TailForensics used before Attach";
+  return *profiler_;
 }
 
 void TailForensics::OnRequestProfile(
@@ -63,9 +69,6 @@ void TailForensics::OnRequestProfile(
     ex.phase = phase_;
     ex.profile = profile;
     ex.events = events;
-    if (tracer_ != nullptr) {
-      ex.trace_counters = tracer_->CounterSnapshot();
-    }
     if (metrics_ != nullptr) {
       const MetricsSnapshot snap = metrics_->TakeSnapshot();
       ex.metric_counters = snap.counters;
@@ -91,7 +94,7 @@ uint64_t TailForensics::total_signatures() const {
 }
 
 uint64_t TailForensics::TailThresholdNs() const {
-  return windows_.latency_ns().Percentile(options_.tail_quantile);
+  return profiler().latency_ns().Percentile(options_.tail_quantile);
 }
 
 std::vector<const Exemplar*> TailForensics::TailExemplars() const {
@@ -109,12 +112,12 @@ std::vector<const Exemplar*> TailForensics::TailExemplars() const {
 
 std::vector<TailForensics::TailDiffRow> TailForensics::TailDiff() const {
   std::map<uint32_t, TailDiffRow> rows;
-  const uint64_t total = windows_.total_latency_ns();
-  for (const auto& [packed, ns] : windows_.cumulative_blame_ns()) {
+  const uint64_t total = profiler().total_latency_ns();
+  for (const auto& [packed, agg] : profiler().blame()) {
     TailDiffRow& row = rows[packed];
     row.packed_key = packed;
-    row.overall_ns = ns;
-    row.overall_share = Share(ns, total);
+    row.overall_ns = agg.total_ns;
+    row.overall_share = Share(agg.total_ns, total);
   }
 
   uint64_t tail_total = 0;
@@ -146,65 +149,29 @@ std::vector<TailForensics::TailDiffRow> TailForensics::TailDiff() const {
   return out;
 }
 
-bool TailForensics::ConsistentWith(const CriticalPathProfiler& profiler,
-                                   std::string* error) const {
-  if (windows_.requests() != profiler.finished_requests()) {
-    return Fail(error, "request count " + std::to_string(windows_.requests()) +
-                           " != profiler " +
-                           std::to_string(profiler.finished_requests()));
-  }
-  if (windows_.total_latency_ns() != profiler.total_latency_ns()) {
-    return Fail(error,
-                "total latency " + std::to_string(windows_.total_latency_ns()) +
-                    " != profiler " + std::to_string(profiler.total_latency_ns()));
-  }
-  const auto& mine = windows_.cumulative_blame_ns();
-  const auto& theirs = profiler.blame();
-  if (mine.size() != theirs.size()) {
-    return Fail(error, "blame key count " + std::to_string(mine.size()) +
-                           " != profiler " + std::to_string(theirs.size()));
-  }
-  for (const auto& [packed, ns] : mine) {
-    auto it = theirs.find(packed);
-    if (it == theirs.end() || it->second.total_ns != ns) {
-      return Fail(error, std::string("blame mismatch for ") +
-                             BlameKey::FromPacked(packed).name() + ": " +
-                             std::to_string(ns) + " != profiler " +
-                             std::to_string(it == theirs.end() ? 0
-                                                               : it->second.total_ns));
-    }
-  }
-  return true;
-}
-
 // --- Text report ------------------------------------------------------------
 
-std::string FormatTailReport(const TailForensics& tail,
-                             const CriticalPathProfiler& profiler) {
+std::string FormatTailReport(const TailForensics& tail) {
   std::ostringstream os;
   char buf[256];
+  const CriticalPathProfiler& profiler = tail.profiler();
   const WindowedAggregator& win = tail.windows();
-  const Histogram& lat = win.latency_ns();
+  const Histogram& lat = profiler.latency_ns();
 
   os << "=== tail forensics (" << kTailReportSchema << ") ===\n";
   std::snprintf(buf, sizeof(buf),
                 "requests: %llu  mean: %llu ns  p50: %llu ns  p99: %llu ns  "
                 "p%.1f: %llu ns  max: %llu ns\n",
-                static_cast<unsigned long long>(win.requests()),
+                static_cast<unsigned long long>(tail.requests()),
                 static_cast<unsigned long long>(
-                    win.requests() == 0 ? 0 : win.total_latency_ns() / win.requests()),
+                    tail.requests() == 0 ? 0
+                                         : profiler.total_latency_ns() / tail.requests()),
                 static_cast<unsigned long long>(lat.Percentile(0.5)),
                 static_cast<unsigned long long>(lat.Percentile(0.99)),
                 100.0 * tail.options().tail_quantile,
                 static_cast<unsigned long long>(tail.TailThresholdNs()),
                 static_cast<unsigned long long>(lat.max()));
   os << buf;
-  std::string consistency;
-  if (tail.ConsistentWith(profiler, &consistency)) {
-    os << "profiler consistency: exact (blame totals == critical-path totals)\n";
-  } else {
-    os << "profiler consistency: MISMATCH — " << consistency << "\n";
-  }
   std::snprintf(buf, sizeof(buf),
                 "windows: %zu retained of %llu started (window %llu ns, %llu evicted)\n",
                 win.windows().size(),
@@ -221,7 +188,7 @@ std::string FormatTailReport(const TailForensics& tail,
                 static_cast<unsigned long long>(tail.reservoir().displaced()));
   os << buf;
 
-  if (win.requests() == 0) return os.str();
+  if (tail.requests() == 0) return os.str();
 
   const std::vector<const Exemplar*> tail_set = tail.TailExemplars();
   std::snprintf(buf, sizeof(buf),
@@ -393,16 +360,6 @@ void WriteExemplarInto(JsonWriter& w, const Exemplar& ex) {
   }
   w.Close(']');
 
-  w.Key("trace_counters", false);
-  w.Open('{');
-  first = true;
-  for (const auto& [name, value] : ex.trace_counters) {
-    w.Key(name, first);
-    w.os << value;
-    first = false;
-  }
-  w.Close('}');
-
   w.Key("metric_counters", false);
   w.Open('{');
   first = true;
@@ -536,14 +493,6 @@ bool ParseExemplarJson(const JsonValue& doc, Exemplar* out, std::string* error) 
     ex.events.push_back(ev);
   }
 
-  const JsonValue* trace_counters = doc.Find("trace_counters");
-  if (trace_counters != nullptr && trace_counters->type == JsonValue::Type::kObject) {
-    for (const auto& [name, value] : trace_counters->obj) {
-      if (value.type == JsonValue::Type::kNumber) {
-        ex.trace_counters[name] = static_cast<uint64_t>(value.num);
-      }
-    }
-  }
   const JsonValue* metric_counters = doc.Find("metric_counters");
   if (metric_counters != nullptr && metric_counters->type == JsonValue::Type::kObject) {
     for (const auto& [name, value] : metric_counters->obj) {
@@ -579,11 +528,11 @@ bool ParseExemplarJson(const JsonValue& doc, Exemplar* out, std::string* error) 
 
 // --- ccnvme-tail-v1 document ------------------------------------------------
 
-std::string TailReportJson(const TailForensics& tail,
-                           const CriticalPathProfiler& profiler,
-                           const PerfReportInfo& info, bool pretty) {
+std::string TailReportJson(const TailForensics& tail, const PerfReportInfo& info,
+                           bool pretty) {
+  const CriticalPathProfiler& profiler = tail.profiler();
   const WindowedAggregator& win = tail.windows();
-  const Histogram& lat = win.latency_ns();
+  const Histogram& lat = profiler.latency_ns();
   JsonWriter w(pretty);
   w.Open('{');
   w.Key("schema", true);
@@ -607,11 +556,11 @@ std::string TailReportJson(const TailForensics& tail,
   w.Close('}');
 
   w.Key("requests", false);
-  w.os << win.requests();
+  w.os << tail.requests();
   w.Key("total_latency_ns", false);
-  w.os << win.total_latency_ns();
+  w.os << profiler.total_latency_ns();
   w.Key("mean_ns", false);
-  w.os << (win.requests() == 0 ? 0 : win.total_latency_ns() / win.requests());
+  w.os << (tail.requests() == 0 ? 0 : profiler.total_latency_ns() / tail.requests());
   w.Key("p50_ns", false);
   w.os << lat.Percentile(0.5);
   w.Key("p99_ns", false);
@@ -623,17 +572,14 @@ std::string TailReportJson(const TailForensics& tail,
   w.Key("tail_threshold_ns", false);
   w.os << tail.TailThresholdNs();
 
-  // In-document exact-consistency proof: the validator cross-checks these
-  // against this document's own totals.
+  // Profiler echo: the validator cross-checks it against the document's own
+  // totals, so an edited document is caught.
   w.Key("profiler", false);
   w.Open('{');
   w.Key("requests", true);
   w.os << profiler.finished_requests();
   w.Key("total_latency_ns", false);
   w.os << profiler.total_latency_ns();
-  std::string consistency;
-  w.Key("consistent", false);
-  w.os << (tail.ConsistentWith(profiler, &consistency) ? "true" : "false");
   w.Close('}');
 
   w.Key("windows", false);
@@ -751,7 +697,7 @@ bool ValidateTailReportJson(const JsonValue& doc, std::string* error) {
     return Fail(error, "requests == 0 (empty tail profile)");
   }
 
-  // Exact consistency with the critical-path profiler, in-document.
+  // The profiler echo must match the document's own totals.
   const JsonValue* prof = doc.Find("profiler");
   if (prof == nullptr || prof->type != JsonValue::Type::kObject) {
     return Fail(error, "missing profiler echo");
@@ -762,11 +708,6 @@ bool ValidateTailReportJson(const JsonValue& doc, std::string* error) {
   }
   if (prof->U64("total_latency_ns") != doc.U64("total_latency_ns")) {
     return Fail(error, "profiler echo total latency != document total");
-  }
-  const JsonValue* consistent = prof->Find("consistent");
-  if (consistent == nullptr || consistent->type != JsonValue::Type::kBool ||
-      !consistent->b) {
-    return Fail(error, "profiler.consistent is not true");
   }
 
   // Blame diff: overall shares tile the total exactly; tail shares tile the

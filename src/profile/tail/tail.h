@@ -10,16 +10,20 @@
 //   * ExemplarReservoir — bounded top-k outliers by end-to-end latency,
 //     globally and per workload phase, each frozen with its complete span
 //     tree, wait edges, counter/monitor snapshot and verdicts
-//     (src/profile/tail/reservoir.h).
+//     (src/profile/tail/reservoir.h). The first global exemplar is the
+//     slowest request of the run.
 //   * Pathology signature classifier — every finished request matched
 //     against the named bench/core_pathologies rules; per-signature counts
 //     stream, verdicts ride captured exemplars
 //     (src/profile/tail/signature.h).
 //
+// Whole-run totals (request count, total latency, per-key blame, the
+// latency histogram) are read from the profiler this layer is attached to;
+// nothing here keeps a second copy of them.
+//
 // The observer contract holds throughout: this layer never touches the
 // Simulator, so a run with tail forensics attached is byte-identical in
-// virtual time (proven by tests/tail_test.cc fingerprints), and its
-// cumulative aggregates equal the profiler's EXACTLY (ConsistentWith).
+// virtual time (proven by tests/tail_test.cc fingerprints).
 //
 // Surfaces: FormatTailReport (the `perf_report --tail` text — median-vs-
 // p99.9 blame diff, per-signature counts, exemplar drill-down) and
@@ -53,10 +57,10 @@ class TailForensics : public CriticalPathProfiler::RequestObserver {
  public:
   explicit TailForensics(TailOptions options = {});
 
-  // Convenience: profiler->AddRequestObserver(this).
+  // Registers as |profiler|'s request observer and reads its totals. Must
+  // precede the first finished request.
   void Attach(CriticalPathProfiler* profiler);
-  // Optional snapshot sources frozen into captured exemplars.
-  void set_tracer(const Tracer* tracer) { tracer_ = tracer; }
+  // Optional snapshot source frozen into captured exemplars.
   void set_metrics(const Metrics* metrics) { metrics_ = metrics; }
 
   // Labels requests finishing from now on (exemplars bucket per phase).
@@ -72,7 +76,9 @@ class TailForensics : public CriticalPathProfiler::RequestObserver {
 
   const WindowedAggregator& windows() const { return windows_; }
   const ExemplarReservoir& reservoir() const { return reservoir_; }
-  uint64_t requests() const { return windows_.requests(); }
+  // The attached profiler (CHECK-fails before Attach).
+  const CriticalPathProfiler& profiler() const;
+  uint64_t requests() const { return profiler().finished_requests(); }
 
   // Requests matching each pathology (streaming, over ALL requests, not
   // just captured exemplars). Index = Pathology enum value.
@@ -81,8 +87,8 @@ class TailForensics : public CriticalPathProfiler::RequestObserver {
   }
   uint64_t total_signatures() const;
 
-  // Latency at options().tail_quantile over the streaming histogram — the
-  // "p99.9" boundary of the blame-diff table.
+  // Latency at options().tail_quantile over the profiler's latency
+  // histogram — the "p99.9" boundary of the blame-diff table.
   uint64_t TailThresholdNs() const;
 
   // Median-vs-tail blame decomposition. The tail column aggregates the
@@ -101,13 +107,6 @@ class TailForensics : public CriticalPathProfiler::RequestObserver {
   // Exemplars the tail column aggregates (latency >= threshold).
   std::vector<const Exemplar*> TailExemplars() const;
 
-  // Exact-consistency proof against the profiler this layer observed:
-  // request count, total latency and every per-key cumulative blame total
-  // must be INTEGER-equal. On mismatch returns false with a one-line
-  // diagnostic in |error|.
-  bool ConsistentWith(const CriticalPathProfiler& profiler,
-                      std::string* error) const;
-
   const TailOptions& options() const { return options_; }
 
  private:
@@ -117,7 +116,7 @@ class TailForensics : public CriticalPathProfiler::RequestObserver {
   std::array<uint64_t, kNumPathologies> signature_counts_{};
   uint64_t next_seq_ = 0;
   std::string phase_ = "main";
-  const Tracer* tracer_ = nullptr;
+  const CriticalPathProfiler* profiler_ = nullptr;
   const Metrics* metrics_ = nullptr;
 };
 
@@ -130,8 +129,7 @@ inline constexpr int kTailReportSchemaVersion = 1;
 // The `perf_report --tail` text: headline quantiles, window summary,
 // median-vs-p99.9 blame diff, per-signature counts and the exemplar
 // drill-down (top outliers with blame vector + verdicts + critical path).
-std::string FormatTailReport(const TailForensics& tail,
-                             const CriticalPathProfiler& profiler);
+std::string FormatTailReport(const TailForensics& tail);
 
 // One exemplar as a self-contained JSON object (everything the reservoir
 // froze: profile, blame, critical path, raw events, counters, verdicts).
@@ -143,18 +141,17 @@ std::string ExemplarJson(const Exemplar& exemplar, bool pretty = true);
 bool ParseExemplarJson(const JsonValue& doc, Exemplar* out, std::string* error);
 
 // The full ccnvme-tail-v1 document: schema header, workload echo, latency
-// quantiles, profiler echo (the in-document exact-consistency proof),
-// window rows, blame diff, per-signature counts and embedded exemplars.
-std::string TailReportJson(const TailForensics& tail,
-                           const CriticalPathProfiler& profiler,
-                           const PerfReportInfo& info, bool pretty = true);
+// quantiles, profiler echo, window rows, blame diff, per-signature counts
+// and embedded exemplars.
+std::string TailReportJson(const TailForensics& tail, const PerfReportInfo& info,
+                           bool pretty = true);
 
 // Structural validation of a parsed ccnvme-tail-v1 document: schema match,
-// profiler echo equals the document's own totals (exact consistency),
-// overall blame shares sum to ~1, signature section names every registered
-// pathology exactly once with its registry culprit, window rows bounded by
-// the request count, and every exemplar's blame vector sums EXACTLY to its
-// end-to-end latency. On failure returns false with a diagnostic.
+// profiler echo equals the document's own totals, overall blame shares sum
+// to ~1, signature section names every registered pathology exactly once
+// with its registry culprit, window rows bounded by the request count, and
+// every exemplar's blame vector sums EXACTLY to its end-to-end latency. On
+// failure returns false with a diagnostic.
 bool ValidateTailReportJson(const JsonValue& doc, std::string* error);
 
 }  // namespace ccnvme

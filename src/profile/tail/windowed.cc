@@ -23,15 +23,6 @@ WindowedAggregator::WindowedAggregator(WindowedOptions options)
 }
 
 void WindowedAggregator::Add(const CriticalPathProfiler::RequestProfile& profile) {
-  // Cumulative totals first — they must survive any eviction below.
-  ++requests_;
-  total_latency_ns_ += profile.latency_ns();
-  latency_ns_.Add(profile.latency_ns());
-  for (const auto& [packed, ns] : profile.blame_ns) {
-    cumulative_blame_ns_[packed] += ns;
-    blame_histograms_[packed].Add(ns);
-  }
-
   // Requests finalize in completion order (the simulator is serial), so the
   // epoch index is non-decreasing; a match is at the back or not retained.
   const uint64_t index = profile.end_ns / options_.window_ns;
@@ -58,11 +49,6 @@ void WindowedAggregator::Reset() {
   windows_.clear();
   windows_started_ = 0;
   windows_evicted_ = 0;
-  requests_ = 0;
-  total_latency_ns_ = 0;
-  latency_ns_.Reset();
-  cumulative_blame_ns_.clear();
-  blame_histograms_.clear();
 }
 
 }  // namespace ccnvme

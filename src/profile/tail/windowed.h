@@ -10,11 +10,8 @@
 // trace-ring retention — this is what replaces "hope the outlier's events
 // are still in the ring".
 //
-// Cumulative totals (request count, total latency, per-key blame and
-// per-key blame histograms) are folded at add time, BEFORE any eviction,
-// so they match the CriticalPathProfiler's aggregates exactly no matter
-// how many windows have been dropped — the basis of the exact-consistency
-// proof in TailForensics::ConsistentWith.
+// Whole-run totals are not kept here: they are the CriticalPathProfiler's
+// own aggregates, which TailForensics reads directly.
 #ifndef SRC_PROFILE_TAIL_WINDOWED_H_
 #define SRC_PROFILE_TAIL_WINDOWED_H_
 
@@ -61,19 +58,6 @@ class WindowedAggregator {
   uint64_t windows_started() const { return windows_started_; }
   uint64_t windows_evicted() const { return windows_evicted_; }
 
-  // --- Cumulative (eviction-independent) totals ----------------------------
-  uint64_t requests() const { return requests_; }
-  uint64_t total_latency_ns() const { return total_latency_ns_; }
-  const Histogram& latency_ns() const { return latency_ns_; }
-  const std::map<uint32_t, uint64_t>& cumulative_blame_ns() const {
-    return cumulative_blame_ns_;
-  }
-  // Per-key per-request blame distribution (streaming; feeds the per-edge
-  // p99/p99.9 columns of the tail report).
-  const std::map<uint32_t, Histogram>& blame_histograms() const {
-    return blame_histograms_;
-  }
-
   const WindowedOptions& options() const { return options_; }
 
  private:
@@ -81,12 +65,6 @@ class WindowedAggregator {
   std::deque<Window> windows_;
   uint64_t windows_started_ = 0;
   uint64_t windows_evicted_ = 0;
-
-  uint64_t requests_ = 0;
-  uint64_t total_latency_ns_ = 0;
-  Histogram latency_ns_;
-  std::map<uint32_t, uint64_t> cumulative_blame_ns_;
-  std::map<uint32_t, Histogram> blame_histograms_;
 };
 
 }  // namespace ccnvme

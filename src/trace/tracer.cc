@@ -4,7 +4,6 @@
 #include <cstdio>
 
 #include "src/common/logging.h"
-#include "src/metrics/metrics.h"
 
 namespace ccnvme {
 
@@ -38,36 +37,7 @@ Tracer::Track& Tracer::CurrentTrack() {
   return *tracks_[it->second];
 }
 
-bool Tracer::RequestIsOpen(uint64_t req_id) const {
-  for (const auto& track : tracks_) {
-    for (const OpenSpan& span : track->stack) {
-      if (span.req_id == req_id) return true;
-    }
-  }
-  return false;
-}
-
 void Tracer::Append(const TraceEvent& ev) {
-  // Wraparound loss used to be silent. Before overwriting, check whether
-  // the victim belonged to a request that is STILL open (some track holds a
-  // span with its id): dropping part of an in-flight request's record means
-  // ring-based exports of that request will be incomplete. Allocation-free
-  // (a read-only scan of the live span stacks) and only on the wrap path.
-  if (total_recorded_ >= ring_.size()) {
-    const TraceEvent& victim = ring_[total_recorded_ % ring_.size()];
-    if (victim.req_id != 0 && RequestIsOpen(victim.req_id)) {
-      ++dropped_open_req_;
-      if (Metrics* m = sim_->metrics()) m->OnRingDrop();
-      if (!warned_dropped_open_) {
-        warned_dropped_open_ = true;
-        CCNVME_LOG(kWarning)
-            << "trace ring (capacity " << ring_.size()
-            << ") overwrote an event of still-open request " << victim.req_id
-            << "; ring exports of in-flight requests are incomplete — raise "
-               "ring_capacity or use the tail-forensics exemplar reservoir";
-      }
-    }
-  }
   ring_[total_recorded_ % ring_.size()] = ev;
   ++total_recorded_;
   if (sink_ != nullptr) sink_->OnTraceEvent(ev);
@@ -112,12 +82,6 @@ void Tracer::EndSpan(TracePoint point) {
   ++agg.count;
   agg.total_ns += ev.dur_ns;
   agg.dur_ns.Add(ev.dur_ns);
-
-  // Phase attribution: completed spans feed the metrics engine's per-phase
-  // histograms (same value, same instant — no extra time reads).
-  if (Metrics* m = sim_->metrics()) {
-    m->OnSpanEnd(point, ev.dur_ns);
-  }
 }
 
 void Tracer::Instant(TracePoint point, uint64_t arg0) {
@@ -137,9 +101,6 @@ void Tracer::InstantWith(TracePoint point, const TraceContext& ctx, uint64_t arg
   ev.device = ctx.device;
   Append(ev);
   ++agg_[static_cast<size_t>(point)].count;
-  if (Metrics* m = sim_->metrics()) {
-    m->OnInstant(point);
-  }
 }
 
 void Tracer::WaitEdgeEvent(WaitEdge edge, uint64_t begin_ns, uint64_t end_ns, uint64_t arg0) {
@@ -167,20 +128,11 @@ void Tracer::WaitEdgeWith(WaitEdge edge, const TraceContext& ctx, uint64_t begin
   agg.dur_ns.Add(ev.dur_ns);
 }
 
-void Tracer::AddCounter(TraceCounter c, uint64_t delta) {
-  counters_[static_cast<size_t>(c)] += delta;
-  if (Metrics* m = sim_->metrics()) {
-    m->OnTraceCounter(c, delta);
-  }
-}
-
 std::map<std::string, uint64_t> Tracer::CounterSnapshot() const {
   std::map<std::string, uint64_t> out;
   for (size_t i = 0; i < kNumTraceCounters; ++i) {
     out[TraceCounterName(static_cast<TraceCounter>(i))] = counters_[i];
   }
-  for (const auto& [name, value] : extra_counters_.counters()) out[name] = value;
-  out["trace.ring_dropped_open_req"] = dropped_open_req_;
   return out;
 }
 
@@ -196,7 +148,6 @@ void Tracer::ResetAggregation() {
     a.dur_ns.Reset();
   }
   for (uint64_t& c : counters_) c = 0;
-  extra_counters_.Reset();
 }
 
 std::vector<std::pair<uint32_t, Tracer::OpenSpan>> Tracer::OpenSpans() const {

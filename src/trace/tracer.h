@@ -1,5 +1,5 @@
 // Virtual-time tracer: per-actor span stacks, a bounded ring of typed
-// events, per-point aggregation and interned hot-path counters.
+// events, per-point aggregation and fixed hot-path counters.
 //
 // Invariants (enforced by tests/trace_test.cc):
 //   * Zero allocation on the hot path. The ring and aggregation tables are
@@ -90,17 +90,19 @@ class Tracer {
 
   // --- Counters (hot path) ------------------------------------------------
 
-  void AddCounter(TraceCounter c, uint64_t delta = 1);
+  void AddCounter(TraceCounter c, uint64_t delta = 1) {
+    counters_[static_cast<size_t>(c)] += delta;
+  }
   uint64_t counter(TraceCounter c) const { return counters_[static_cast<size_t>(c)]; }
-  // Dynamically interned counters for callers outside the fixed enum.
-  CounterSet& extra_counters() { return extra_counters_; }
-  // Name-keyed snapshot of fixed + interned counters, for reports/diffs.
+  // Name-keyed snapshot of the counters, for reports and metrics snapshots.
   std::map<std::string, uint64_t> CounterSnapshot() const;
 
   // --- Aggregation --------------------------------------------------------
 
   // Running per-point totals: EndSpan adds a duration sample, Instant bumps
   // the count. Survives ring wraparound (it is not derived from the ring).
+  // The metrics engine reads these (and the counters) when it snapshots, so
+  // they are the one store behind its phase.* and event.* series.
   struct PointAgg {
     uint64_t count = 0;
     uint64_t total_ns = 0;
@@ -126,17 +128,11 @@ class Tracer {
   // Events currently held (<= capacity).
   size_t size() const { return total_recorded_ < ring_.size() ? total_recorded_ : ring_.size(); }
   uint64_t total_recorded() const { return total_recorded_; }
+  // Events lost to wraparound. TraceSink consumers (the profiler, tail
+  // forensics) still saw them; ring-based exports did not.
   uint64_t overwritten() const {
     return total_recorded_ < ring_.size() ? 0 : total_recorded_ - ring_.size();
   }
-  // Overwritten events that belonged to a request with a span still open at
-  // overwrite time: the ring lost part of an in-flight request's record.
-  // A one-shot warning fires on the first such drop, and the count streams
-  // to metrics ("trace.ring_dropped_open_req") and trace_dump. Harmless to
-  // TraceSink consumers (the profiler, tail forensics) — they see every
-  // event in append order — but ring-based exports are incomplete. Not
-  // cleared by ResetAggregation (it describes the ring, like overwritten()).
-  uint64_t dropped_open_req() const { return dropped_open_req_; }
   // i = 0 is the OLDEST retained event.
   const TraceEvent& event(size_t i) const;
 
@@ -174,13 +170,10 @@ class Tracer {
 
   Track& CurrentTrack();
   void Append(const TraceEvent& ev);
-  bool RequestIsOpen(uint64_t req_id) const;
 
   Simulator* sim_;
   std::vector<TraceEvent> ring_;
   uint64_t total_recorded_ = 0;
-  uint64_t dropped_open_req_ = 0;
-  bool warned_dropped_open_ = false;
 
   // Actor -> track. The map is never iterated (iteration order would be
   // nondeterministic); export walks |tracks_| in id order.
@@ -188,7 +181,6 @@ class Tracer {
   std::vector<std::unique_ptr<Track>> tracks_;
 
   uint64_t counters_[kNumTraceCounters] = {};
-  CounterSet extra_counters_;
   std::vector<PointAgg> agg_;
   std::vector<PointAgg> edge_agg_;
   TraceSink* sink_ = nullptr;

@@ -66,6 +66,11 @@ class Journal {
   // everything, leave the journal empty.
   virtual Status Shutdown() = 0;
 
+  // Stops the journal's background actors and returns once they have all
+  // returned, so the journal can be destroyed while the simulator lives on
+  // (a remount replaces it). Called once, after the final Shutdown().
+  virtual void StopActors() {}
+
   virtual bool SupportsAtomic() const { return false; }
 };
 

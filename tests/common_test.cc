@@ -213,45 +213,6 @@ TEST(HistogramTest, QuantileErrorStaysUnderSixPercent) {
   }
 }
 
-TEST(CounterSetTest, AddAndGet) {
-  CounterSet c;
-  c.Add("mmio", 2);
-  c.Add("mmio");
-  EXPECT_EQ(c.Get("mmio"), 3u);
-  EXPECT_EQ(c.Get("missing"), 0u);
-  c.Reset();
-  EXPECT_EQ(c.Get("mmio"), 0u);
-}
-
-TEST(CounterSetTest, InternedHandles) {
-  CounterSet c;
-  const CounterSet::Handle mmio = c.Intern("mmio");
-  const CounterSet::Handle irq = c.Intern("irq");
-  EXPECT_NE(mmio, irq);
-  // Interning the same name again returns the same slot.
-  EXPECT_EQ(c.Intern("mmio"), mmio);
-
-  c.Add(mmio, 5);
-  c.Add(mmio);
-  c.Add(irq, 2);
-  EXPECT_EQ(c.Get(mmio), 6u);
-  EXPECT_EQ(c.Get(irq), 2u);
-  // The name-keyed view sees handle-based increments (and vice versa).
-  EXPECT_EQ(c.Get("mmio"), 6u);
-  c.Add("mmio", 4);
-  EXPECT_EQ(c.Get(mmio), 10u);
-
-  const auto snapshot = c.counters();
-  EXPECT_EQ(snapshot.at("mmio"), 10u);
-  EXPECT_EQ(snapshot.at("irq"), 2u);
-
-  // Reset zeroes values but keeps handles valid.
-  c.Reset();
-  EXPECT_EQ(c.Get(mmio), 0u);
-  c.Add(mmio, 3);
-  EXPECT_EQ(c.Get("mmio"), 3u);
-}
-
 TEST(BytesTest, RoundTripIntegers) {
   Buffer buf(64, 0);
   PutU16(buf, 0, 0xBEEF);

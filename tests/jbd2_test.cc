@@ -1,6 +1,7 @@
 // JBD2-focused tests: group commit batching, ordering-point traffic
 // (classic PREFLUSH/FUA vs. Horae), checkpoint-driven log wraparound,
-// revocation on block reuse, and the JBD2-over-ccNVMe commit mode.
+// revocation on block reuse, the JBD2-over-ccNVMe commit mode, and
+// unmount/remount on one stack.
 #include <gtest/gtest.h>
 
 #include "src/harness/stack.h"
@@ -204,6 +205,43 @@ TEST(Jbd2Test, CleanRemountAfterHeavyChurnAllJournals) {
     StorageStack after(cfg, image);
     ASSERT_TRUE(after.MountExisting().ok());
     after.Run([&] { EXPECT_TRUE(after.fs().CheckConsistency().ok()); });
+  }
+}
+
+// Remounting on the SAME stack replaces the journal while the simulator
+// lives on, so Unmount must stop kjournald first: a commit thread left
+// parked on the freed journal's lock would unwind through freed memory when
+// the stack is torn down (AddressSanitizer reports it as use-after-free).
+TEST(Jbd2Test, SameStackRemountStopsCommitThread) {
+  for (JournalKind kind : {JournalKind::kClassic, JournalKind::kHorae}) {
+    StorageStack stack(Config(kind));
+    ASSERT_TRUE(stack.MkfsAndMount().ok());
+    auto write_and_sync = [&](const std::string& path, uint8_t fill) {
+      stack.Run([&] {
+        auto ino = stack.fs().Create(path);
+        ASSERT_TRUE(ino.ok());
+        ASSERT_TRUE(stack.fs().Write(*ino, 0, Buffer(kFsBlockSize, fill)).ok());
+        ASSERT_TRUE(stack.fs().Fsync(*ino).ok());
+      });
+    };
+    write_and_sync("/before", 0x11);
+    ASSERT_TRUE(stack.Unmount().ok());
+    ASSERT_TRUE(stack.MountExisting().ok());
+    write_and_sync("/after", 0x22);
+    ASSERT_TRUE(stack.Unmount().ok());
+    ASSERT_TRUE(stack.MountExisting().ok());
+    stack.Run([&] {
+      EXPECT_TRUE(stack.fs().CheckConsistency().ok());
+      for (const auto& [path, fill] : {std::pair<std::string, uint8_t>{"/before", 0x11},
+                                       std::pair<std::string, uint8_t>{"/after", 0x22}}) {
+        auto ino = stack.fs().Lookup(path);
+        ASSERT_TRUE(ino.ok()) << path;
+        Buffer data(kFsBlockSize, 0);
+        ASSERT_TRUE(stack.fs().Read(*ino, 0, data).ok()) << path;
+        EXPECT_EQ(data, Buffer(kFsBlockSize, fill)) << path;
+      }
+    });
+    ASSERT_TRUE(stack.Unmount().ok());
   }
 }
 

@@ -18,6 +18,18 @@ namespace ccnvme {
 namespace {
 
 using Segment = CriticalPathProfiler::Segment;
+using RequestProfile = CriticalPathProfiler::RequestProfile;
+
+// Keeps every finished request profile, in finalization order.
+class ProfileCollector : public CriticalPathProfiler::RequestObserver {
+ public:
+  void OnRequestProfile(const RequestProfile& profile,
+                        const std::vector<TraceEvent>& events) override {
+    (void)events;
+    profiles.push_back(profile);
+  }
+  std::vector<RequestProfile> profiles;
+};
 
 TraceEvent Span(TracePoint p, uint64_t begin, uint64_t dur, uint64_t req,
                 uint64_t tx = 0) {
@@ -43,23 +55,25 @@ TraceEvent Wait(WaitEdge e, uint64_t begin, uint64_t dur, uint64_t req,
 }
 
 // Feeds |events| then the root span; returns the finalized profile.
-CriticalPathProfiler::RequestProfile Profile(
-    CriticalPathProfiler& profiler, const std::vector<TraceEvent>& events,
-    uint64_t root_begin, uint64_t root_dur, uint64_t req = 1) {
+RequestProfile Profile(CriticalPathProfiler& profiler, const std::vector<TraceEvent>& events,
+                       uint64_t root_begin, uint64_t root_dur, uint64_t req = 1) {
+  ProfileCollector collector;
+  profiler.AddRequestObserver(&collector);
   for (const TraceEvent& ev : events) {
     profiler.OnTraceEvent(ev);
   }
   profiler.OnTraceEvent(Span(TracePoint::kSyncTotal, root_begin, root_dur, req));
-  EXPECT_FALSE(profiler.samples().empty());
-  return profiler.samples().back();
+  profiler.RemoveRequestObserver(&collector);
+  EXPECT_EQ(collector.profiles.size(), 1u);
+  return collector.profiles.empty() ? RequestProfile{} : collector.profiles.back();
 }
 
-uint64_t BlameOf(const CriticalPathProfiler::RequestProfile& p, BlameKey key) {
+uint64_t BlameOf(const RequestProfile& p, BlameKey key) {
   auto it = p.blame_ns.find(key.packed());
   return it == p.blame_ns.end() ? 0 : it->second;
 }
 
-void ExpectExactSum(const CriticalPathProfiler::RequestProfile& p) {
+void ExpectExactSum(const RequestProfile& p) {
   EXPECT_EQ(p.TotalBlame(), p.latency_ns())
       << "blame must decompose the window with no gap and no overlap";
   // The critical path itself must tile [begin, end] seamlessly.
@@ -230,9 +244,10 @@ TEST(CriticalPathTest, AggregatesAndReset) {
 
   profiler.ResetAggregation();
   EXPECT_EQ(profiler.finished_requests(), 0u);
+  EXPECT_EQ(profiler.total_latency_ns(), 0u);
+  EXPECT_EQ(profiler.latency_ns().count(), 0u);
   EXPECT_TRUE(profiler.blame().empty());
-  EXPECT_TRUE(profiler.samples().empty());
-  EXPECT_EQ(profiler.slowest(), nullptr);
+  EXPECT_TRUE(profiler.wait_detail().empty());
 }
 
 // --- Real workload --------------------------------------------------------
@@ -267,15 +282,15 @@ uint64_t RunFsyncWorkload(StorageStack& stack, int iters) {
 // and the aggregates are consistent with the per-request profiles.
 TEST(CriticalPathWorkloadTest, ExactSumOnEveryRequest) {
   StorageStack stack(MqfsFsyncConfig());
-  ProfilerOptions opts;
-  opts.max_samples = 1024;  // retain every request of the run
-  CriticalPathProfiler& profiler = stack.EnableProfiling(opts);
+  CriticalPathProfiler& profiler = stack.EnableProfiling();
+  ProfileCollector collector;
+  profiler.AddRequestObserver(&collector);
   RunFsyncWorkload(stack, 50);
 
   EXPECT_GE(profiler.finished_requests(), 50u);
-  ASSERT_FALSE(profiler.samples().empty());
+  ASSERT_EQ(collector.profiles.size(), profiler.finished_requests());
   uint64_t latency_sum = 0;
-  for (const auto& p : profiler.samples()) {
+  for (const auto& p : collector.profiles) {
     ExpectExactSum(p);
     latency_sum += p.latency_ns();
   }
@@ -289,10 +304,6 @@ TEST(CriticalPathWorkloadTest, ExactSumOnEveryRequest) {
 
   // The durability round trip dominates the MQFS fsync path (Fig. 14).
   EXPECT_EQ(profiler.DominantKey(), BlameKey::Wait(WaitEdge::kTxDurable));
-
-  const auto* slowest = profiler.slowest();
-  ASSERT_NE(slowest, nullptr);
-  ExpectExactSum(*slowest);
 
   // Reports render without tripping any internal checks and name the edge.
   const std::string report = FormatBlameReport(profiler);

@@ -162,11 +162,6 @@ int RunDump(const std::string& workload, const std::string& out_path,
               tracer.size(), static_cast<unsigned long long>(tracer.total_recorded()),
               static_cast<unsigned long long>(tracer.overwritten()), out_path.c_str(),
               filter.empty() ? "" : " (filtered)");
-  if (tracer.dropped_open_req() != 0) {
-    std::printf("WARNING: ring wraparound discarded %llu event(s) of still-open "
-                "requests — this dump is incomplete for those requests\n",
-                static_cast<unsigned long long>(tracer.dropped_open_req()));
-  }
 
   if (!filter.empty()) {
     std::printf("\n");
