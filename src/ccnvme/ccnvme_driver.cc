@@ -1,5 +1,7 @@
 #include "src/ccnvme/ccnvme_driver.h"
 
+#include <utility>
+
 #include "src/common/logging.h"
 #include "src/metrics/metrics.h"
 #include "src/trace/tracer.h"
@@ -376,7 +378,9 @@ void CcNvmeDriver::CompleteReadyTransactions(Queue& q) {
         t->InstantWith(TracePoint::kTxDurable, {0, tx->tx_id, device_id_});
       }
       transactions_completed_++;
-      for (auto& cb : tx->on_durable) {
+      // Moved out first: the transaction must not keep what the callbacks
+      // hold (callers capture state that owns this very transaction).
+      for (auto& cb : std::exchange(tx->on_durable, {})) {
         cb();
       }
       tx->durable.Signal();
@@ -402,7 +406,7 @@ void CcNvmeDriver::CompleteReadyTransactions(Queue& q) {
         advanced = true;
         tx->durable_at_ns = sim_->now();
         transactions_completed_++;
-        for (auto& cb : tx->on_durable) {
+        for (auto& cb : std::exchange(tx->on_durable, {})) {
           cb();
         }
         tx->durable.Signal();

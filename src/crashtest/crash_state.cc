@@ -477,13 +477,6 @@ CrashImage BuildCrashState(const CrashRecording& rec, const CrashPlan& plan,
   CrashImage image;
   image.devices = rec.base.devices;
   image.nvm = rec.base.nvm;
-  // One reconstructed PMR per member device.
-  std::vector<Pmr> pmrs;
-  pmrs.reserve(image.devices.size());
-  for (const DeviceImage& dev : image.devices) {
-    pmrs.emplace_back(dev.pmr.size());
-    std::copy(dev.pmr.begin(), dev.pmr.end(), pmrs.back().mutable_bytes().begin());
-  }
 
   const size_t n = std::min(plan.crash_index, rec.events.size());
   for (size_t i = 0; i < n; ++i) {
@@ -541,25 +534,26 @@ CrashImage BuildCrashState(const CrashRecording& rec, const CrashPlan& plan,
         }
       }
     } else if (ev.op == BioOp::kPmrWrite || ev.op == BioOp::kPmrDoorbell) {
-      Pmr& pmr = pmrs[ev.device];
+      Buffer& pmr = image.devices[ev.device].pmr;
+      CCNVME_CHECK_LE(ev.lba + ev.data.size(), pmr.size())
+          << "PMR store outside the recorded base image";
       if (ev.op == BioOp::kPmrWrite && state[i] == WState::kUncertain) {
         const uint8_t c = choice_of[{i, 0}];
         if (c == kChoiceAbsent) {
           continue;
         }
         if (c >= kChoiceTornBase) {
+          // PMR MMIO and NVM stores tear at the same 8-byte word.
+          static_assert(kMmioWordSize == kNvmWordSize);
           const size_t words = (ev.data.size() + kMmioWordSize - 1) / kMmioWordSize;
-          pmr.ApplyTornWords(ev.lba, ev.data,
-                             TornMask(torn_seed, UncertainItem{i, 0, true},
-                                      static_cast<uint8_t>(c - kChoiceTornBase), words));
+          NvmApplyTornWords(pmr, ev.lba, ev.data,
+                            TornMask(torn_seed, UncertainItem{i, 0, true},
+                                     static_cast<uint8_t>(c - kChoiceTornBase), words));
           continue;
         }
       }
-      pmr.Write(ev.lba, ev.data);
+      std::copy(ev.data.begin(), ev.data.end(), pmr.begin() + static_cast<long>(ev.lba));
     }
-  }
-  for (size_t d = 0; d < image.devices.size(); ++d) {
-    image.devices[d].pmr.assign(pmrs[d].bytes().begin(), pmrs[d].bytes().end());
   }
   return image;
 }

@@ -1,5 +1,7 @@
 #include "src/driver/nvme_driver.h"
 
+#include <utility>
+
 #include "src/common/logging.h"
 #include "src/trace/tracer.h"
 
@@ -171,8 +173,10 @@ void NvmeDriver::BottomHalfLoop(QueueState* q) {
         q->cq_phase = !q->cq_phase;
       }
       handled++;
-      if (req->on_complete) {
-        req->on_complete();
+      // Moved out first: the request must not keep what the callback holds
+      // (callers capture state that owns this very request).
+      if (auto on_complete = std::exchange(req->on_complete, nullptr)) {
+        on_complete();
       }
       Simulator::Sleep(config_.costs.wakeup_ns);
       req->done.Signal();

@@ -24,10 +24,9 @@ NvLogScan NvLog::Init() {
     RingStore(0, zero);
     nvm_->FlushFence();
   }
-  // One timed load of the whole region, then the shared offline scanner.
-  Buffer snap(nvm_->size());
-  nvm_->Load(0, snap);
-  NvLogScan scan = ScanNvLogImage(snap);
+  // One timed load of the whole region, scanned in place by the shared
+  // offline scanner.
+  NvLogScan scan = ScanNvLogImage(nvm_->LoadInPlace(0, nvm_->size()));
   CCNVME_CHECK(scan.ctrl.valid) << "NVM log invalid after format: " << scan.stop_reason;
   head_off_ = scan.ctrl.head_off;
   head_seq_ = scan.ctrl.head_seq;
@@ -401,8 +400,9 @@ void NvLogJournal::RetireBatch(const Batch& batch) {
 
 Status NvLogJournal::Recover() {
   ScopedSpan span(sim_->tracer(), TracePoint::kNvlogRecover);
-  Buffer snap(nvm_->size());
-  nvm_->Load(0, snap);
+  // Nothing stores to the tier until recovery advances the head below, so
+  // the in-place view holds still while the replay reads its payloads.
+  const std::span<const uint8_t> snap = nvm_->LoadInPlace(0, nvm_->size());
   const NvLogScan scan = ScanNvLogImage(snap);
   if (!scan.ctrl.valid || scan.tail.empty()) {
     return OkStatus();

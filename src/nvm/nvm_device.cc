@@ -14,23 +14,25 @@ uint64_t Lines(size_t bytes) { return (bytes + kNvmLineSize - 1) / kNvmLineSize;
 }  // namespace
 
 NvmDevice::NvmDevice(Simulator* sim, const NvmConfig& config)
-    : sim_(sim), config_(config), live_(config.size_bytes, 0), durable_(config.size_bytes, 0) {}
+    : sim_(sim), config_(config), image_(config.size_bytes, 0) {}
 
 NvmDevice::NvmDevice(Simulator* sim, const NvmConfig& config, const Buffer& image)
-    : sim_(sim), config_(config), live_(image), durable_(image) {
+    : sim_(sim), config_(config), image_(image) {
   CCNVME_CHECK_EQ(image.size(), config.size_bytes)
       << "NVM image size does not match the configured device size";
 }
 
 void NvmDevice::Store(size_t offset, std::span<const uint8_t> data) {
-  CCNVME_CHECK_LE(offset + data.size(), live_.size());
+  CCNVME_CHECK_LE(offset + data.size(), image_.size());
   // Chunked so every recorded event's payload fits one 64-bit torn-word
   // mask; the chunks of one Store are independent stores to the crash model
   // (cache lines evict independently anyway).
   size_t pos = 0;
   while (pos < data.size()) {
     const size_t len = std::min(kNvmStoreChunk, data.size() - pos);
-    std::memcpy(live_.data() + offset + pos, data.data() + pos, len);
+    uint8_t* dst = image_.data() + offset + pos;
+    overwritten_.insert(overwritten_.end(), dst, dst + len);
+    std::memcpy(dst, data.data() + pos, len);
     pending_.push_back(Range{offset + pos, len});
     if (recorder_) {
       BioEvent ev;
@@ -54,9 +56,15 @@ void NvmDevice::StoreU64(size_t offset, uint64_t v) {
 }
 
 void NvmDevice::Load(size_t offset, std::span<uint8_t> out) {
-  CCNVME_CHECK_LE(offset + out.size(), live_.size());
-  std::memcpy(out.data(), live_.data() + offset, out.size());
+  CCNVME_CHECK_LE(offset + out.size(), image_.size());
+  std::memcpy(out.data(), image_.data() + offset, out.size());
   Simulator::Sleep(Lines(out.size()) * config_.load_line_ns);
+}
+
+std::span<const uint8_t> NvmDevice::LoadInPlace(size_t offset, size_t len) {
+  CCNVME_CHECK_LE(offset + len, image_.size());
+  Simulator::Sleep(Lines(len) * config_.load_line_ns);
+  return std::span<const uint8_t>(image_).subspan(offset, len);
 }
 
 uint64_t NvmDevice::LoadU64(size_t offset) {
@@ -67,10 +75,8 @@ uint64_t NvmDevice::LoadU64(size_t offset) {
 
 size_t NvmDevice::FlushFence() {
   const size_t flushed = pending_.size();
-  for (const Range& r : pending_) {
-    std::memcpy(durable_.data() + r.offset, live_.data() + r.offset, r.len);
-  }
   pending_.clear();
+  overwritten_.clear();
   if (recorder_) {
     BioEvent ev;
     ev.op = BioOp::kNvmFence;
@@ -79,6 +85,18 @@ size_t NvmDevice::FlushFence() {
   fences_++;
   Simulator::Sleep(config_.fence_ns);
   return flushed;
+}
+
+Buffer NvmDevice::durable_image() const {
+  Buffer durable = image_;
+  // Newest first, so a byte stored twice since the fence ends up with what
+  // it held at the fence.
+  size_t end = overwritten_.size();
+  for (auto r = pending_.rbegin(); r != pending_.rend(); ++r) {
+    end -= r->len;
+    std::memcpy(durable.data() + r->offset, overwritten_.data() + end, r->len);
+  }
+  return durable;
 }
 
 void NvmApplyTornWords(Buffer& image, size_t offset, std::span<const uint8_t> data,

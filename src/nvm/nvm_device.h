@@ -6,11 +6,17 @@
 // become crash-durable once an explicit flush+fence barrier (clwb;sfence)
 // pushes them out — until then a power cut may persist any 8-byte-word
 // subset of an unflushed store, exactly the torn-store granularity the PMR
-// MMIO model uses (src/nvme/pmr.h). The device therefore keeps two views:
+// MMIO model uses (src/nvme/pmr.h). The device exposes two views:
 //
 //   * live    — what loads observe (every store applied immediately);
 //   * durable — what a power cut right now is GUARANTEED to leave behind
-//               (stores promoted live->durable by FlushFence).
+//               (the live view as of the last FlushFence).
+//
+// Only the live view is held in full. For each store not yet fenced the
+// device also keeps the bytes that store overwrote; a fence drops them, and
+// the durable view is rebuilt on demand by putting them back, newest first.
+// Between fences that undo log is as large as the stores themselves, so the
+// tier costs one image of host memory, not two.
 //
 // Every store and barrier is reported to the crash-test recorder as
 // kNvmWrite / kNvmFence events, so src/crashtest can enumerate the torn
@@ -55,7 +61,7 @@ class NvmDevice {
   // start as |image| (everything that survived is durable by definition).
   NvmDevice(Simulator* sim, const NvmConfig& config, const Buffer& image);
 
-  size_t size() const { return live_.size(); }
+  size_t size() const { return image_.size(); }
   const NvmConfig& config() const { return config_; }
 
   // CPU store: visible to loads immediately, crash-durable only after the
@@ -67,19 +73,24 @@ class NvmDevice {
   // CPU load from the live view. Charges load cost in virtual time.
   void Load(size_t offset, std::span<uint8_t> out);
   uint64_t LoadU64(size_t offset);
+  // The same timed load of [offset, offset+len), read in place: charges
+  // what Load charges and returns a view of the live image instead of a
+  // copy. The view shows later stores, so read it before storing again.
+  std::span<const uint8_t> LoadInPlace(size_t offset, size_t len);
 
-  // clwb of every line dirtied since the last barrier + sfence: promotes
-  // all pending stores into the durable view and records one kNvmFence
-  // event. Returns the number of pending byte-ranges it persisted.
+  // clwb of every line dirtied since the last barrier + sfence: makes every
+  // pending store durable and records one kNvmFence event. Returns the
+  // number of pending byte-ranges it persisted.
   size_t FlushFence();
 
   // The crash-conservative persistent image: bytes a power cut right now is
   // guaranteed to preserve. Unfenced stores are NOT included — the crash
-  // explorer chooses their fate per 8-byte word itself.
-  const Buffer& durable_image() const { return durable_; }
+  // explorer chooses their fate per 8-byte word itself. Built on each call
+  // (a full-size copy), so take it at a cut, not on a hot path.
+  Buffer durable_image() const;
   // The live view (what loads see). For inspection tools on a running
   // stack; never used to build crash states.
-  const Buffer& live_image() const { return live_; }
+  const Buffer& live_image() const { return image_; }
 
   bool has_pending_stores() const { return !pending_.empty(); }
 
@@ -100,18 +111,19 @@ class NvmDevice {
 
   Simulator* sim_;
   NvmConfig config_;
-  Buffer live_;
-  Buffer durable_;
-  std::vector<Range> pending_;  // stored-but-unfenced byte ranges
+  Buffer image_;                // the live view
+  std::vector<Range> pending_;  // stored-but-unfenced byte ranges, oldest first
+  Buffer overwritten_;          // what each pending range held before, in order
   BioRecorder recorder_;
   uint64_t stores_ = 0;
   uint64_t fences_ = 0;
 };
 
-// Applies a TORN store to a raw NVM image: only the 8-byte words of |data|
-// selected by |word_mask| (bit w covers bytes [8w, 8w+8) of |data|, clipped
-// to its size) land at |offset|; the rest keep their previous contents.
-// Used by the crash-state builder for unfenced kNvmWrite events.
+// Applies a TORN store to a raw NVM or PMR image: only the 8-byte words of
+// |data| selected by |word_mask| (bit w covers bytes [8w, 8w+8) of |data|,
+// clipped to its size) land at |offset|; the rest keep their previous
+// contents. Used by the crash-state builder for unfenced kNvmWrite events
+// and torn write-combined kPmrWrite events.
 void NvmApplyTornWords(Buffer& image, size_t offset, std::span<const uint8_t> data,
                        uint64_t word_mask);
 

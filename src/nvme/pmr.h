@@ -50,26 +50,6 @@ class Pmr {
   }
 
   std::span<const uint8_t> bytes() const { return bytes_; }
-  std::span<uint8_t> mutable_bytes() { return bytes_; }
-
-  // Applies a TORN store: only the words of |data| selected by |word_mask|
-  // (bit w covers bytes [8w, 8w+8) of |data|, clipped to its size) reach
-  // the region; the rest keep their previous contents. Used by the
-  // crash-state explorer to model an unfenced WC store interrupted by a
-  // power cut.
-  void ApplyTornWords(size_t offset, std::span<const uint8_t> data, uint64_t word_mask) {
-    CCNVME_CHECK_LE(offset + data.size(), bytes_.size());
-    const size_t words = (data.size() + kMmioWordSize - 1) / kMmioWordSize;
-    CCNVME_CHECK_LE(words, 64u);
-    for (size_t w = 0; w < words; ++w) {
-      if (((word_mask >> w) & 1) == 0) {
-        continue;
-      }
-      const size_t begin = w * kMmioWordSize;
-      const size_t end = std::min(begin + kMmioWordSize, data.size());
-      std::memcpy(bytes_.data() + offset + begin, data.data() + begin, end - begin);
-    }
-  }
 
   // Fills the region with zeros — models a *fresh* device, not a power cut
   // (a power cut preserves PMR contents by design).

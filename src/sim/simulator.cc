@@ -1,5 +1,8 @@
 #include "src/sim/simulator.h"
 
+#include <malloc.h>
+#include <sched.h>
+
 #include "src/common/logging.h"
 
 namespace ccnvme {
@@ -7,12 +10,28 @@ namespace ccnvme {
 namespace {
 thread_local Simulator* tls_simulator = nullptr;
 thread_local Actor* tls_actor = nullptr;
+
+// glibc gives each new thread its own malloc arena, up to eight per CPU,
+// and every actor is a thread. Actors run one at a time, so the extra
+// arenas only strand each other's free memory. A cap of one arena per CPU
+// the process may run on still leaves one per worker to a pool sized to
+// those CPUs, like the crash explorer's. glibc fixes the limit the first
+// time a thread needs a new arena, so the first Simulator sets it before
+// it spawns any actor.
+bool CapMallocArenas() {
+  cpu_set_t allowed;
+  CPU_ZERO(&allowed);
+  return sched_getaffinity(0, sizeof(allowed), &allowed) == 0 &&
+         mallopt(M_ARENA_MAX, CPU_COUNT(&allowed)) == 1;
+}
 }  // namespace
 
 Actor::Actor(Simulator* sim, std::string name, std::function<void()> body)
     : sim_(sim), name_(std::move(name)), body_(std::move(body)) {}
 
-Simulator::Simulator() = default;
+Simulator::Simulator() {
+  [[maybe_unused]] static const bool arenas_capped = CapMallocArenas();
+}
 
 Simulator::~Simulator() { Shutdown(); }
 

@@ -229,6 +229,33 @@ TEST(CcNvmeTest, OutOfOrderAblationLeaksDeviceReordering) {
       << "expected at least one device-side reordering to leak through";
 }
 
+// A durable transaction holds nothing its on_durable callbacks captured, on
+// both completion paths. The volume keeps member tx handles in state that
+// those callbacks capture, so a kept callback would make each volume
+// commit a shared_ptr cycle that is never freed.
+TEST(CcNvmeTest, DurableCallbackIsReleasedOnceItRuns) {
+  for (const bool in_order : {true, false}) {
+    CcNvmeOptions opts;
+    opts.in_order_completion = in_order;
+    CcStack s(SsdConfig::Optane905P(), 1, opts);
+    auto token = std::make_shared<int>(0);
+    const std::weak_ptr<int> watch = token;
+    int calls = 0;
+    s.sim->Spawn("app", [&] {
+      const Buffer a = MakeBlock(0x3A);
+      const Buffer jd = MakeBlock(0x3B);
+      s.cc->SubmitTx(0, 9, 10, &a);
+      auto tx = s.cc->CommitTx(0, 9, 11, &jd, [&calls, token = std::move(token)] { ++calls; });
+      s.cc->WaitDurable(tx);
+      EXPECT_EQ(calls, 1) << "in_order=" << in_order;
+      EXPECT_TRUE(watch.expired()) << "in_order=" << in_order
+                                   << ": the durable transaction still owns its callback";
+    });
+    s.sim->Run();
+    s.sim->Shutdown();
+  }
+}
+
 TEST(CcNvmeTest, UnfinishedWindowVisibleUntilCompletion) {
   CcStack s;
   s.sim->Spawn("app", [&] {

@@ -346,6 +346,59 @@ TEST(NvlogJournalTest, RepeatedOverwritesCoalesceInDrain) {
   ASSERT_TRUE(stack.Unmount().ok());
 }
 
+// --- Mount-time charges ----------------------------------------------------
+
+// Every mount-time scan of a 16 MiB tier charges one timed load of the
+// whole region: 262,144 lines x 170 ns.
+constexpr uint64_t kWholeRegionLoadNs = (16u << 20) / kNvmLineSize * 170;
+
+TEST(NvlogMountTest, InitChargesFormatAndOneWholeRegionLoad) {
+  Simulator sim;
+  NvmDevice nvm(&sim, SmallNvm(16 << 20));
+  NvLog log(&sim, &nvm);
+  uint64_t elapsed = 0;
+  sim.Spawn("mount", [&] {
+    const NvLogScan scan = log.Init();
+    EXPECT_TRUE(scan.ctrl.valid);
+    EXPECT_TRUE(scan.tail.empty());
+    elapsed = sim.now();
+  });
+  sim.Run();
+  EXPECT_EQ(kWholeRegionLoadNs, 44'564'480u);
+  // Format: magic, head word and end marker (one 60 ns line each) and one
+  // 500 ns fence, then the load.
+  EXPECT_EQ(elapsed, kWholeRegionLoadNs + 3 * 60 + 500);
+}
+
+TEST(NvlogMountTest, RecoverChargesOneWholeRegionLoadPlusReplay) {
+  StackConfig cfg = NvlogStackConfig();
+  cfg.nvm.size_bytes = 16 << 20;
+  cfg.fs.nvlog_drain_delay_ns = 1'000'000'000;  // nothing drains before the cut
+  StorageStack stack(cfg);
+  ASSERT_TRUE(stack.MkfsAndMount().ok());
+  CrashImage image;
+  stack.Run([&] {
+    for (int i = 0; i < 3; ++i) {
+      auto ino = stack.fs().Create("/mount_" + std::to_string(i));
+      ASSERT_TRUE(ino.ok());
+      ASSERT_TRUE(stack.fs().Write(*ino, 0, Buffer(2 * kFsBlockSize, 0x60 + i)).ok());
+      ASSERT_TRUE(stack.fs().Fsync(*ino).ok());
+    }
+    image = stack.CaptureCrashImage();  // the drainer still sleeps
+  });
+  ASSERT_EQ(ScanNvLogImage(image.nvm).tail.size(), 3u);
+
+  StorageStack booted(cfg, image);
+  Tracer& tracer = booted.EnableTracing();
+  ASSERT_TRUE(booted.MountExisting().ok());
+  const Tracer::PointAgg& recover = tracer.agg(TracePoint::kNvlogRecover);
+  ASSERT_EQ(recover.count, 1u);
+  // The load, then three entries' home writes, a flush and the head store
+  // and fence.
+  EXPECT_EQ(recover.total_ns, kWholeRegionLoadNs + 228'501);
+  ASSERT_TRUE(booted.Unmount().ok());
+}
+
 // --- The 13th online monitor: nvm.log_drain_order -------------------------
 
 uint64_t RunNvlogWorkloadWithMonitors(StackConfig cfg) {

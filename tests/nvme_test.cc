@@ -263,6 +263,27 @@ TEST(NvmeStackTest, QueueBackpressureDoesNotDeadlock) {
   s.sim->Shutdown();
 }
 
+// A completed request holds nothing its callback captured. Callers keep
+// request handles in state that their callbacks capture (the volume's
+// per-write fan-out), so a kept callback would make each such write a
+// shared_ptr cycle that is never freed.
+TEST(NvmeStackTest, CompletionCallbackIsReleasedOnceItRuns) {
+  Stack s;
+  auto token = std::make_shared<int>(0);
+  const std::weak_ptr<int> watch = token;
+  int calls = 0;
+  s.sim->Spawn("app", [&] {
+    const Buffer data = MakeBlock(0x5C);
+    auto req = s.drv->SubmitWrite(0, 7, &data, /*fua=*/false, 0, 0,
+                                  [&calls, token = std::move(token)] { ++calls; });
+    ASSERT_TRUE(s.drv->Wait(req).ok());
+    EXPECT_EQ(calls, 1);
+    EXPECT_TRUE(watch.expired()) << "the completed request still owns its callback";
+  });
+  s.sim->Run();
+  s.sim->Shutdown();
+}
+
 TEST(PmrTest, PersistsAndReadsBack) {
   Pmr pmr(1024);
   Buffer data = {1, 2, 3, 4};
