@@ -45,11 +45,7 @@ double RandomWriteMbps(BenchContext& ctx, uint16_t devices, VolumeKind kind,
       const uint64_t end_ns = duration_ns;
       while (stack.sim().now() < end_ns) {
         const uint64_t lba = rng.Uniform(kAddressBlocks);
-        if (stack.volume() != nullptr) {
-          window.push_back(stack.volume()->SubmitWrite(qid, lba, &data, 0));
-        } else {
-          window.push_back(stack.nvme().SubmitWrite(qid, lba, &data, false));
-        }
+        window.push_back(stack.volume()->SubmitWrite(qid, lba, &data, 0));
         if (window.size() >= kQueueDepth) {
           window.front()->done.Wait();
           window.erase(window.begin());

@@ -3,7 +3,7 @@
 //
 // A recorded stream interleaves three persistence domains:
 //   * media events  — bio submissions (kWrite/kFlush) and their durable
-//     completions (kComplete), emitted by the block layer;
+//     completions (kComplete), emitted by the volume (src/volume);
 //   * PMR events    — MMIO traffic against the SSD's persistent memory
 //     region (kPmrWrite/kPmrFence/kPmrDoorbell), emitted by the ccNVMe
 //     driver;
@@ -69,7 +69,7 @@ struct BioEvent {
   uint32_t flags = 0;
   uint64_t tx_id = 0;
   uint16_t qid = 0;     // hardware queue (PMR events)
-  uint16_t device = 0;  // member device of a multi-device volume (0 otherwise)
+  uint16_t device = 0;  // member device of the volume (0 on a one-device stack)
   Buffer data;          // payload copy for write events
 };
 using BioRecorder = std::function<void(const BioEvent&)>;

@@ -253,7 +253,8 @@ class JsonReader {
       return Fail("expected value");
     }
     out->type = JsonValue::Type::kNumber;
-    out->num = std::strtod(text_.substr(start, pos_ - start).c_str(), nullptr);
+    out->str = text_.substr(start, pos_ - start);
+    out->num = std::strtod(out->str.c_str(), nullptr);
     return true;
   }
 

@@ -41,7 +41,7 @@ struct JsonValue {
   Type type = Type::kNull;
   bool b = false;
   double num = 0.0;
-  std::string str;
+  std::string str;  // kString: the value; kNumber: the literal's exact text
   std::map<std::string, JsonValue> obj;
   std::vector<JsonValue> arr;
 

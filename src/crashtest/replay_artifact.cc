@@ -1,25 +1,15 @@
 #include "src/crashtest/replay_artifact.h"
 
-#include <cctype>
+#include <charconv>
+#include <concepts>
 #include <fstream>
 #include <sstream>
 
+#include "src/common/json.h"
 #include "src/crashtest/crash_workloads.h"
 
 namespace ccnvme {
 namespace {
-
-std::string EscapeJson(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-    }
-    out.push_back(c);
-  }
-  return out;
-}
 
 const char* JournalKindName(JournalKind k) {
   switch (k) {
@@ -60,288 +50,245 @@ Result<SsdConfig> SsdByName(const std::string& name) {
   return InvalidArgument("unknown SSD preset: " + name);
 }
 
-// --- Targeted readers for the flat artifact schema ------------------------
+// --- Typed readers over the parsed artifact object -------------------------
+// Keys added after the first artifact layout are optional: an absent one
+// keeps the default. A present key of the wrong type is an error either way.
 
-Result<size_t> ValueStart(const std::string& json, const std::string& key) {
-  const std::string needle = "\"" + key + "\"";
-  size_t p = json.find(needle);
-  if (p == std::string::npos) {
+constexpr bool kRequired = true;
+constexpr bool kOptional = false;
+
+// The value of |key|, checked to be of |type|; nullptr when the key is
+// absent and not |required|.
+Result<const JsonValue*> Field(const JsonValue& root, const std::string& key,
+                               JsonValue::Type type, bool required) {
+  const JsonValue* v = root.Find(key);
+  if (v == nullptr && required) {
     return NotFound("artifact missing key: " + key);
   }
-  p = json.find(':', p + needle.size());
-  if (p == std::string::npos) {
-    return InvalidArgument("artifact key without value: " + key);
+  if (v != nullptr && v->type != type) {
+    return InvalidArgument("wrong type for key: " + key);
   }
-  ++p;
-  while (p < json.size() && std::isspace(static_cast<unsigned char>(json[p])) != 0) {
-    ++p;
-  }
-  return p;
+  return v;
 }
 
-Result<std::string> GetString(const std::string& json, const std::string& key) {
-  CCNVME_ASSIGN_OR_RETURN(size_t p, ValueStart(json, key));
-  if (p >= json.size() || json[p] != '"') {
-    return InvalidArgument("expected string for key: " + key);
-  }
-  std::string out;
-  for (++p; p < json.size(); ++p) {
-    if (json[p] == '\\' && p + 1 < json.size()) {
-      out.push_back(json[++p]);
-    } else if (json[p] == '"') {
-      return out;
-    } else {
-      out.push_back(json[p]);
-    }
-  }
-  return InvalidArgument("unterminated string for key: " + key);
-}
-
-Result<uint64_t> GetUInt(const std::string& json, const std::string& key) {
-  CCNVME_ASSIGN_OR_RETURN(size_t p, ValueStart(json, key));
-  size_t end = p;
-  while (end < json.size() && std::isdigit(static_cast<unsigned char>(json[end])) != 0) {
-    ++end;
-  }
-  if (end == p) {
-    return InvalidArgument("expected number for key: " + key);
-  }
-  return std::stoull(json.substr(p, end - p));
-}
-
-Result<bool> GetBool(const std::string& json, const std::string& key) {
-  CCNVME_ASSIGN_OR_RETURN(size_t p, ValueStart(json, key));
-  if (json.compare(p, 4, "true") == 0) {
-    return true;
-  }
-  if (json.compare(p, 5, "false") == 0) {
+// Exact decimal parse of a number literal; false unless it is a
+// non-negative integer that fits |Int| (the parsed double would round
+// integers above 2^53).
+template <std::unsigned_integral Int>
+bool ParseUInt(const JsonValue& v, Int* out) {
+  if (v.type != JsonValue::Type::kNumber) {
     return false;
   }
-  return InvalidArgument("expected bool for key: " + key);
+  const char* end = v.str.data() + v.str.size();
+  auto [ptr, ec] = std::from_chars(v.str.data(), end, *out);
+  return ec == std::errc() && ptr == end;
 }
 
-Result<std::vector<uint8_t>> GetByteArray(const std::string& json, const std::string& key) {
-  CCNVME_ASSIGN_OR_RETURN(size_t p, ValueStart(json, key));
-  if (p >= json.size() || json[p] != '[') {
-    return InvalidArgument("expected array for key: " + key);
+Status Read(const JsonValue& root, const std::string& key, bool required, bool* out) {
+  CCNVME_ASSIGN_OR_RETURN(const JsonValue* v,
+                          Field(root, key, JsonValue::Type::kBool, required));
+  if (v != nullptr) {
+    *out = v->b;
   }
-  std::vector<uint8_t> out;
-  uint32_t value = 0;
-  bool in_number = false;
-  for (++p; p < json.size(); ++p) {
-    const char c = json[p];
-    if (std::isdigit(static_cast<unsigned char>(c)) != 0) {
-      value = value * 10 + static_cast<uint32_t>(c - '0');
-      in_number = true;
-    } else if (c == ',' || c == ']') {
-      if (in_number) {
-        if (value > 255) {
-          return InvalidArgument("choice out of range in key: " + key);
-        }
-        out.push_back(static_cast<uint8_t>(value));
-        value = 0;
-        in_number = false;
-      }
-      if (c == ']') {
-        return out;
-      }
-    } else if (std::isspace(static_cast<unsigned char>(c)) == 0) {
-      return InvalidArgument("bad array element for key: " + key);
-    }
-  }
-  return InvalidArgument("unterminated array for key: " + key);
+  return OkStatus();
 }
 
-Result<std::vector<std::string>> GetStringArray(const std::string& json,
-                                                const std::string& key) {
-  CCNVME_ASSIGN_OR_RETURN(size_t p, ValueStart(json, key));
-  if (p >= json.size() || json[p] != '[') {
-    return InvalidArgument("expected array for key: " + key);
+Status Read(const JsonValue& root, const std::string& key, bool required, std::string* out) {
+  CCNVME_ASSIGN_OR_RETURN(const JsonValue* v,
+                          Field(root, key, JsonValue::Type::kString, required));
+  if (v != nullptr) {
+    *out = v->str;
   }
-  std::vector<std::string> out;
-  for (++p; p < json.size(); ++p) {
-    const char c = json[p];
-    if (c == ']') {
-      return out;
-    }
-    if (c == '"') {
-      std::string s;
-      for (++p; p < json.size() && json[p] != '"'; ++p) {
-        if (json[p] == '\\' && p + 1 < json.size()) {
-          ++p;
-        }
-        s.push_back(json[p]);
-      }
-      if (p >= json.size()) {
-        return InvalidArgument("unterminated string in array for key: " + key);
-      }
-      out.push_back(std::move(s));
-    } else if (c != ',' && std::isspace(static_cast<unsigned char>(c)) == 0) {
-      return InvalidArgument("bad array element for key: " + key);
-    }
+  return OkStatus();
+}
+
+template <std::unsigned_integral Int>
+Status Read(const JsonValue& root, const std::string& key, bool required, Int* out) {
+  CCNVME_ASSIGN_OR_RETURN(const JsonValue* v,
+                          Field(root, key, JsonValue::Type::kNumber, required));
+  if (v != nullptr && !ParseUInt(*v, out)) {
+    return InvalidArgument("expected unsigned integer for key: " + key);
   }
-  return InvalidArgument("unterminated array for key: " + key);
+  return OkStatus();
 }
 
 }  // namespace
 
 std::string ReplayArtifact::ToJson() const {
-  std::ostringstream out;
-  auto b = [](bool v) { return v ? "true" : "false"; };
-  out << "{\n";
-  out << "  \"version\": 1,\n";
-  out << "  \"workload\": \"" << EscapeJson(workload) << "\",\n";
-  out << "  \"ssd\": \"" << EscapeJson(config.ssd.name) << "\",\n";
-  out << "  \"num_queues\": " << config.num_queues << ",\n";
-  out << "  \"queue_depth\": " << config.queue_depth << ",\n";
-  out << "  \"enable_ccnvme\": " << b(config.enable_ccnvme) << ",\n";
-  out << "  \"tx_aware_mmio\": " << b(config.cc_options.tx_aware_mmio) << ",\n";
-  out << "  \"in_order_completion\": " << b(config.cc_options.in_order_completion) << ",\n";
-  out << "  \"fs_total_blocks\": " << config.fs_total_blocks << ",\n";
-  out << "  \"journal\": \"" << JournalKindName(config.fs.journal) << "\",\n";
-  out << "  \"journal_areas\": " << config.fs.journal_areas << ",\n";
-  out << "  \"journal_blocks\": " << config.fs.journal_blocks << ",\n";
-  out << "  \"data_journaling\": " << b(config.fs.data_journaling) << ",\n";
-  out << "  \"metadata_shadow_paging\": " << b(config.fs.metadata_shadow_paging) << ",\n";
-  out << "  \"selective_revocation\": " << b(config.fs.selective_revocation) << ",\n";
-  out << "  \"test_skip_psq_window_scan\": " << b(config.fs.test_skip_psq_window_scan) << ",\n";
-  out << "  \"test_skip_cross_core_order\": " << b(config.fs.test_skip_cross_core_order)
-      << ",\n";
-  out << "  \"test_skip_nvlog_fence\": " << b(config.fs.test_skip_nvlog_fence) << ",\n";
-  out << "  \"nvm_enabled\": " << b(config.nvm.enabled) << ",\n";
-  out << "  \"nvm_size_bytes\": " << config.nvm.size_bytes << ",\n";
-  out << "  \"num_devices\": " << config.num_devices << ",\n";
-  out << "  \"volume_kind\": \""
-      << (config.volume.kind == VolumeKind::kMirror ? "mirror" : "stripe") << "\",\n";
-  out << "  \"volume_chunk_blocks\": " << config.volume.chunk_blocks << ",\n";
-  out << "  \"test_skip_volume_commit_gate\": " << b(config.volume.test_skip_volume_commit_gate)
-      << ",\n";
-  out << "  \"kv_enabled\": " << b(config.kv.enabled) << ",\n";
-  out << "  \"kv_dir_slots\": " << config.kv.dir_slots << ",\n";
-  out << "  \"kv_shadow_slots\": " << config.kv.shadow_slots << ",\n";
-  out << "  \"kv_flash_pages\": " << config.kv.flash_pages << ",\n";
-  out << "  \"kv_pages_per_block\": " << config.kv.pages_per_block << ",\n";
-  out << "  \"kv_total_lpns\": " << config.kv.total_lpns << ",\n";
-  out << "  \"kv_map_cache_segments\": " << config.kv.map_cache_segments << ",\n";
-  out << "  \"kv_gc_free_blocks_low\": " << config.kv.gc_free_blocks_low << ",\n";
-  out << "  \"kv_test_skip_ftl_shadow_commit\": " << b(config.kv.test_skip_ftl_shadow_commit)
-      << ",\n";
-  out << "  \"torn_seed\": " << torn_seed << ",\n";
-  out << "  \"crash_index\": " << plan.crash_index << ",\n";
-  out << "  \"choices\": [";
+  JsonWriter w(/*pretty=*/true);
+  bool first = true;
+  auto key = [&](const char* k) {
+    w.Key(k, first);
+    first = false;
+  };
+  auto num = [&](const char* k, uint64_t v) {
+    key(k);
+    w.os << v;
+  };
+  auto flag = [&](const char* k, bool v) {
+    key(k);
+    w.os << (v ? "true" : "false");
+  };
+  auto str = [&](const char* k, const std::string& v) {
+    key(k);
+    w.String(v);
+  };
+  const StackConfig& c = config;
+  w.Open('{');
+  num("version", 1);
+  str("workload", workload);
+  str("ssd", c.ssd.name);
+  num("num_queues", c.num_queues);
+  num("queue_depth", c.queue_depth);
+  flag("enable_ccnvme", c.enable_ccnvme);
+  flag("tx_aware_mmio", c.cc_options.tx_aware_mmio);
+  flag("in_order_completion", c.cc_options.in_order_completion);
+  num("fs_total_blocks", c.fs_total_blocks);
+  str("journal", JournalKindName(c.fs.journal));
+  num("journal_areas", c.fs.journal_areas);
+  num("journal_blocks", c.fs.journal_blocks);
+  flag("data_journaling", c.fs.data_journaling);
+  flag("metadata_shadow_paging", c.fs.metadata_shadow_paging);
+  flag("selective_revocation", c.fs.selective_revocation);
+  flag("test_skip_psq_window_scan", c.fs.test_skip_psq_window_scan);
+  flag("test_skip_cross_core_order", c.fs.test_skip_cross_core_order);
+  flag("test_skip_nvlog_fence", c.fs.test_skip_nvlog_fence);
+  flag("nvm_enabled", c.nvm.enabled);
+  num("nvm_size_bytes", c.nvm.size_bytes);
+  num("num_devices", c.num_devices);
+  str("volume_kind", c.volume.kind == VolumeKind::kMirror ? "mirror" : "stripe");
+  num("volume_chunk_blocks", c.volume.chunk_blocks);
+  flag("test_skip_volume_commit_gate", c.volume.test_skip_volume_commit_gate);
+  flag("kv_enabled", c.kv.enabled);
+  num("kv_dir_slots", c.kv.dir_slots);
+  num("kv_shadow_slots", c.kv.shadow_slots);
+  num("kv_flash_pages", c.kv.flash_pages);
+  num("kv_pages_per_block", c.kv.pages_per_block);
+  num("kv_total_lpns", c.kv.total_lpns);
+  num("kv_map_cache_segments", c.kv.map_cache_segments);
+  num("kv_gc_free_blocks_low", c.kv.gc_free_blocks_low);
+  flag("kv_test_skip_ftl_shadow_commit", c.kv.test_skip_ftl_shadow_commit);
+  num("torn_seed", torn_seed);
+  num("crash_index", plan.crash_index);
+  key("choices");
+  w.os << '[';
   for (size_t i = 0; i < plan.choices.size(); ++i) {
-    out << (i == 0 ? "" : ",") << static_cast<uint32_t>(plan.choices[i]);
+    w.os << (i == 0 ? "" : ",") << static_cast<uint32_t>(plan.choices[i]);
   }
-  out << "],\n";
-  out << "  \"failure\": \"" << EscapeJson(failure) << "\",\n";
-  out << "  \"flight_recorder\": [";
+  w.os << ']';
+  str("failure", failure);
+  key("flight_recorder");
+  w.Open('[');
   for (size_t i = 0; i < flight_recorder.size(); ++i) {
-    out << (i == 0 ? "" : ",") << "\n    \"" << EscapeJson(flight_recorder[i]) << "\"";
+    if (i > 0) {
+      w.os << ',';
+    }
+    w.NewlineIndent();
+    w.String(flight_recorder[i]);
   }
-  out << (flight_recorder.empty() ? "]\n" : "\n  ]\n");
-  out << "}\n";
-  return out.str();
+  w.Close(']');
+  w.Close('}');
+  w.os << '\n';
+  return w.os.str();
 }
 
 Result<ReplayArtifact> ReplayArtifact::FromJson(const std::string& json) {
-  ReplayArtifact art;
-  CCNVME_ASSIGN_OR_RETURN(uint64_t version, GetUInt(json, "version"));
+  JsonValue root;
+  std::string error;
+  if (!JsonParse(json, &root, &error)) {
+    return InvalidArgument("artifact is not JSON: " + error);
+  }
+  if (root.type != JsonValue::Type::kObject) {
+    return InvalidArgument("artifact is not a JSON object");
+  }
+  uint64_t version = 0;
+  CCNVME_RETURN_IF_ERROR(Read(root, "version", kRequired, &version));
   if (version != 1) {
     return InvalidArgument("unsupported artifact version: " + std::to_string(version));
   }
-  CCNVME_ASSIGN_OR_RETURN(art.workload, GetString(json, "workload"));
-  CCNVME_ASSIGN_OR_RETURN(std::string ssd_name, GetString(json, "ssd"));
-  CCNVME_ASSIGN_OR_RETURN(art.config.ssd, SsdByName(ssd_name));
-  CCNVME_ASSIGN_OR_RETURN(uint64_t num_queues, GetUInt(json, "num_queues"));
-  art.config.num_queues = static_cast<uint16_t>(num_queues);
-  CCNVME_ASSIGN_OR_RETURN(uint64_t queue_depth, GetUInt(json, "queue_depth"));
-  art.config.queue_depth = static_cast<uint16_t>(queue_depth);
-  CCNVME_ASSIGN_OR_RETURN(art.config.enable_ccnvme, GetBool(json, "enable_ccnvme"));
-  CCNVME_ASSIGN_OR_RETURN(art.config.cc_options.tx_aware_mmio, GetBool(json, "tx_aware_mmio"));
-  CCNVME_ASSIGN_OR_RETURN(art.config.cc_options.in_order_completion,
-                          GetBool(json, "in_order_completion"));
-  CCNVME_ASSIGN_OR_RETURN(art.config.fs_total_blocks, GetUInt(json, "fs_total_blocks"));
-  CCNVME_ASSIGN_OR_RETURN(std::string journal, GetString(json, "journal"));
-  CCNVME_ASSIGN_OR_RETURN(art.config.fs.journal, ParseJournalKind(journal));
-  CCNVME_ASSIGN_OR_RETURN(uint64_t areas, GetUInt(json, "journal_areas"));
-  art.config.fs.journal_areas = static_cast<uint32_t>(areas);
-  CCNVME_ASSIGN_OR_RETURN(art.config.fs.journal_blocks, GetUInt(json, "journal_blocks"));
-  CCNVME_ASSIGN_OR_RETURN(art.config.fs.data_journaling, GetBool(json, "data_journaling"));
-  CCNVME_ASSIGN_OR_RETURN(art.config.fs.metadata_shadow_paging,
-                          GetBool(json, "metadata_shadow_paging"));
-  CCNVME_ASSIGN_OR_RETURN(art.config.fs.selective_revocation,
-                          GetBool(json, "selective_revocation"));
-  CCNVME_ASSIGN_OR_RETURN(art.config.fs.test_skip_psq_window_scan,
-                          GetBool(json, "test_skip_psq_window_scan"));
+  ReplayArtifact art;
+  StackConfig& c = art.config;
+  std::string ssd_name;
+  std::string journal;
+  CCNVME_RETURN_IF_ERROR(Read(root, "workload", kRequired, &art.workload));
+  CCNVME_RETURN_IF_ERROR(Read(root, "ssd", kRequired, &ssd_name));
+  CCNVME_ASSIGN_OR_RETURN(c.ssd, SsdByName(ssd_name));
+  CCNVME_RETURN_IF_ERROR(Read(root, "num_queues", kRequired, &c.num_queues));
+  CCNVME_RETURN_IF_ERROR(Read(root, "queue_depth", kRequired, &c.queue_depth));
+  CCNVME_RETURN_IF_ERROR(Read(root, "enable_ccnvme", kRequired, &c.enable_ccnvme));
+  CCNVME_RETURN_IF_ERROR(Read(root, "tx_aware_mmio", kRequired, &c.cc_options.tx_aware_mmio));
+  CCNVME_RETURN_IF_ERROR(
+      Read(root, "in_order_completion", kRequired, &c.cc_options.in_order_completion));
+  CCNVME_RETURN_IF_ERROR(Read(root, "fs_total_blocks", kRequired, &c.fs_total_blocks));
+  CCNVME_RETURN_IF_ERROR(Read(root, "journal", kRequired, &journal));
+  CCNVME_ASSIGN_OR_RETURN(c.fs.journal, ParseJournalKind(journal));
+  CCNVME_RETURN_IF_ERROR(Read(root, "journal_areas", kRequired, &c.fs.journal_areas));
+  CCNVME_RETURN_IF_ERROR(Read(root, "journal_blocks", kRequired, &c.fs.journal_blocks));
+  CCNVME_RETURN_IF_ERROR(Read(root, "data_journaling", kRequired, &c.fs.data_journaling));
+  CCNVME_RETURN_IF_ERROR(
+      Read(root, "metadata_shadow_paging", kRequired, &c.fs.metadata_shadow_paging));
+  CCNVME_RETURN_IF_ERROR(
+      Read(root, "selective_revocation", kRequired, &c.fs.selective_revocation));
+  CCNVME_RETURN_IF_ERROR(
+      Read(root, "test_skip_psq_window_scan", kRequired, &c.fs.test_skip_psq_window_scan));
   // Optional (older artifacts predate cross-core fsync aggregation).
-  if (Result<bool> cc = GetBool(json, "test_skip_cross_core_order"); cc.ok()) {
-    art.config.fs.test_skip_cross_core_order = *cc;
-  }
+  CCNVME_RETURN_IF_ERROR(
+      Read(root, "test_skip_cross_core_order", kOptional, &c.fs.test_skip_cross_core_order));
   // Optional NVM tier (older artifacts predate the NVLog architecture).
-  if (Result<bool> nf = GetBool(json, "test_skip_nvlog_fence"); nf.ok()) {
-    art.config.fs.test_skip_nvlog_fence = *nf;
-  }
-  if (Result<bool> ne = GetBool(json, "nvm_enabled"); ne.ok()) {
-    art.config.nvm.enabled = *ne;
-  }
-  if (Result<uint64_t> ns = GetUInt(json, "nvm_size_bytes"); ns.ok()) {
-    art.config.nvm.size_bytes = *ns;
-  }
-  if (art.config.fs.journal == JournalKind::kNvlog) {
-    art.config.nvm.enabled = true;
+  CCNVME_RETURN_IF_ERROR(
+      Read(root, "test_skip_nvlog_fence", kOptional, &c.fs.test_skip_nvlog_fence));
+  CCNVME_RETURN_IF_ERROR(Read(root, "nvm_enabled", kOptional, &c.nvm.enabled));
+  CCNVME_RETURN_IF_ERROR(Read(root, "nvm_size_bytes", kOptional, &c.nvm.size_bytes));
+  if (c.fs.journal == JournalKind::kNvlog) {
+    c.nvm.enabled = true;
   }
   // Optional volume geometry (older artifacts predate multi-device volumes).
-  if (Result<uint64_t> nd = GetUInt(json, "num_devices"); nd.ok()) {
-    art.config.num_devices = static_cast<uint16_t>(*nd);
+  std::string volume_kind = "stripe";
+  CCNVME_RETURN_IF_ERROR(Read(root, "num_devices", kOptional, &c.num_devices));
+  CCNVME_RETURN_IF_ERROR(Read(root, "volume_kind", kOptional, &volume_kind));
+  if (volume_kind != "stripe" && volume_kind != "mirror") {
+    return InvalidArgument("unknown volume kind: " + volume_kind);
   }
-  if (Result<std::string> vk = GetString(json, "volume_kind"); vk.ok()) {
-    if (*vk != "stripe" && *vk != "mirror") {
-      return InvalidArgument("unknown volume kind: " + *vk);
-    }
-    art.config.volume.kind = *vk == "mirror" ? VolumeKind::kMirror : VolumeKind::kStripe;
-  }
-  if (Result<uint64_t> cb = GetUInt(json, "volume_chunk_blocks"); cb.ok()) {
-    art.config.volume.chunk_blocks = static_cast<uint32_t>(*cb);
-  }
-  if (Result<bool> gate = GetBool(json, "test_skip_volume_commit_gate"); gate.ok()) {
-    art.config.volume.test_skip_volume_commit_gate = *gate;
-  }
+  c.volume.kind = volume_kind == "mirror" ? VolumeKind::kMirror : VolumeKind::kStripe;
+  CCNVME_RETURN_IF_ERROR(
+      Read(root, "volume_chunk_blocks", kOptional, &c.volume.chunk_blocks));
+  CCNVME_RETURN_IF_ERROR(Read(root, "test_skip_volume_commit_gate", kOptional,
+                              &c.volume.test_skip_volume_commit_gate));
   // Optional KV-native path (older artifacts predate the KV-SSD).
-  if (Result<bool> ke = GetBool(json, "kv_enabled"); ke.ok()) {
-    art.config.kv.enabled = *ke;
+  CCNVME_RETURN_IF_ERROR(Read(root, "kv_enabled", kOptional, &c.kv.enabled));
+  CCNVME_RETURN_IF_ERROR(Read(root, "kv_dir_slots", kOptional, &c.kv.dir_slots));
+  CCNVME_RETURN_IF_ERROR(Read(root, "kv_shadow_slots", kOptional, &c.kv.shadow_slots));
+  CCNVME_RETURN_IF_ERROR(Read(root, "kv_flash_pages", kOptional, &c.kv.flash_pages));
+  CCNVME_RETURN_IF_ERROR(Read(root, "kv_pages_per_block", kOptional, &c.kv.pages_per_block));
+  CCNVME_RETURN_IF_ERROR(Read(root, "kv_total_lpns", kOptional, &c.kv.total_lpns));
+  CCNVME_RETURN_IF_ERROR(
+      Read(root, "kv_map_cache_segments", kOptional, &c.kv.map_cache_segments));
+  CCNVME_RETURN_IF_ERROR(
+      Read(root, "kv_gc_free_blocks_low", kOptional, &c.kv.gc_free_blocks_low));
+  CCNVME_RETURN_IF_ERROR(Read(root, "kv_test_skip_ftl_shadow_commit", kOptional,
+                              &c.kv.test_skip_ftl_shadow_commit));
+  CCNVME_RETURN_IF_ERROR(Read(root, "torn_seed", kRequired, &art.torn_seed));
+  CCNVME_RETURN_IF_ERROR(Read(root, "crash_index", kRequired, &art.plan.crash_index));
+  CCNVME_ASSIGN_OR_RETURN(const JsonValue* choices,
+                          Field(root, "choices", JsonValue::Type::kArray, kRequired));
+  for (const JsonValue& v : choices->arr) {
+    uint8_t choice = 0;
+    if (!ParseUInt(v, &choice)) {
+      return InvalidArgument("choice out of range in key: choices");
+    }
+    art.plan.choices.push_back(choice);
   }
-  if (Result<uint64_t> v = GetUInt(json, "kv_dir_slots"); v.ok()) {
-    art.config.kv.dir_slots = static_cast<uint32_t>(*v);
-  }
-  if (Result<uint64_t> v = GetUInt(json, "kv_shadow_slots"); v.ok()) {
-    art.config.kv.shadow_slots = static_cast<uint32_t>(*v);
-  }
-  if (Result<uint64_t> v = GetUInt(json, "kv_flash_pages"); v.ok()) {
-    art.config.kv.flash_pages = *v;
-  }
-  if (Result<uint64_t> v = GetUInt(json, "kv_pages_per_block"); v.ok()) {
-    art.config.kv.pages_per_block = static_cast<uint32_t>(*v);
-  }
-  if (Result<uint64_t> v = GetUInt(json, "kv_total_lpns"); v.ok()) {
-    art.config.kv.total_lpns = *v;
-  }
-  if (Result<uint64_t> v = GetUInt(json, "kv_map_cache_segments"); v.ok()) {
-    art.config.kv.map_cache_segments = static_cast<uint32_t>(*v);
-  }
-  if (Result<uint64_t> v = GetUInt(json, "kv_gc_free_blocks_low"); v.ok()) {
-    art.config.kv.gc_free_blocks_low = static_cast<uint32_t>(*v);
-  }
-  if (Result<bool> v = GetBool(json, "kv_test_skip_ftl_shadow_commit"); v.ok()) {
-    art.config.kv.test_skip_ftl_shadow_commit = *v;
-  }
-  CCNVME_ASSIGN_OR_RETURN(art.torn_seed, GetUInt(json, "torn_seed"));
-  CCNVME_ASSIGN_OR_RETURN(art.plan.crash_index, GetUInt(json, "crash_index"));
-  CCNVME_ASSIGN_OR_RETURN(art.plan.choices, GetByteArray(json, "choices"));
-  CCNVME_ASSIGN_OR_RETURN(art.failure, GetString(json, "failure"));
+  CCNVME_RETURN_IF_ERROR(Read(root, "failure", kRequired, &art.failure));
   // Optional (older artifacts predate the flight recorder).
-  Result<std::vector<std::string>> tail = GetStringArray(json, "flight_recorder");
-  if (tail.ok()) {
-    art.flight_recorder = *std::move(tail);
+  CCNVME_ASSIGN_OR_RETURN(const JsonValue* tail, Field(root, "flight_recorder",
+                                                       JsonValue::Type::kArray, kOptional));
+  if (tail != nullptr) {
+    for (const JsonValue& line : tail->arr) {
+      if (line.type != JsonValue::Type::kString) {
+        return InvalidArgument("bad array element for key: flight_recorder");
+      }
+      art.flight_recorder.push_back(line.str);
+    }
   }
   return art;
 }

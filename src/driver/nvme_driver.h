@@ -68,7 +68,7 @@ class NvmeDriver {
                           Buffer* out);
 
   // Blocks the calling actor until |req| completes.
-  Status Wait(const RequestHandle& req);
+  static Status Wait(const RequestHandle& req);
 
   // Synchronous conveniences.
   Status Write(uint16_t qid, uint64_t slba, const Buffer& data, bool fua);

@@ -87,25 +87,18 @@ void StorageStack::Build(const CrashImage* image) {
     members.push_back(Volume::Member{nvmes_[d].get(), ccs_[d].get(), ssds_[d].get()});
   }
 
-  if (n > 1) {
-    if (image != nullptr && config_.volume.kind == VolumeKind::kMirror) {
-      // Mirror legs can diverge across a crash (one leg's doorbell rung,
-      // another's not). Reads are served by the primary leg, so resync the
-      // others from leg 0's durable media before anything is mounted. Each
-      // leg's PMR is left alone — recovery scans the union of the members'
-      // real [P-SQ-head, P-SQDB) windows.
-      for (uint16_t d = 1; d < n; ++d) {
-        ssds_[d]->media().LoadDurable(image->devices[0].media);
-      }
+  if (image != nullptr && config_.volume.kind == VolumeKind::kMirror) {
+    // Mirror legs can diverge across a crash (one leg's doorbell rung,
+    // another's not). Reads are served by the primary leg, so resync the
+    // others from leg 0's durable media before anything is mounted. Each
+    // leg's PMR is left alone — recovery scans the union of the members'
+    // real [P-SQ-head, P-SQDB) windows.
+    for (uint16_t d = 1; d < n; ++d) {
+      ssds_[d]->media().LoadDurable(image->devices[0].media);
     }
-    volume_ = std::make_unique<Volume>(sim_.get(), config_.volume, std::move(members));
   }
-
-  blk_ = std::make_unique<BlockLayer>(sim_.get(), nvmes_[0].get(), ccs_[0].get(),
-                                      config_.costs);
-  if (volume_ != nullptr) {
-    blk_->set_volume(volume_.get());
-  }
+  volume_ = std::make_unique<Volume>(sim_.get(), config_.volume, std::move(members));
+  blk_ = std::make_unique<BlockLayer>(sim_.get(), volume_.get(), config_.costs);
   if (config_.nvm.enabled || config_.fs.journal == JournalKind::kNvlog) {
     config_.nvm.enabled = true;
     if (image != nullptr && !image->nvm.empty()) {
@@ -208,14 +201,7 @@ void StorageStack::SetRecorder(BioRecorder recorder) {
   if (kv_ssd_ != nullptr) {
     kv_ssd_->set_recorder(recorder);
   }
-  if (volume_ != nullptr) {
-    // The volume records media events itself (with the member device
-    // stamped); the block-layer recorder stays unset so events are not
-    // double-counted.
-    volume_->set_recorder(std::move(recorder));
-  } else {
-    blk_->set_recorder(std::move(recorder));
-  }
+  volume_->set_recorder(std::move(recorder));
 }
 
 CrashImage StorageStack::CaptureCrashImage() const {

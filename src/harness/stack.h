@@ -40,9 +40,9 @@ struct StackConfig {
   // cheap to simulate).
   uint64_t fs_total_blocks = 256 * 1024;
   ExtFsOptions fs;
-  // Number of member devices. 1 = classic single-device stack; >1 binds the
-  // devices (each with its own link/SSD/controller/drivers) into one
-  // crash-consistent volume per |volume|.
+  // Number of member devices (each with its own link/SSD/controller/
+  // drivers), bound into one crash-consistent volume per |volume|. 1 = the
+  // classic single-device stack.
   uint16_t num_devices = 1;
   VolumeConfig volume;
   // Byte-addressable NVM tier (NVLog). Created when |nvm.enabled| or the
@@ -106,10 +106,11 @@ class StorageStack {
   // Spawn without running (for multi-actor setups); call sim().Run() after.
   void Spawn(const std::string& name, std::function<void()> body, uint16_t queue = 0);
 
-  // Installs |recorder| on every event source in the stack: the block layer
-  // (media bios + completions) and, when present, the ccNVMe driver (PMR
-  // stores, fences, doorbell rings, head advances). The two domains share
-  // one stream so a crash tester sees their true interleaving.
+  // Installs |recorder| on every event source in the stack: the volume
+  // (media bios + completions) and, when present, the ccNVMe drivers (PMR
+  // stores, fences, doorbell rings, head advances), the NVM tier and the
+  // KV-SSD. The domains share one stream so a crash tester sees their true
+  // interleaving.
   void SetRecorder(BioRecorder recorder);
 
   // Creates a Tracer and attaches it to the simulator so every layer's
@@ -153,7 +154,7 @@ class StorageStack {
   NvmeDriver& nvme(uint16_t device) { return *nvmes_[device]; }
   CcNvmeDriver* ccnvme(uint16_t device) { return ccs_[device].get(); }
   OpimqDriver& opimq(uint16_t device) { return *opimqs_[device]; }
-  // The volume binding the members, or nullptr on single-device stacks.
+  // The volume binding the member devices (one or more).
   Volume* volume() { return volume_.get(); }
   // The byte-addressable NVM tier, or nullptr when the stack has none.
   NvmDevice* nvm_device() { return nvm_.get(); }

@@ -8,7 +8,6 @@
 #ifndef SRC_NVME_PMR_H_
 #define SRC_NVME_PMR_H_
 
-#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -50,10 +49,6 @@ class Pmr {
   }
 
   std::span<const uint8_t> bytes() const { return bytes_; }
-
-  // Fills the region with zeros — models a *fresh* device, not a power cut
-  // (a power cut preserves PMR contents by design).
-  void FactoryReset() { std::fill(bytes_.begin(), bytes_.end(), 0); }
 
  private:
   std::vector<uint8_t> bytes_;

@@ -92,7 +92,6 @@ class PcieLink {
   void RaiseIrq(std::function<void()> handler);
 
   const TrafficStats& traffic() const { return traffic_; }
-  void ResetTraffic() { traffic_ = TrafficStats{}; }
   TrafficStats SnapshotTraffic() const { return traffic_; }
 
   const PcieConfig& config() const { return config_; }

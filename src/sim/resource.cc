@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "src/common/logging.h"
-
 namespace ccnvme {
 
 uint64_t BandwidthPipe::TransferTimeNs(uint64_t size_bytes) const {
@@ -50,41 +48,6 @@ void BandwidthPipe::ResetStats() {
   busy_ns_ = 0;
   bytes_transferred_ = 0;
   stats_epoch_ns_ = sim_->now();
-}
-
-CoreSet::CoreSet(Simulator* sim, int num_cores, uint64_t context_switch_ns)
-    : sim_(sim), context_switch_ns_(context_switch_ns) {
-  CCNVME_CHECK_GT(num_cores, 0);
-  cores_.resize(static_cast<size_t>(num_cores));
-}
-
-namespace {
-thread_local int tls_bound_core = -1;
-}  // namespace
-
-void CoreSet::BindCurrent(int core) {
-  CCNVME_CHECK(core >= 0 && core < num_cores()) << "bad core " << core;
-  tls_bound_core = core;
-}
-
-void CoreSet::Work(uint64_t ns) {
-  CCNVME_CHECK_GE(tls_bound_core, 0) << "actor not bound to a core";
-  WorkOn(tls_bound_core, ns);
-}
-
-void CoreSet::WorkOn(int core, uint64_t ns) {
-  CCNVME_CHECK(core >= 0 && core < num_cores()) << "bad core " << core;
-  Core& c = cores_[static_cast<size_t>(core)];
-  const Actor* self = Simulator::CurrentActor();
-  const uint64_t now = sim_->now();
-  uint64_t start = std::max(now, c.available_at_ns);
-  if (c.last_user != self && c.last_user != nullptr) {
-    start += context_switch_ns_;
-    context_switches_++;
-  }
-  c.last_user = self;
-  c.available_at_ns = start + ns;
-  Simulator::Sleep(c.available_at_ns - now);
 }
 
 }  // namespace ccnvme

@@ -1,11 +1,9 @@
-// Contended-resource models: counted servers, FIFO bandwidth pipes, and CPU
-// cores with context-switch costs.
+// Contended-resource models: counted servers and FIFO bandwidth pipes.
 #ifndef SRC_SIM_RESOURCE_H_
 #define SRC_SIM_RESOURCE_H_
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "src/sim/sync.h"
 
@@ -75,38 +73,6 @@ class BandwidthPipe {
   uint64_t busy_ns_ = 0;
   uint64_t bytes_transferred_ = 0;
   uint64_t stats_epoch_ns_ = 0;
-};
-
-// CPU cores. Each actor binds itself to a core; Work() consumes virtual CPU
-// time serialized per core, charging a context-switch penalty whenever the
-// core's previous user differs. With one actor per core this degenerates to
-// a plain Sleep, which is the common configuration in the paper's testbed
-// (one FIO thread per core); oversubscription (e.g. a JBD2 commit thread
-// sharing core 0) is what makes the baselines' "software overhead" visible.
-class CoreSet {
- public:
-  CoreSet(Simulator* sim, int num_cores, uint64_t context_switch_ns);
-
-  // Binds the calling actor to |core|; subsequent Work() calls use it.
-  void BindCurrent(int core);
-  // Consumes |ns| of CPU on the calling actor's bound core.
-  void Work(uint64_t ns);
-  // Consumes CPU on an explicit core (for event-context interrupt handlers).
-  void WorkOn(int core, uint64_t ns);
-
-  int num_cores() const { return static_cast<int>(cores_.size()); }
-  uint64_t context_switches() const { return context_switches_; }
-
- private:
-  struct Core {
-    uint64_t available_at_ns = 0;
-    const Actor* last_user = nullptr;
-  };
-
-  Simulator* sim_;
-  uint64_t context_switch_ns_;
-  std::vector<Core> cores_;
-  uint64_t context_switches_ = 0;
 };
 
 }  // namespace ccnvme

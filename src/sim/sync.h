@@ -14,7 +14,6 @@
 #include <deque>
 #include <functional>
 #include <memory>
-#include <optional>
 
 #include "src/sim/simulator.h"
 
@@ -129,16 +128,6 @@ class SimQueue {
     SimLockGuard guard(mu_);
     while (items_.empty()) {
       cv_.Wait(mu_);
-    }
-    T item = std::move(items_.front());
-    items_.pop_front();
-    return item;
-  }
-
-  std::optional<T> TryPop() {
-    SimLockGuard guard(mu_);
-    if (items_.empty()) {
-      return std::nullopt;
     }
     T item = std::move(items_.front());
     items_.pop_front();

@@ -10,7 +10,7 @@
 //
 // Each simulator actor is its own std::thread (see src/sim/simulator.h), so
 // thread_local gives exactly per-actor storage with zero contention — the
-// same trick the block layer uses for its plug lists.
+// same trick the block layer uses for its per-actor queue binding.
 //
 // Ids are allocated and propagated UNCONDITIONALLY, whether or not a Tracer
 // is attached: attribution must never change virtual-time behavior, and the

@@ -44,7 +44,7 @@ std::vector<uint16_t> Volume::TargetLegs(const Extent& extent) const {
 
 std::vector<Volume::Extent> Volume::MapExtents(uint64_t lba, uint32_t num_blocks) const {
   CCNVME_CHECK_GT(num_blocks, 0u);
-  if (config_.kind == VolumeKind::kMirror) {
+  if (config_.kind == VolumeKind::kMirror || members_.size() == 1) {
     return {Extent{PrimaryLeg(), lba, num_blocks, 0}};
   }
   const uint64_t chunk = config_.chunk_blocks;
@@ -111,6 +111,19 @@ NvmeDriver::RequestHandle Volume::SubmitWrite(uint16_t qid, uint64_t lba, const 
                                               std::function<void()> on_complete) {
   CCNVME_CHECK(data != nullptr && !data->empty());
   const auto extents = MapExtents(lba, static_cast<uint32_t>(data->size() / kLbaSize));
+  const bool fua = (flags & kBioFua) != 0;
+  if (extents.size() == 1 && TargetLegs(extents[0]).size() == 1) {
+    // One leg: hand back that leg's own request, so the caller wakes after
+    // the driver's wake-up cost exactly as on a one-device stack.
+    const uint16_t dev = extents[0].device;
+    const uint64_t dev_lba = extents[0].dev_lba;
+    const uint64_t seq = Record(dev, BioOp::kWrite, dev_lba, flags, 0, data);
+    return members_[dev].nvme->SubmitWrite(
+        qid, dev_lba, data, fua, 0, 0, [this, dev, seq, cb = std::move(on_complete)] {
+          RecordCompletion(dev, seq);
+          if (cb) cb();
+        });
+  }
   auto parent = std::make_shared<NvmeDriver::Request>(sim_);
   // remaining starts at 1: the extra count is released only after the
   // submission loop, so the parent cannot signal (and read a half-built leg
@@ -129,7 +142,6 @@ NvmeDriver::RequestHandle Volume::SubmitWrite(uint16_t qid, uint64_t lba, const 
     if (st->cb) st->cb();
     parent->done.Signal();
   };
-  const bool fua = (flags & kBioFua) != 0;
   for (const Extent& e : extents) {
     const Buffer* slice = SliceFor(e, data, st->slices);
     for (uint16_t dev : TargetLegs(e)) {
@@ -165,7 +177,7 @@ Status Volume::Read(uint16_t qid, uint64_t lba, uint32_t num_blocks, Buffer* out
   }
   Status result = OkStatus();
   for (size_t i = 0; i < extents.size(); ++i) {
-    Status st = members_[extents[i].device].nvme->Wait(reqs[i]);
+    Status st = NvmeDriver::Wait(reqs[i]);
     if (!st.ok() && result.ok()) result = st;
   }
   if (!result.ok()) return result;
@@ -177,17 +189,17 @@ Status Volume::Read(uint16_t qid, uint64_t lba, uint32_t num_blocks, Buffer* out
   return OkStatus();
 }
 
-Status Volume::Flush(uint16_t qid) {
+Status Volume::Flush(uint16_t qid, uint32_t flags) {
   std::vector<uint16_t> legs = LiveLegs();
   std::vector<uint64_t> seqs;
   std::vector<NvmeDriver::RequestHandle> reqs;
   for (uint16_t dev : legs) {
-    seqs.push_back(Record(dev, BioOp::kFlush, 0, 0, 0, nullptr));
+    seqs.push_back(Record(dev, BioOp::kFlush, 0, flags, 0, nullptr));
     reqs.push_back(members_[dev].nvme->SubmitFlush(qid));
   }
   Status result = OkStatus();
   for (size_t i = 0; i < legs.size(); ++i) {
-    Status st = members_[legs[i]].nvme->Wait(reqs[i]);
+    Status st = NvmeDriver::Wait(reqs[i]);
     if (st.ok()) {
       RecordCompletion(legs[i], seqs[i]);
     } else if (result.ok()) {
@@ -267,8 +279,11 @@ CcNvmeDriver::TxHandle Volume::CommitTx(uint16_t qid, uint64_t tx_id, uint64_t l
     std::function<void()> cb;
     std::vector<std::pair<uint16_t, uint64_t>> seqs;
     std::vector<std::shared_ptr<Buffer>> slices;
-    // Per-member device tx handles, for straggler wait-edge attribution.
-    std::vector<std::pair<uint16_t, CcNvmeDriver::TxHandle>> handles;
+    // (device, durable time) per member, for straggler wait-edge
+    // attribution. Times, not handles: a member handle here would close a
+    // cycle through that member's own on_durable callback, and leak both
+    // when the transaction never completes.
+    std::vector<std::pair<uint16_t, uint64_t>> durable_at;
   };
   auto st = std::make_shared<State>();
   st->tx_id = tx_id;
@@ -282,9 +297,8 @@ CcNvmeDriver::TxHandle Volume::CommitTx(uint16_t qid, uint64_t tx_id, uint64_t l
       // Fan-out stragglers: a member that completed early still holds the
       // volume transaction open until the slowest leg lands.
       const uint64_t end = sim_->now();
-      for (const auto& [dev, h] : st->handles) {
-        t->WaitEdgeWith(WaitEdge::kVolumeFanout, {0, st->tx_id, dev}, h->durable_at_ns, end,
-                        dev);
+      for (const auto& [dev, at] : st->durable_at) {
+        t->WaitEdgeWith(WaitEdge::kVolumeFanout, {0, st->tx_id, dev}, at, end, dev);
       }
     }
     if (st->cb) st->cb();
@@ -292,14 +306,26 @@ CcNvmeDriver::TxHandle Volume::CommitTx(uint16_t qid, uint64_t tx_id, uint64_t l
     parent->durable.Signal();
   };
 
+  // Counts member |dev| in and returns its on_durable callback, which
+  // stamps the member's durable time before counting it down.
+  auto member_durable = [&](uint16_t dev) {
+    const size_t slot = st->durable_at.size();
+    st->durable_at.emplace_back(dev, 0);
+    st->remaining++;
+    return [this, st, slot, done_one] {
+      st->durable_at[slot].second = sim_->now();
+      done_one();
+    };
+  };
+
+  std::vector<std::pair<uint16_t, CcNvmeDriver::TxHandle>> sealed;
   auto seal_member = [&](uint16_t dev) {
     if (mirror) {
       const uint64_t seq = Record(dev, BioOp::kWrite, commit_lba, kBioTx, tx_id, data);
       if (seq != 0) st->seqs.emplace_back(dev, seq);
       members_[dev].cc->SubmitTx(qid, tx_id, commit_lba, data, nullptr);
     }
-    st->remaining++;
-    st->handles.emplace_back(dev, members_[dev].cc->SealTx(qid, tx_id, done_one));
+    sealed.emplace_back(dev, members_[dev].cc->SealTx(qid, tx_id, member_durable(dev)));
     if (Metrics* m = sim_->metrics()) {
       m->monitors().OnVolumeMemberSealed(tx_id);
     }
@@ -313,10 +339,8 @@ CcNvmeDriver::TxHandle Volume::CommitTx(uint16_t qid, uint64_t tx_id, uint64_t l
       // point, so every other member must have sealed before this ring.
       m->monitors().OnVolumeCommitRing(tx_id, seal.size());
     }
-    st->remaining++;
     CcNvmeDriver::TxHandle h =
-        members_[commit_dev].cc->CommitTx(qid, tx_id, commit_lba, data, done_one);
-    st->handles.emplace_back(commit_dev, h);
+        members_[commit_dev].cc->CommitTx(qid, tx_id, commit_lba, data, member_durable(commit_dev));
     parent->atomic_at_ns = h->atomic_at_ns;
   };
 
@@ -332,13 +356,11 @@ CcNvmeDriver::TxHandle Volume::CommitTx(uint16_t qid, uint64_t tx_id, uint64_t l
     // Two-phase: seal every member, THEN ring the commit doorbell. The
     // commit device's P-SQDB is the volume-wide atomicity point.
     for (uint16_t dev : seal) seal_member(dev);
-    const size_t sealed_count = st->handles.size();
     commit_member();
     if (Tracer* t = sim_->tracer()) {
       // Seal→commit gate: a sealed member sits atomic-but-unordered until
       // the commit device's doorbell makes the whole volume tx atomic.
-      for (size_t i = 0; i < sealed_count; ++i) {
-        const auto& [dev, h] = st->handles[i];
+      for (const auto& [dev, h] : sealed) {
         t->WaitEdgeWith(WaitEdge::kSealCommitGate,
                         {CurrentTraceContext().req_id, tx_id, dev}, h->atomic_at_ns,
                         parent->atomic_at_ns, dev);

@@ -1,8 +1,10 @@
-// Multi-device crash-consistent volume layer.
+// Crash-consistent volume layer: the block layer's only route to the
+// devices, and the only recorder of media bios.
 //
-// Binds N independent simulated devices — each with its own PCIe link, SSD
-// model, NVMe controller and host drivers — into ONE crash-consistent block
-// address space:
+// Binds N >= 1 independent simulated devices — each with its own PCIe link,
+// SSD model, NVMe controller and host drivers — into ONE crash-consistent
+// block address space (a one-member volume is the classic single-device
+// stack):
 //
 //   * kStripe (RAID-0): chunked striping. Volume LBAs are grouped into
 //     chunks of |chunk_blocks|; chunk c lives on device c % N at device
@@ -83,6 +85,7 @@ class Volume {
   Volume(Simulator* sim, const VolumeConfig& config, std::vector<Member> members);
 
   uint16_t num_devices() const { return static_cast<uint16_t>(members_.size()); }
+  const Member& member(uint16_t device) const { return members_[device]; }
   bool alive(uint16_t device) const { return alive_[device]; }
   const VolumeConfig& config() const { return config_; }
 
@@ -96,22 +99,25 @@ class Volume {
   };
   // Stripe: the per-device extents of [lba, lba + num_blocks). Mirror: one
   // extent on the primary (lowest live) leg; write paths fan it out to all
-  // live legs themselves.
+  // live legs themselves. One member: one identity-mapped extent.
   std::vector<Extent> MapExtents(uint64_t lba, uint32_t num_blocks) const;
 
   // --- Ordinary (non-transactional) path ---------------------------------
 
   // Fans the write out to its extents (stripe) or all live legs (mirror).
-  // The returned handle completes when every leg's CQE has arrived;
-  // |nvme_status| is the OR of the legs' statuses. |data| must outlive
-  // completion; split slices are copied and kept alive internally.
+  // A write that maps to exactly one leg returns that leg's own driver
+  // request. Otherwise the returned handle completes when every leg's CQE
+  // has arrived, and |nvme_status| is the OR of the legs' statuses. |data|
+  // must outlive completion; split slices are copied and kept alive
+  // internally.
   NvmeDriver::RequestHandle SubmitWrite(uint16_t qid, uint64_t lba, const Buffer* data,
                                         uint32_t flags,
                                         std::function<void()> on_complete = nullptr);
   // Parallel per-extent reads, reassembled into |out| in volume order.
   Status Read(uint16_t qid, uint64_t lba, uint32_t num_blocks, Buffer* out);
-  // Flushes every live member (parallel), returns the first error.
-  Status Flush(uint16_t qid);
+  // Flushes every live member (parallel), returns the first error. |flags|
+  // are stamped on the recorded flush events (a PREFLUSH write's flags).
+  Status Flush(uint16_t qid, uint32_t flags = 0);
 
   // --- ccNVMe transactional path -----------------------------------------
 

@@ -437,7 +437,8 @@ TEST(BlockLayerTest, OrdinaryAndTxPathsCoexist) {
   CcStack s;
   NvmeDriverConfig drv_cfg;
   NvmeDriver drv(s.sim.get(), s.link.get(), s.ctrl.get(), drv_cfg);
-  BlockLayer blk(s.sim.get(), &drv, s.cc.get(), HostCosts{});
+  Volume vol(s.sim.get(), VolumeConfig{}, {Volume::Member{&drv, s.cc.get(), s.ssd.get()}});
+  BlockLayer blk(s.sim.get(), &vol, HostCosts{});
   s.sim->Spawn("app", [&] {
     blk.BindQueue(0);
     const Buffer plain = MakeBlock(0x55);
@@ -446,7 +447,7 @@ TEST(BlockLayerTest, OrdinaryAndTxPathsCoexist) {
     Buffer jd = MakeBlock(0x77);
     blk.SubmitTxWrite(71, 6, &data);
     auto tx = blk.CommitTx(71, 7, &jd);
-    s.cc->WaitDurable(tx);
+    blk.WaitTxDurable(tx);
     Buffer out;
     ASSERT_TRUE(blk.ReadSync(6, 1, &out).ok());
     EXPECT_EQ(out, data);
@@ -459,16 +460,17 @@ TEST(BlockLayerTest, RecorderSeesWritesAndFlushes) {
   CcStack s(SsdConfig::Intel750());
   NvmeDriverConfig drv_cfg;
   NvmeDriver drv(s.sim.get(), s.link.get(), s.ctrl.get(), drv_cfg);
-  BlockLayer blk(s.sim.get(), &drv, s.cc.get(), HostCosts{});
+  Volume vol(s.sim.get(), VolumeConfig{}, {Volume::Member{&drv, s.cc.get(), s.ssd.get()}});
+  BlockLayer blk(s.sim.get(), &vol, HostCosts{});
   std::vector<BioEvent> events;
-  blk.set_recorder([&](const BioEvent& ev) { events.push_back(ev); });
+  vol.set_recorder([&](const BioEvent& ev) { events.push_back(ev); });
   s.sim->Spawn("app", [&] {
     blk.BindQueue(0);
     const Buffer data = MakeBlock(0x12);
     ASSERT_TRUE(blk.WriteSync(9, data, kBioPreflush | kBioFua).ok());
   });
   s.sim->Run();
-  // Submission events plus their completion records.
+  // Submission events plus their completion records, recorded by the volume.
   ASSERT_EQ(events.size(), 4u);
   EXPECT_EQ(events[0].op, BioOp::kFlush);
   EXPECT_EQ(events[1].op, BioOp::kComplete);  // flush completion

@@ -4,7 +4,12 @@
 // full 1000 points per workload).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+
 #include "src/crashtest/crash_monkey.h"
+#include "src/crashtest/crash_state.h"
+#include "src/crashtest/crash_workloads.h"
 
 namespace ccnvme {
 namespace {
@@ -162,7 +167,7 @@ TEST(CrashMonkeyMqfsTest, CrashDuringRecoveryIsIdempotent) {
   std::vector<BioEvent> recovery_writes;
   {
     StorageStack rec(cfg, first_crash);
-    rec.blk().set_recorder([&](const BioEvent& ev) {
+    rec.SetRecorder([&](const BioEvent& ev) {
       if (ev.op == BioOp::kWrite) {
         recovery_writes.push_back(ev);
       }
@@ -201,6 +206,67 @@ TEST(CrashMonkeyMqfsTest, CrashDuringRecoveryIsIdempotent) {
       }
     });
   }
+}
+
+// --- Recorded crash stream pins ---------------------------------------------
+// The crash explorer replays the recorded event stream, so any change to
+// which layer records a bio, in what order, or with which fields shifts every
+// crash state it builds. These pins hold the stream of three architectures
+// to exact values: the event count and an FNV-1a hash over each event's
+// (op, seq, lba, flags, tx_id, qid, device, payload).
+
+CrashRecording RecordNamed(const StackConfig& cfg, const std::string& workload_name) {
+  Result<CrashWorkload> workload = FindCrashWorkload(workload_name);
+  CCNVME_CHECK(workload.ok()) << workload_name;
+  return RecordWorkload(cfg, *workload);
+}
+
+uint64_t StreamHash(const CrashRecording& rec) {
+  uint64_t h = Fnv1a({});
+  for (const BioEvent& ev : rec.events) {
+    const uint64_t fields[] = {static_cast<uint64_t>(ev.op), ev.seq, ev.lba, ev.flags,
+                               ev.tx_id, ev.qid, ev.device, ev.data.size()};
+    Buffer header(sizeof(fields));
+    for (size_t i = 0; i < std::size(fields); ++i) PutU64(header, 8 * i, fields[i]);
+    h = Fnv1a(ev.data, Fnv1a(header, h));
+  }
+  return h;
+}
+
+size_t CountEvents(const CrashRecording& rec, const std::function<bool(const BioEvent&)>& pred) {
+  return static_cast<size_t>(std::count_if(rec.events.begin(), rec.events.end(), pred));
+}
+
+TEST(CrashStreamPinTest, ClassicJbd2OnVolatileCache) {
+  StackConfig cfg = Ext4Config();
+  cfg.ssd = SsdConfig::Intel750();
+  const CrashRecording rec = RecordNamed(cfg, "create_delete");
+  EXPECT_GT(CountEvents(rec, [](const BioEvent& ev) { return ev.op == BioOp::kFlush; }), 0u);
+  EXPECT_GT(CountEvents(rec, [](const BioEvent& ev) { return (ev.flags & kBioFua) != 0; }), 0u);
+  EXPECT_EQ(rec.events.size(), 142u);
+  EXPECT_EQ(StreamHash(rec), 16688603817425731016ull);
+}
+
+TEST(CrashStreamPinTest, MqfsTransactionMembers) {
+  const CrashRecording rec = RecordNamed(MqfsConfig(), "overwrite_mixed");
+  EXPECT_GT(CountEvents(rec, [](const BioEvent& ev) {
+              return ev.op == BioOp::kWrite && ev.flags == kBioTx;
+            }),
+            0u);
+  EXPECT_EQ(rec.events.size(), 105u);
+  EXPECT_EQ(StreamHash(rec), 7911055701380786702ull);
+}
+
+TEST(CrashStreamPinTest, NvlogTier) {
+  StackConfig cfg;
+  cfg.num_queues = 2;
+  cfg.enable_ccnvme = false;
+  cfg.fs.journal = JournalKind::kNvlog;
+  cfg.nvm.size_bytes = 1 << 20;
+  const CrashRecording rec = RecordNamed(cfg, "nvlog_overwrite_churn");
+  EXPECT_GT(CountEvents(rec, [](const BioEvent& ev) { return ev.op == BioOp::kNvmWrite; }), 0u);
+  EXPECT_EQ(rec.events.size(), 215u);
+  EXPECT_EQ(StreamHash(rec), 12851185119415075982ull);
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // Additional simulation-engine coverage: scheduling variants, non-blocking
-// pipe reservations, semaphore TryAcquire fairness, and core oversubscription.
+// pipe reservations and semaphore TryAcquire fairness.
 #include <gtest/gtest.h>
 
 #include "src/sim/resource.h"
@@ -73,36 +73,6 @@ TEST(SimSemaphoreTest, TryAcquireRespectsWaiters) {
   });
   sim.Run();
   EXPECT_FALSE(stole);
-}
-
-TEST(CoreSetTest, WorkOnExplicitCoreFromEventContext) {
-  Simulator sim;
-  CoreSet cores(&sim, 2, 500);
-  uint64_t done_at = 0;
-  sim.Spawn("app", [&] {
-    cores.BindCurrent(1);
-    cores.Work(1000);
-    done_at = sim.now();
-  });
-  sim.Run();
-  EXPECT_EQ(done_at, 1000u);
-}
-
-TEST(CoreSetTest, ThreeActorsOnOneCoreSerializeFully) {
-  Simulator sim;
-  CoreSet cores(&sim, 1, 100);
-  uint64_t last_done = 0;
-  for (int i = 0; i < 3; ++i) {
-    sim.Spawn("t" + std::to_string(i), [&] {
-      cores.BindCurrent(0);
-      cores.Work(1000);
-      last_done = std::max(last_done, sim.now());
-    });
-  }
-  sim.Run();
-  // 3x1000 work + 2 context switches.
-  EXPECT_EQ(last_done, 3200u);
-  EXPECT_EQ(cores.context_switches(), 2u);
 }
 
 TEST(SimExtraTest, NestedScheduleFromEventContext) {

@@ -348,48 +348,5 @@ TEST(BandwidthPipeTest, ZeroRateIsInfinite) {
   EXPECT_EQ(done_at, 0u);
 }
 
-TEST(CoreSetTest, OneActorPerCoreIsUncontended) {
-  Simulator sim;
-  CoreSet cores(&sim, 2, 1000);
-  uint64_t a_done = 0;
-  uint64_t b_done = 0;
-  sim.Spawn("a", [&] {
-    cores.BindCurrent(0);
-    cores.Work(500);
-    a_done = sim.now();
-  });
-  sim.Spawn("b", [&] {
-    cores.BindCurrent(1);
-    cores.Work(700);
-    b_done = sim.now();
-  });
-  sim.Run();
-  EXPECT_EQ(a_done, 500u);
-  EXPECT_EQ(b_done, 700u);
-  EXPECT_EQ(cores.context_switches(), 0u);
-}
-
-TEST(CoreSetTest, SharedCoreSerializesAndChargesSwitches) {
-  Simulator sim;
-  CoreSet cores(&sim, 1, 100);
-  uint64_t a_done = 0;
-  uint64_t b_done = 0;
-  sim.Spawn("a", [&] {
-    cores.BindCurrent(0);
-    cores.Work(500);
-    a_done = sim.now();
-  });
-  sim.Spawn("b", [&] {
-    cores.BindCurrent(0);
-    cores.Work(500);
-    b_done = sim.now();
-  });
-  sim.Run();
-  EXPECT_EQ(a_done, 500u);
-  // b starts after a's reservation plus one context switch.
-  EXPECT_EQ(b_done, 1100u);
-  EXPECT_EQ(cores.context_switches(), 1u);
-}
-
 }  // namespace
 }  // namespace ccnvme

@@ -51,6 +51,9 @@ class JsonValidator {
       return false;
     }
     for (++p_; p_ < s_.size(); ++p_) {
+      if (static_cast<unsigned char>(s_[p_]) < 0x20) {
+        return false;  // RFC 8259: control characters must be escaped
+      }
       if (s_[p_] == '\\') {
         ++p_;
       } else if (s_[p_] == '"') {
@@ -403,13 +406,58 @@ TEST(FlightRecorderTest, ReplayArtifactRoundTrip) {
   EXPECT_EQ(parsed->plan.crash_index, art.plan.crash_index);
 
   // Artifacts written before the field existed still parse (empty tail).
+  // The key is the last one, so drop it with its whole array.
   const size_t pos = json.find(",\n  \"flight_recorder\"");
+  const size_t end = json.find("]\n}", pos);
   ASSERT_NE(pos, std::string::npos);
+  ASSERT_NE(end, std::string::npos);
   std::string legacy = json;
-  legacy.erase(pos, json.find(']', pos) - pos + 1);
+  legacy.erase(pos, end + 1 - pos);
+  EXPECT_TRUE(JsonValidator(legacy).Valid());
   Result<ReplayArtifact> old = ReplayArtifact::FromJson(legacy);
   ASSERT_TRUE(old.ok()) << old.status().ToString();
   EXPECT_TRUE(old->flight_recorder.empty());
+}
+
+TEST(FlightRecorderTest, ReplayArtifactEscapesControlCharacters) {
+  ReplayArtifact art;
+  art.workload = "create_delete";
+  art.failure = "fact mismatch on /a:\n\texpected 1 block";
+  art.flight_recorder = {"col1\tcol2", "line one\nline two"};
+  const std::string json = art.ToJson();
+  EXPECT_TRUE(JsonValidator(json).Valid());
+  EXPECT_NE(json.find("/a:\\n\\texpected"), std::string::npos) << json;
+  Result<ReplayArtifact> parsed = ReplayArtifact::FromJson(json);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed->failure, art.failure);
+  EXPECT_EQ(parsed->flight_recorder, art.flight_recorder);
+}
+
+TEST(FlightRecorderTest, ReplayArtifactRejectsMalformedInput) {
+  ReplayArtifact art;
+  art.workload = "create_delete";
+  art.plan.choices = {0, 1, 2};
+  const std::string json = art.ToJson();
+  ASSERT_TRUE(ReplayArtifact::FromJson(json).ok());
+  auto with = [&json](const std::string& from, const std::string& to) {
+    std::string out = json;
+    const size_t pos = out.find(from);
+    EXPECT_NE(pos, std::string::npos) << from;
+    return pos == std::string::npos ? out : out.replace(pos, from.size(), to);
+  };
+  const std::vector<std::string> bad = {
+      with("\"version\": 1", "\"version\": 2"),
+      with("\"ssd\": \"", "\"ssd\": \"NoSuch"),
+      with("\"journal\": \"", "\"journal\": \"ext9"),
+      with("\"volume_kind\": \"stripe\"", "\"volume_kind\": \"raid5\""),
+      with("\"choices\": [0,1,2]", "\"choices\": [0,256,2]"),
+      with("\"torn_seed\": 0,", ""),
+      with("\"num_queues\": 1", "\"num_queues\": \"1\""),
+      json.substr(0, json.size() / 2),
+  };
+  for (const std::string& text : bad) {
+    EXPECT_FALSE(ReplayArtifact::FromJson(text).ok()) << text;
+  }
 }
 
 TEST(FlightRecorderTest, RecordWorkloadCapturesTraceTail) {

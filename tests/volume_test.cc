@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 
 #include "src/harness/stack.h"
 
@@ -110,6 +111,28 @@ TEST(VolumeIoTest, MirrorWritesReachEveryLeg) {
       EXPECT_EQ(leg, data) << "leg " << d;
     }
   });
+}
+
+// Virtual time of one 4 KB WriteSync through the block layer at volume LBA 0.
+uint64_t BlockWriteSyncNs(const StackConfig& cfg) {
+  StorageStack stack(cfg);
+  uint64_t elapsed = 0;
+  stack.Run([&] {
+    const Buffer data = PatternBlocks(1, 0x42);
+    const uint64_t begin = stack.sim().now();
+    ASSERT_TRUE(stack.blk().WriteSync(0, data).ok());
+    elapsed = stack.sim().now() - begin;
+  });
+  return elapsed;
+}
+
+TEST(VolumeIoTest, OneLegWriteCostsWhatASingleDeviceWriteCosts) {
+  // The write lands wholly on device 0, so the stripe must hand back that
+  // leg's own request: the caller wakes after the driver's wake-up cost,
+  // exactly as on a one-device stack.
+  const uint64_t single = BlockWriteSyncNs(StackConfig{});
+  EXPECT_GT(single, 0u);
+  EXPECT_EQ(BlockWriteSyncNs(StripeConfig(2, 64)), single);
 }
 
 TEST(VolumeFaultTest, DegradedReadsAfterLegFailure) {
@@ -252,6 +275,31 @@ TEST(VolumeFsTest, MirroredFilesystemRoundTripsThroughCrashImage) {
     ASSERT_TRUE(after.fs().Read(*ino, 0, out).ok());
     EXPECT_EQ(out, payload);
   });
+}
+
+TEST(VolumeTxTest, UnfinishedCommitReleasesItsStateAtTeardown) {
+  // A transaction cut off before it is durable must not keep the volume's
+  // per-commit state (and the caller's on_durable) alive through a member
+  // transaction's own callback.
+  std::weak_ptr<int> token;
+  {
+    StorageStack stack(StripeConfig(2, 1));
+    auto held = std::make_shared<int>(0);
+    token = held;
+    const Buffer a = PatternBlocks(1, 0x21);
+    const Buffer b = PatternBlocks(1, 0x22);
+    const Buffer desc = PatternBlocks(1, 0x23);
+    CcNvmeDriver::TxHandle tx;
+    stack.Spawn("tx", [&, held = std::move(held)] {
+      stack.blk().SubmitTxWrite(9, 0, &a);  // device 0
+      stack.blk().SubmitTxWrite(9, 1, &b);  // device 1
+      tx = stack.blk().CommitTx(9, 2, &desc, [held] {});
+    });
+    for (int i = 0; i < 1000 && tx == nullptr; ++i) stack.sim().RunFor(1000);
+    ASSERT_NE(tx, nullptr);
+    ASSERT_EQ(tx->durable_at_ns, 0u) << "the commit must still be in flight";
+  }
+  EXPECT_TRUE(token.expired());
 }
 
 TEST(VolumeRecoveryTest, RecoveredWindowIsTheUnionOfMemberWindows) {
