@@ -20,8 +20,23 @@ std::vector<BenchScenario>& MutableRegistry() {
   return *registry;
 }
 
+// Lower is better for times and for costs: amplification, MMIO writes, GC
+// work, map loads, convoy parks, blocked submissions and tail signatures.
+// Matched as whole '_'-separated words anywhere in the name, so
+// "kv_put_ns_kvssd" and "ftl_waf_gc_low_2" count. Everything else
+// (throughput, utilization, explored states, pass rates) is higher-is-better.
 bool LowerIsBetter(const std::string& metric) {
-  return metric.size() >= 3 && metric.compare(metric.size() - 3, 3, "_ns") == 0;
+  static constexpr std::string_view kLowerWords[] = {
+      "ns",          "us",          "waf",     "write_amp", "write_amplification",
+      "mmio_writes", "mmio_per_tx", "gc_runs", "gc_migrated_pages",
+      "map_loads",   "parks",       "blocks",  "signatures"};
+  const std::string padded = "_" + metric + "_";
+  for (std::string_view word : kLowerWords) {
+    if (padded.find("_" + std::string(word) + "_") != std::string::npos) {
+      return true;
+    }
+  }
+  return false;
 }
 
 }  // namespace

@@ -124,7 +124,9 @@ std::string BenchReportToJson(const BenchReport& report, bool pretty = true);
 bool ParseBenchReport(const std::string& text, BenchReport* out, std::string* error);
 
 // Compares |current| against |baseline|. A metric regresses when it moves
-// in its bad direction ("_ns" up, others down) by more than |tolerance|
+// in its bad direction by more than |tolerance|: up for names carrying a
+// lower-is-better word ("ns", "us", "waf", "write_amp", "mmio_writes",
+// "gc_runs", "parks", "signatures", ...; see LowerIsBetter), down otherwise
 // (relative, e.g. 0.0 = exact virtual-time match). Scenarios or metrics
 // present in the baseline but missing from |current| are regressions too.
 // Returns the number of regressions; human-readable diff lines are appended

@@ -1,5 +1,6 @@
 #include "src/crashtest/crash_monkey.h"
 
+#include "src/common/bytes.h"
 #include "src/common/logging.h"
 
 namespace ccnvme {
@@ -379,6 +380,42 @@ CrashWorkload CrashMonkey::KvOverwriteChurn() {
       ctx.AddFact(OracleFact::KvValue("hot", next));
       prev = next;
     }
+  };
+}
+
+CrashWorkload CrashMonkey::KvConcurrentChurn() {
+  return [](CrashTestContext& ctx) {
+    // The device probes from Fnv1a(key) % dir_slots: keys equal modulo 1024
+    // share a home slot in every power-of-two directory up to that size.
+    auto home = [](const std::string& key) {
+      return Fnv1a({reinterpret_cast<const uint8_t*>(key.data()), key.size()}) % 1024;
+    };
+    std::vector<std::string> keys = {"chain0"};
+    for (int i = 1; keys.size() < 2; ++i) {
+      if (home("chain" + std::to_string(i)) == home(keys[0])) {
+        keys.push_back("chain" + std::to_string(i));
+      }
+    }
+    constexpr uint16_t kCores = 2;
+    for (uint16_t core = 0; core < kCores; ++core) {
+      ctx.SpawnOnCore(core, [&ctx, core, key = keys[core]] {
+        std::string prev;
+        for (int round = 0; round < 12; ++round) {
+          // Two pages; core 0 fills with 'A'..'L', core 1 with 'M'..'X'.
+          const std::string next(4096 + 256 + static_cast<size_t>(round) * 256 + core * 128,
+                                 static_cast<char>('A' + core * 12 + round));
+          ctx.InvalidateFact(key);
+          ctx.AddFact(OracleFact::KvOneOf(
+              round == 0 ? OracleFact::KvAbsent(key) : OracleFact::KvValue(key, prev),
+              OracleFact::KvValue(key, next)));
+          CCNVME_CHECK(ctx.kv().Store(core, key, next).ok());
+          ctx.InvalidateFact(key);
+          ctx.AddFact(OracleFact::KvValue(key, next));
+          prev = next;
+        }
+      });
+    }
+    ctx.Join();
   };
 }
 

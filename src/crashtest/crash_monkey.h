@@ -79,6 +79,12 @@ class CrashMonkey {
   // frees the previous flash run, so small-geometry configs run GC
   // mid-stream and crash cuts land inside migrate/checkpoint/erase.
   static CrashWorkload KvOverwriteChurn();
+  // Two cores, on queues 0 and 1 (the stack needs two), each overwrite one
+  // key 12 times with two-page values; both keys have the same home slot,
+  // so the cores insert into and probe along one chain. The device runs the
+  // cores' page programs unlocked, so their Stores overlap, and on a small
+  // geometry GC runs mid-stream.
+  static CrashWorkload KvConcurrentChurn();
 
   // --- Multi-core workloads ----------------------------------------------
   // Two cores append+fsync their own files concurrently (SpawnOnCore), so

@@ -20,6 +20,7 @@ const std::map<std::string, CrashWorkload>& CrashWorkloadRegistry() {
           {"multicore_shared_fsync", CrashMonkey::MultiCoreSharedFsync()},
           {"kv_put_get", CrashMonkey::KvPutGet()},
           {"kv_overwrite_churn", CrashMonkey::KvOverwriteChurn()},
+          {"kv_concurrent_churn", CrashMonkey::KvConcurrentChurn()},
       };
   return *kRegistry;
 }

@@ -26,7 +26,7 @@ KvPmrLayout KvPmrLayout::From(uint32_t dir_slots, uint32_t shadow_slots,
 }
 
 KvSsd::KvSsd(Simulator* sim, SsdModel* ssd, Pmr* pmr, const KvSsdConfig& config)
-    : sim_(sim), ssd_(ssd), pmr_(pmr), config_(config), mu_(sim) {
+    : sim_(sim), ssd_(ssd), pmr_(pmr), config_(config), mu_(sim), ftl_cv_(sim) {
   CCNVME_CHECK(config_.dir_slots > 0 && config_.shadow_slots > 1);
   CCNVME_CHECK(config_.total_lpns <= (1ull << 26)) << "meta word packs 26 LPN bits";
   CCNVME_CHECK(config_.max_value_bytes < (1u << 20)) << "meta word packs 20 length bits";
@@ -139,8 +139,6 @@ bool KvSsd::FlashRead(uint64_t ppn, Buffer* out) {
   out->assign(kPageBytes, 0);
   return ssd_->MediaRead(ppn * kPageBytes, *out);
 }
-
-void KvSsd::EraseWait() { Simulator::Sleep(config_.erase_latency_ns); }
 
 void KvSsd::OnMapCheckpointed() {
   // Every dirty segment + its GTD root is durable: shadows at or below
@@ -414,6 +412,26 @@ void KvSsd::ReleaseValue(uint64_t meta) {
   }
 }
 
+void KvSsd::WaitForFtl(uint64_t ready_at) {
+  const uint64_t t0 = sim_->now();
+  if (ready_at == 0) {
+    pin_waiters_++;
+    ftl_cv_.Wait(mu_);
+    pin_waiters_--;
+  } else {
+    ftl_cv_.WaitFor(mu_, ready_at - t0);
+  }
+  if (Tracer* tracer = sim_->tracer()) {
+    tracer->WaitEdgeEvent(WaitEdge::kFtlGc, t0, sim_->now());
+  }
+}
+
+void KvSsd::UnpinPage(uint64_t ppn) {
+  if (ftl_->Unpin(ppn) && pin_waiters_ > 0) {
+    ftl_cv_.NotifyAll();
+  }
+}
+
 // --- KV commands -----------------------------------------------------------
 
 uint16_t KvSsd::ExecStore(std::span<const uint8_t> key, std::span<const uint8_t> value) {
@@ -426,47 +444,87 @@ uint16_t KvSsd::ExecStore(std::span<const uint8_t> key, std::span<const uint8_t>
   int found = -1;
   int insert = -1;
   Probe(key, &found, &insert);
-  const int slot = found >= 0 ? found : insert;
-  if (slot < 0) {
+  if (found < 0 && insert < 0) {
     return kKvStatusCapacity;  // directory full
   }
-  const uint64_t old_meta = found >= 0 ? dir_[slot].meta : 0;
 
-  // 1. Data pages, out-of-place into the open erase block (GC may run
-  // inside AllocRun and is blamed on this command via wait.ftl_gc).
+  // 1. Data pages, out-of-place into the open erase block. The runs are
+  // allocated under mu_ (GC may run inside AllocRun and is blamed on this
+  // command via wait.ftl_gc) and programmed with mu_ released, the run's
+  // block pinned so GC leaves it alone meanwhile.
   const uint32_t npages = static_cast<uint32_t>((value.size() + kPageBytes - 1) / kPageBytes);
   uint64_t lpn = 0;
   uint64_t ppn = 0;
+  auto release_run = [&] {
+    ftl_->DiscardRun(ppn, npages);
+    for (uint32_t i = 0; i < npages; ++i) {
+      ftl_->FreeLpn(lpn + i);
+    }
+  };
   if (npages > 0) {
     lpn = ftl_->AllocLpnRun(npages);
     if (lpn == kFtlUnmapped) {
       return kKvStatusCapacity;
     }
-    ppn = ftl_->AllocRun(npages);
+    uint64_t ready_at = 0;
+    while ((ppn = ftl_->AllocRun(npages, &ready_at)) == kFtlBusy) {
+      WaitForFtl(ready_at);
+    }
     if (ppn == kFtlUnmapped) {
       for (uint32_t i = 0; i < npages; ++i) {
         ftl_->FreeLpn(lpn + i);
       }
       return kKvStatusCapacity;
     }
-    for (uint32_t i = 0; i < npages; ++i) {
+    ftl_->Pin(ppn);
+    mu_.Unlock();
+    uint32_t programmed = 0;
+    for (; programmed < npages; ++programmed) {
       Buffer page(kPageBytes, 0);
-      const size_t begin = static_cast<size_t>(i) * kPageBytes;
+      const size_t begin = static_cast<size_t>(programmed) * kPageBytes;
       const size_t len = std::min(kPageBytes, value.size() - begin);
       std::copy(value.begin() + begin, value.begin() + begin + len, page.begin());
-      if (!FlashWrite(ppn + i, page)) {
-        ftl_->DiscardRun(ppn, npages);
-        for (uint32_t j = 0; j < npages; ++j) {
-          ftl_->FreeLpn(lpn + j);
-        }
-        return kKvStatusMediaError;
+      if (!FlashWrite(ppn + programmed, page)) {
+        break;
       }
+    }
+    mu_.Lock();
+    for (uint32_t i = 0; i < programmed; ++i) {
       ftl_->CountHostPage();
     }
-    // 2. Stage the L2P updates (volatile until checkpoint or replay).
-    for (uint32_t i = 0; i < npages; ++i) {
-      ftl_->MapInstall(lpn + i, ppn + i);
+    if (programmed < npages) {
+      UnpinPage(ppn);
+      release_run();
+      return kKvStatusMediaError;
     }
+  }
+  // The commit below cannot be retried once it starts, and its map
+  // writebacks must not wait for an erase under mu_: wait for their room
+  // first, with mu_ released. The run stays pinned meanwhile, since its
+  // pages are not mapped yet.
+  for (uint64_t ready_at; (ready_at = ftl_->CommitReadyAt()) > sim_->now();) {
+    WaitForFtl(ready_at);
+  }
+  if (npages > 0) {
+    UnpinPage(ppn);
+  }
+
+  // Probe again: while the pages programmed, another key may have taken
+  // this key's insert slot, or another command may have stored or deleted
+  // this key.
+  Probe(key, &found, &insert);
+  const int slot = found >= 0 ? found : insert;
+  if (slot < 0) {
+    if (npages > 0) {
+      release_run();
+    }
+    return kKvStatusCapacity;  // directory filled up meanwhile
+  }
+  const uint64_t old_meta = found >= 0 ? dir_[slot].meta : 0;
+
+  // 2. Stage the L2P updates (volatile until checkpoint or replay).
+  for (uint32_t i = 0; i < npages; ++i) {
+    ftl_->MapInstall(lpn + i, ppn + i);
   }
 
   // Ring-wrap guard: the shadow for seq would overwrite a not-yet-dead
@@ -545,19 +603,36 @@ uint16_t KvSsd::ExecRetrieve(std::span<const uint8_t> key, Buffer* out,
   const uint32_t value_len = MetaValueLen(meta);
   const uint64_t lpn = MetaLpn(meta);
   const uint32_t npages = MetaPages(meta);
-  out->assign(value_len, 0);
+  std::vector<uint64_t> ppns(npages);
   for (uint32_t i = 0; i < npages; ++i) {
-    const uint64_t ppn = ftl_->MapLookup(lpn + i);
-    if (ppn == kFtlUnmapped) {
+    ppns[i] = ftl_->MapLookup(lpn + i);
+    if (ppns[i] == kFtlUnmapped) {
       return kKvStatusInternal;  // live entry with no mapping: corrupt state
     }
+  }
+  // Read with mu_ released; the pins keep GC off these blocks meanwhile, so
+  // a concurrent overwrite or delete leaves the pages readable.
+  for (uint64_t ppn : ppns) {
+    ftl_->Pin(ppn);
+  }
+  mu_.Unlock();
+  out->assign(value_len, 0);
+  bool ok = true;
+  for (uint32_t i = 0; i < npages && ok; ++i) {
     Buffer page;
-    if (!FlashRead(ppn, &page)) {
-      return kKvStatusMediaError;
+    ok = FlashRead(ppns[i], &page);
+    if (ok) {
+      const size_t begin = static_cast<size_t>(i) * kPageBytes;
+      const size_t len = std::min(kPageBytes, static_cast<uint64_t>(value_len) - begin);
+      std::copy(page.begin(), page.begin() + len, out->begin() + begin);
     }
-    const size_t begin = static_cast<size_t>(i) * kPageBytes;
-    const size_t len = std::min(kPageBytes, static_cast<uint64_t>(value_len) - begin);
-    std::copy(page.begin(), page.begin() + len, out->begin() + begin);
+  }
+  mu_.Lock();
+  for (uint64_t ppn : ppns) {
+    UnpinPage(ppn);
+  }
+  if (!ok) {
+    return kKvStatusMediaError;
   }
   *result = value_len;
   retrieves_++;

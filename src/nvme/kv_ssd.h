@@ -35,8 +35,19 @@
 // directory — a directory entry whose LPNs have no mapping is a
 // consistency violation (exactly what test_skip_ftl_shadow_commit produces).
 //
-// Everything here executes on NvmeController worker actors under one
-// device mutex; media waits and PMR store costs are virtual-time blocking.
+// Commands execute on NvmeController worker actors (several per queue) and
+// overlap the way the block path's do. The device mutex `mu_` guards
+// metadata only: the directory, the FTL's map and allocator, the shadow
+// ring, and the PMR ARM/COMMIT steps. Flash reads and page programs run
+// with it released, their blocks pinned so GC never picks them as victims.
+// A Store therefore runs in two parts: allocate its runs under `mu_`,
+// program them unlocked, then retake `mu_`, probe the directory again
+// (another key may have taken its insert slot meanwhile) and install, ARM
+// and COMMIT; the shadow sequence number is taken there, so commits stay in
+// sequence order. A Store whose run needs a block still erasing, whose GC
+// finds only pinned victims, or whose commit would need a block still
+// erasing for its map writebacks, waits with `mu_` released. Media waits
+// and PMR store costs are virtual-time blocking.
 #ifndef SRC_NVME_KV_SSD_H_
 #define SRC_NVME_KV_SSD_H_
 
@@ -169,7 +180,7 @@ class KvSsd : public FtlEnv {
   uint64_t LoadGtd(uint32_t seg) override;
   bool FlashWrite(uint64_t ppn, const Buffer& data) override;
   bool FlashRead(uint64_t ppn, Buffer* out) override;
-  void EraseWait() override;
+  uint64_t EraseLatencyNs() const override { return config_.erase_latency_ns; }
   void OnMapCheckpointed() override;
 
   // Directory meta-word packing (shared with tools/ftl_inspect).
@@ -211,6 +222,11 @@ class KvSsd : public FtlEnv {
   void Probe(std::span<const uint8_t> key, int* found, int* insert) const;
   bool KeyMatches(const DirEnt& e, std::span<const uint8_t> key) const;
   void ReleaseValue(uint64_t meta);
+  // Waits, with mu_ released, until a busy AllocRun may retry: the erase
+  // it needs completes at |ready_at|, or (|ready_at| == 0) a pin drops. The
+  // erase is GC's last step, so the wait is emitted as wait.ftl_gc.
+  void WaitForFtl(uint64_t ready_at);
+  void UnpinPage(uint64_t ppn);
 
   // Publishes the FTL level gauges (ftl.waf, page counts, GC totals) into
   // the attached metrics engine. Gauges are integral, so ftl.waf is
@@ -237,6 +253,8 @@ class KvSsd : public FtlEnv {
   uint16_t device_id_ = 0;
 
   SimMutex mu_;
+  SimCondVar ftl_cv_;         // AllocRun retries: erase done or pin dropped
+  uint32_t pin_waiters_ = 0;  // Stores waiting for a pin to drop
   std::unique_ptr<Ftl> ftl_;
   std::vector<DirEnt> dir_;
   bool attached_ = false;

@@ -85,20 +85,40 @@ void Ftl::MarkInvalid(uint64_t ppn) {
 
 // --- allocation ------------------------------------------------------------
 
-void Ftl::OpenNextBlock() {
+uint64_t Ftl::NextBlockReadyAt() {
   CCNVME_CHECK(!free_blocks_.empty()) << "FTL out of free blocks";
+  const uint32_t next = free_blocks_.front();
+  if (!blocks_[next].erased) {
+    // Deferred erase: the block was reclaimed logically at attach (or GC
+    // completed before a crash erased it); erase it before first use.
+    ScheduleErase(next);
+  }
+  return blocks_[next].ready_at;
+}
+
+void Ftl::OpenNextBlock() {
+  const uint64_t ready = NextBlockReadyAt();
+  if (ready > sim_->now()) {
+    // Only single-page allocations get here (AllocRun returns kFtlBusy
+    // instead, and a commit waits for CommitReadyAt first). A GC migration,
+    // or a writeback from a lookup or an unmap, cannot be retried, so it
+    // waits out the erase under the caller's lock.
+    Simulator::Sleep(ready - sim_->now());
+  }
   open_block_ = free_blocks_.front();
   free_blocks_.pop_front();
-  Block& blk = blocks_[open_block_];
-  blk.free = false;
-  if (!blk.erased) {
-    // Deferred erase: the block was reclaimed logically at attach (or GC
-    // completed before a crash erased it); charge the erase on first use.
-    env_->EraseWait();
-    blk.erased = true;
-  }
+  blocks_[open_block_].free = false;
   block_open_ = true;
   write_ptr_ = 0;
+}
+
+void Ftl::ScheduleErase(uint32_t block) {
+  const uint64_t start = std::max(sim_->now(), erase_busy_until_);
+  erase_busy_until_ = start + env_->EraseLatencyNs();
+  Block& blk = blocks_[block];
+  blk.erased = true;
+  blk.ready_at = erase_busy_until_;
+  erases_++;
 }
 
 uint64_t Ftl::AllocSinglePage() {
@@ -111,10 +131,24 @@ uint64_t Ftl::AllocSinglePage() {
   return ppn;
 }
 
-uint64_t Ftl::AllocRun(uint32_t n) {
+uint64_t Ftl::AllocRun(uint32_t n, uint64_t* ready_at) {
   CCNVME_CHECK(n > 0 && n <= config_.pages_per_block)
       << "value run of " << n << " pages exceeds one erase block";
-  MaybeGc();
+  *ready_at = 0;
+  if (!MaybeGc()) {
+    return kFtlBusy;  // every candidate victim is pinned
+  }
+  // While the next block erases, a run may take neither that block nor the
+  // open block's last CommitWritebacks() pages, so the commit that follows
+  // the run rarely has to wait for room (see CommitReadyAt).
+  if ((!block_open_ || write_ptr_ + n + CommitWritebacks() > config_.pages_per_block) &&
+      !free_blocks_.empty()) {
+    const uint64_t ready = NextBlockReadyAt();
+    if (ready > sim_->now()) {
+      *ready_at = ready;
+      return kFtlBusy;
+    }
+  }
   if (!block_open_ || write_ptr_ + n > config_.pages_per_block) {
     // The run does not fit: close the block, wasting the tail pages (they
     // were never programmed; count them invalid so GC can reclaim them).
@@ -140,6 +174,20 @@ void Ftl::DiscardRun(uint64_t ppn, uint32_t n) {
   for (uint32_t i = 0; i < n; ++i) {
     MarkInvalid(ppn + i);
   }
+}
+
+uint64_t Ftl::CommitReadyAt() {
+  if ((block_open_ && write_ptr_ + CommitWritebacks() <= config_.pages_per_block) ||
+      free_blocks_.empty()) {
+    return 0;
+  }
+  return NextBlockReadyAt();
+}
+
+bool Ftl::Unpin(uint64_t ppn) {
+  Block& blk = blocks_[ppn / config_.pages_per_block];
+  CCNVME_CHECK(blk.pins > 0) << "unpin of unpinned ppn " << ppn;
+  return --blk.pins == 0;
 }
 
 // --- map cache -------------------------------------------------------------
@@ -259,12 +307,14 @@ void Ftl::CheckpointMap() {
 
 // --- garbage collection ----------------------------------------------------
 
-void Ftl::MaybeGc() {
+bool Ftl::MaybeGc() {
   while (free_blocks_.size() <= config_.gc_free_blocks_low) {
     // Greedy victim: most invalid pages, lowest block id on ties. Only
-    // closed blocks qualify (the open block is the migration destination).
+    // closed, unpinned blocks qualify (the open block is the migration
+    // destination; a pinned block has an unlocked I/O in flight).
     uint32_t victim = num_blocks_;
     uint32_t best_invalid = 0;
+    bool pinned_candidate = false;
     for (uint32_t b = 0; b < num_blocks_; ++b) {
       if (blocks_[b].free || (block_open_ && b == open_block_)) {
         continue;
@@ -276,22 +326,28 @@ void Ftl::MaybeGc() {
           invalid++;
         }
       }
+      if (invalid > 0 && blocks_[b].pins > 0) {
+        pinned_candidate = true;
+        continue;
+      }
       if (invalid > best_invalid) {
         best_invalid = invalid;
         victim = b;
       }
     }
     if (victim == num_blocks_) {
-      return;  // nothing reclaimable; AllocRun reports full if it matters
+      // Nothing reclaimable (AllocRun reports full if it matters), or only
+      // pinned blocks are, in which case the caller waits for a pin to drop.
+      return !pinned_candidate;
     }
     GcOnce(victim);
   }
+  return true;
 }
 
 void Ftl::GcOnce(uint32_t victim) {
   Tracer* tracer = sim_->tracer();
   const uint64_t t0 = sim_->now();
-  gc_in_progress_ = true;
   {
     ScopedSpan span(tracer, TracePoint::kFtlGc, victim);
     // 1. Migrate live pages (data and map segments alike) out-of-place.
@@ -329,23 +385,23 @@ void Ftl::GcOnce(uint32_t victim) {
     }
     // 2. Checkpoint the map so nothing durable references the victim.
     CheckpointMap();
-    // 3. Erase. (The model never clears media bytes — stale data stays
-    // readable until the block is re-programmed, which matches flash and
-    // keeps every pre-erase crash state recoverable.)
-    env_->EraseWait();
+    // 3. Hand the victim to the erase engine: it joins the free pool now,
+    // so the pool count above already sees it, and becomes allocatable
+    // when its erase completes. (The model never clears media bytes —
+    // stale data stays readable until the block is re-programmed, which
+    // matches flash and keeps every pre-erase crash state recoverable.)
     for (uint32_t i = 0; i < config_.pages_per_block; ++i) {
       Page& p = pages_[static_cast<uint64_t>(victim) * config_.pages_per_block + i];
       p.state = PageState::kFree;
       p.lpn = kFtlUnmapped;
     }
     Block& blk = blocks_[victim];
-    CCNVME_CHECK(blk.valid == 0);
+    CCNVME_CHECK(blk.valid == 0 && blk.pins == 0);
     blk.free = true;
-    blk.erased = true;
+    ScheduleErase(victim);
     free_blocks_.push_back(victim);
     gc_runs_++;
   }
-  gc_in_progress_ = false;
   if (tracer != nullptr) {
     tracer->WaitEdgeEvent(WaitEdge::kFtlGc, t0, sim_->now(), victim);
   }

@@ -15,10 +15,19 @@
 // does not fit. When the free-block pool drops to |gc_free_blocks_low|,
 // greedy victim-selection garbage collection runs inline: the block with
 // the most invalid pages is chosen, its valid pages (data and map pages
-// alike) migrate to the open block, the map is checkpointed so no durable
-// state references the victim, and only then is the block erased. The whole
-// stall is emitted as a `wait.ftl_gc` edge so GC becomes first-class
-// profiler blame on the foreground op that triggered it.
+// alike) migrate to the open block, and the map is checkpointed so no
+// durable state references the victim. The victim then joins the free pool
+// at once, but its erase runs on a background engine that erases one block
+// at a time: the block becomes allocatable when that erase completes. A run
+// that needs a block still erasing is not waited for here — AllocRun
+// returns kFtlBusy with the completion time, so the caller can wait without
+// holding its lock (CommitReadyAt does the same for a commit's map
+// writebacks). The migration pass is emitted as a `wait.ftl_gc` edge,
+// making GC first-class profiler blame on the foreground op that ran it.
+//
+// A block holding a pinned page (an in-flight read or program the caller
+// runs unlocked) is never picked as a GC victim, so it is never erased or
+// reprogrammed under that I/O.
 //
 // The FTL is media-agnostic: flash I/O, erase latency, and map-root (GTD)
 // persistence go through FtlEnv, implemented by the KV-SSD front-end
@@ -41,6 +50,8 @@ namespace ccnvme {
 
 // L2P entry / PPN sentinel: "no mapping" / "no page".
 inline constexpr uint64_t kFtlUnmapped = ~0ull;
+// AllocRun result: the run cannot be handed out yet (see AllocRun).
+inline constexpr uint64_t kFtlBusy = ~0ull - 1;
 // page_state lpn tag for pages that hold map segments, not user data:
 // lpn = kFtlMapLpnBase + segment index.
 inline constexpr uint64_t kFtlMapLpnBase = 1ull << 40;
@@ -66,8 +77,8 @@ class FtlEnv {
   // Writes/reads one 4KB flash page. Blocking (virtual-time) media ops.
   virtual bool FlashWrite(uint64_t ppn, const Buffer& data) = 0;
   virtual bool FlashRead(uint64_t ppn, Buffer* out) = 0;
-  // Blocks for one erase-block erase.
-  virtual void EraseWait() = 0;
+  // Time one erase-block erase takes on the erase engine.
+  virtual uint64_t EraseLatencyNs() const = 0;
   // All dirty map segments + GTD are durable; the host may now advance its
   // checkpoint sequence number (shadow entries at or below it are dead).
   virtual void OnMapCheckpointed() = 0;
@@ -92,7 +103,20 @@ class Ftl {
   // Allocates |n| physically contiguous pages from the open erase block,
   // running GC first if the free pool is low. The caller writes the pages
   // (env FlashWrite) and then installs mappings. kFtlUnmapped = device full.
-  uint64_t AllocRun(uint32_t n);
+  // kFtlBusy = retry later, without holding the caller's lock: the next
+  // block is still erasing until |*ready_at| and the run needs it (or the
+  // room CommitReadyAt keeps); or (|*ready_at| == 0) GC found only pinned
+  // victims and must wait for a pin to drop.
+  uint64_t AllocRun(uint32_t n, uint64_t* ready_at);
+  // Map writebacks one commit may cause: installing a run and unmapping the
+  // run it replaces load at most four segments (a run spans at most two),
+  // each evicting a dirty frame, and a checkpoint writes every frame.
+  uint32_t CommitWritebacks() const { return config_.map_cache_segments + 4; }
+  // When a commit's writebacks can run without waiting for an erase: 0 if
+  // the open block has room for them (or no block is left to wait for),
+  // else when the next block's erase completes. A commit cannot be retried
+  // once it starts, so the caller waits for this first, without its lock.
+  uint64_t CommitReadyAt();
   // Abandons an allocated-but-unmapped run (media error mid-write): the
   // pages become invalid so GC can reclaim them.
   void DiscardRun(uint64_t ppn, uint32_t n);
@@ -106,6 +130,11 @@ class Ftl {
   // Writes back every dirty resident segment + its GTD entry, then tells
   // the env (which advances the shadow checkpoint).
   void CheckpointMap();
+  // Pins the block holding |ppn| for an I/O the caller runs unlocked; GC
+  // never picks a pinned block as its victim. Unpin returns true when the
+  // block's last pin dropped (a GC waiting on pins may now proceed).
+  void Pin(uint64_t ppn) { blocks_[ppn / config_.pages_per_block].pins++; }
+  bool Unpin(uint64_t ppn);
 
   // --- attach-time recovery ----------------------------------------------
   // Enters attach mode: the segment cache grows unbounded (no evictions,
@@ -142,6 +171,9 @@ class Ftl {
                      static_cast<double>(host_pages_written_);
   }
   uint64_t gc_runs() const { return gc_runs_; }
+  // Erases handed to the erase engine (GC victims and attach-time deferred
+  // erases alike).
+  uint64_t erases() const { return erases_; }
   uint64_t gc_migrated_pages() const { return gc_migrated_pages_; }
   uint64_t map_loads() const { return map_loads_; }
   uint64_t map_hits() const { return map_hits_; }
@@ -154,9 +186,8 @@ class Ftl {
   // Per-block valid-page count (ftl_inspect + tests).
   uint32_t block_valid_pages(uint32_t block) const { return blocks_[block].valid; }
   bool block_is_free(uint32_t block) const { return blocks_[block].free; }
-  // True while a GC pass is running (front-end uses it to blame overlapped
-  // waiters with wait.ftl_gc as well).
-  bool gc_in_progress() const { return gc_in_progress_; }
+  // When the block's last erase completes (0 = never erased since format).
+  uint64_t block_ready_at(uint32_t block) const { return blocks_[block].ready_at; }
 
   Ftl(const Ftl&) = delete;
   Ftl& operator=(const Ftl&) = delete;
@@ -168,9 +199,11 @@ class Ftl {
     PageState state = PageState::kFree;
   };
   struct Block {
-    uint32_t valid = 0;  // live pages (data + map)
-    bool free = true;    // in the free pool
-    bool erased = true;  // no erase charge on first open
+    uint32_t valid = 0;     // live pages (data + map)
+    uint32_t pins = 0;      // in-flight unlocked I/Os; > 0 = not a GC victim
+    bool free = true;       // in the free pool
+    bool erased = true;     // erase issued (false: deferred from attach)
+    uint64_t ready_at = 0;  // when the issued erase completes
   };
   struct Frame {
     std::vector<uint64_t> entries;  // map_entries_per_segment L2P words
@@ -182,10 +215,17 @@ class Ftl {
   // Single-page allocation for GC migration and map writeback: never
   // recurses into GC (the reserved free pool covers it).
   uint64_t AllocSinglePage();
+  // When the front of the free pool becomes allocatable; issues its erase
+  // first if it was deferred at attach.
+  uint64_t NextBlockReadyAt();
   void OpenNextBlock();
+  // Queues |block|'s erase behind the engine's current one.
+  void ScheduleErase(uint32_t block);
   void MarkInvalid(uint64_t ppn);
   void MarkValid(uint64_t ppn, uint64_t lpn);
-  void MaybeGc();
+  // Runs GC passes until the free pool is above the low-water mark. False
+  // if it needs a pass but every candidate victim is pinned.
+  bool MaybeGc();
   void GcOnce(uint32_t victim);
 
   Simulator* sim_;
@@ -208,10 +248,11 @@ class Ftl {
   std::set<uint64_t> free_lpns_;
 
   bool attach_mode_ = false;
-  bool gc_in_progress_ = false;
+  uint64_t erase_busy_until_ = 0;  // the erase engine's last completion time
   uint64_t host_pages_written_ = 0;
   uint64_t media_pages_written_ = 0;
   uint64_t gc_runs_ = 0;
+  uint64_t erases_ = 0;
   uint64_t gc_migrated_pages_ = 0;
   uint64_t map_loads_ = 0;
   uint64_t map_hits_ = 0;

@@ -1,5 +1,5 @@
 // Bench report schema round-trip and the regression-compare semantics the
-// CI perf gate relies on (direction-aware via the "_ns" suffix, exact-match
+// CI perf gate relies on (direction read off the metric name, exact-match
 // default tolerance, missing scenario/metric = regression).
 #include <string>
 
@@ -85,6 +85,61 @@ TEST(BenchCompareTest, ThroughputDownIsRegression) {
   BenchReport cur = base;
   cur.scenarios[0].metrics["mqfs_fsync_speedup_pct"] -= 1.0;  // higher better
   EXPECT_EQ(CompareBenchReports(base, cur, 0.0, nullptr), 1);
+}
+
+BenchReport OneMetric(const std::string& metric, double value) {
+  BenchReport r;
+  BenchScenarioResult s;
+  s.name = "scenario";
+  s.metrics[metric] = value;
+  r.scenarios.push_back(s);
+  return r;
+}
+
+// The direction is read off the metric name: one name per lower-is-better
+// family in the baseline, and higher-is-better names going the other way.
+TEST(BenchCompareTest, DirectionFollowsTheMetricName) {
+  const char* const kLowerIsBetter[] = {
+      "txaware_n4_durable_ns",
+      "kv_put_ns_kvssd",
+      "kv_gc_stall_us",
+      "ftl_waf",
+      "ftl_waf_gc_low_4",
+      "kv_write_amp_kvssd",
+      "data_journal_write_amplification",
+      "ccnvme_mmio_writes_n4",
+      "doorbell_herd_naive_mmio_per_tx",
+      "ftl_gc_runs",
+      "ftl_gc_migrated_pages",
+      "ftl_map_loads",
+      "commit_convoy_leader_parks",
+      "sqfull_storm_blocks",
+      "tail_clean_signatures",
+  };
+  const char* const kHigherIsBetter[] = {
+      "mqfs_8c_4k_kiops",  "nvlog_1t_4k_mbps", "util_750_ext4_24t", "explored_states",
+      "crash_pass_rate",   "tail_herd_matches", "ideal_ktps_5blk",   "sqfull_storm_ktps",
+  };
+  auto compare = [](const char* metric, double before, double after, std::string* diff) {
+    diff->clear();
+    return CompareBenchReports(OneMetric(metric, before), OneMetric(metric, after), 0.0, diff);
+  };
+  std::string diff;
+  for (const char* metric : kLowerIsBetter) {
+    EXPECT_EQ(compare(metric, 10.0, 11.0, &diff), 1) << metric;
+    EXPECT_NE(diff.find("REGRESSION"), std::string::npos) << metric;
+    EXPECT_EQ(compare(metric, 10.0, 9.0, &diff), 0) << metric;
+    EXPECT_NE(diff.find("improvement"), std::string::npos) << metric;
+  }
+  for (const char* metric : kHigherIsBetter) {
+    EXPECT_EQ(compare(metric, 10.0, 9.0, &diff), 1) << metric;
+    EXPECT_NE(diff.find("REGRESSION"), std::string::npos) << metric;
+    EXPECT_EQ(compare(metric, 10.0, 11.0, &diff), 0) << metric;
+    EXPECT_NE(diff.find("improvement"), std::string::npos) << metric;
+  }
+  // A clean tail classifier reports no signature; the first one is a
+  // regression, not an improvement.
+  EXPECT_EQ(compare("tail_clean_signatures", 0.0, 1.0, &diff), 1);
 }
 
 TEST(BenchCompareTest, MissingMetricAndScenarioAreRegressions) {

@@ -3,8 +3,10 @@
 // flash, with a reference map checking every translation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "src/common/rng.h"
 #include "src/sim/simulator.h"
@@ -17,6 +19,8 @@ namespace {
 // are free. Latency/trace behaviour is covered by the full-stack KV tests.
 class RamEnv : public FtlEnv {
  public:
+  explicit RamEnv(uint64_t erase_latency_ns = 0) : erase_latency_ns_(erase_latency_ns) {}
+
   void PersistGtd(uint32_t seg, uint64_t ppn) override {
     gtd_[seg] = ppn;
     gtd_persists_++;
@@ -37,21 +41,20 @@ class RamEnv : public FtlEnv {
     *out = it->second;
     return true;
   }
-  void EraseWait() override { erases_++; }
+  uint64_t EraseLatencyNs() const override { return erase_latency_ns_; }
   void OnMapCheckpointed() override { checkpoints_++; }
 
   const Buffer* page(uint64_t ppn) const {
     auto it = flash_.find(ppn);
     return it == flash_.end() ? nullptr : &it->second;
   }
-  int erases() const { return erases_; }
   int checkpoints() const { return checkpoints_; }
   int gtd_persists() const { return gtd_persists_; }
 
  private:
   std::map<uint64_t, Buffer> flash_;
   std::map<uint32_t, uint64_t> gtd_;
-  int erases_ = 0;
+  uint64_t erase_latency_ns_;
   int checkpoints_ = 0;
   int gtd_persists_ = 0;
 };
@@ -76,10 +79,22 @@ Buffer PageFor(uint64_t lpn, uint32_t version) {
   return data;
 }
 
+// AllocRun for a caller that holds no lock: waits out a busy result (an
+// erase in flight) the way KvSsd::ExecStore does with its lock released.
+uint64_t AllocRunWaiting(Ftl& ftl, uint32_t n) {
+  uint64_t ready_at = 0;
+  uint64_t ppn;
+  while ((ppn = ftl.AllocRun(n, &ready_at)) == kFtlBusy) {
+    EXPECT_GT(ready_at, 0u) << "no pins are taken here";
+    Simulator::Sleep(ready_at - Simulator::Current()->now());
+  }
+  return ppn;
+}
+
 // One front-end write of a single-page value: out-of-place alloc, program,
 // map install — the same sequence KvSsd::ExecStore runs per page.
 void HostWrite(Ftl& ftl, RamEnv& env, uint64_t lpn, uint32_t version) {
-  const uint64_t ppn = ftl.AllocRun(1);
+  const uint64_t ppn = AllocRunWaiting(ftl, 1);
   ASSERT_NE(ppn, kFtlUnmapped) << "device full";
   ASSERT_TRUE(env.FlashWrite(ppn, PageFor(lpn, version)));
   ftl.MapInstall(lpn, ppn);
@@ -138,7 +153,7 @@ TEST(FtlTest, RandomChurnMatchesReferenceMap) {
   // migrations made the media write count strictly exceed the host's.
   EXPECT_GT(ftl.gc_runs(), 0u);
   EXPECT_GT(ftl.waf(), 1.0);
-  EXPECT_GT(env.erases(), 0);
+  EXPECT_GT(ftl.erases(), 0u);
   EXPECT_GT(env.checkpoints(), 0);
 }
 
@@ -217,16 +232,16 @@ TEST(FtlTest, ContiguousRunsAndTailWaste) {
   sim.Spawn("runs", [&] {
     // A run never spans erase blocks: 20 + 20 from a 32-page block leaves
     // a 12-page tail that must be skipped (charged as invalid), not split.
-    const uint64_t r1 = ftl.AllocRun(20);
+    const uint64_t r1 = AllocRunWaiting(ftl, 20);
     ASSERT_NE(r1, kFtlUnmapped);
-    const uint64_t r2 = ftl.AllocRun(20);
+    const uint64_t r2 = AllocRunWaiting(ftl, 20);
     ASSERT_NE(r2, kFtlUnmapped);
     EXPECT_EQ(r1 % cfg.pages_per_block, 0u);
     EXPECT_EQ(r2 % cfg.pages_per_block, 0u);
     EXPECT_NE(r1 / cfg.pages_per_block, r2 / cfg.pages_per_block);
 
     // An abandoned run (media error path) is reclaimable, not leaked.
-    const uint64_t r3 = ftl.AllocRun(8);
+    const uint64_t r3 = AllocRunWaiting(ftl, 8);
     ASSERT_NE(r3, kFtlUnmapped);
     ftl.DiscardRun(r3, 8);
 
@@ -243,6 +258,171 @@ TEST(FtlTest, ContiguousRunsAndTailWaste) {
     EXPECT_EQ(l3, 0u);  // freed window is reused lowest-first
   });
   sim.Run();
+}
+
+// Eight erase blocks of eight pages and one map segment: small enough to
+// steer GC by hand.
+FtlConfig PinConfig() {
+  FtlConfig cfg;
+  cfg.flash_pages = 64;
+  cfg.pages_per_block = 8;
+  cfg.total_lpns = 32;
+  cfg.map_cache_segments = 1;
+  cfg.gc_free_blocks_low = 2;
+  return cfg;
+}
+
+// Fills blocks 0-3 with LPNs 0-31, then overwrites five pages of block 0,
+// one of block 1, one of block 2 and two of block 3, which fills block 4 and
+// opens block 5. The free pool is at its low-water mark, so the next
+// allocation runs GC, and its greedy victim is block 0.
+void FillToGcThreshold(Ftl& ftl, RamEnv& env) {
+  for (uint64_t lpn = 0; lpn < 32; ++lpn) {
+    HostWrite(ftl, env, lpn, 1);
+  }
+  for (uint64_t lpn : {0, 1, 2, 3, 4, 8, 16, 24, 25}) {
+    HostWrite(ftl, env, lpn, 2);
+  }
+}
+
+TEST(FtlTest, PinnedBlockIsNeverAGcVictim) {
+  for (const bool pin : {false, true}) {
+    Simulator sim;
+    RamEnv env;
+    Ftl ftl(&sim, &env, PinConfig());
+    sim.Spawn("gc", [&] {
+      FillToGcThreshold(ftl, env);
+      const uint64_t in_block0 = ftl.MapLookup(5);
+      ASSERT_EQ(in_block0 / 8, 0u);
+      if (pin) {
+        ftl.Pin(in_block0);  // e.g. a read of LPN 5 in flight
+      }
+      HostWrite(ftl, env, 26, 2);
+      EXPECT_EQ(ftl.gc_runs(), 1u);
+      if (pin) {
+        // The next-best victim went instead; block 0 and its pages stay.
+        EXPECT_FALSE(ftl.block_is_free(0));
+        EXPECT_EQ(ftl.block_valid_pages(0), 3u);
+        EXPECT_TRUE(ftl.block_is_free(3));
+        EXPECT_EQ(ftl.MapLookup(5), in_block0);
+        EXPECT_TRUE(ftl.Unpin(in_block0));
+      } else {
+        EXPECT_TRUE(ftl.block_is_free(0));
+      }
+    });
+    sim.Run();
+  }
+}
+
+TEST(FtlTest, AllocRunWaitsWhenEveryCandidateVictimIsPinned) {
+  Simulator sim;
+  RamEnv env;
+  Ftl ftl(&sim, &env, PinConfig());
+  sim.Spawn("gc", [&] {
+    FillToGcThreshold(ftl, env);
+    // Every block with an invalid page (0-3) has an I/O in flight; block 0
+    // has two.
+    const uint64_t pins[] = {ftl.MapLookup(5), ftl.MapLookup(6), ftl.MapLookup(9),
+                             ftl.MapLookup(17), ftl.MapLookup(26)};
+    for (uint64_t ppn : pins) {
+      ftl.Pin(ppn);
+    }
+    uint64_t ready_at = 1;
+    EXPECT_EQ(ftl.AllocRun(1, &ready_at), kFtlBusy);  // wait, do not report full
+    EXPECT_EQ(ready_at, 0u);                          // for a pin, not an erase
+    EXPECT_EQ(ftl.gc_runs(), 0u);
+
+    EXPECT_FALSE(ftl.Unpin(pins[0]));  // block 0 is still pinned
+    EXPECT_EQ(ftl.AllocRun(1, &ready_at), kFtlBusy);
+    EXPECT_TRUE(ftl.Unpin(pins[1]));   // its last pin dropped
+    const uint64_t ppn = ftl.AllocRun(1, &ready_at);
+    EXPECT_NE(ppn, kFtlBusy);
+    EXPECT_NE(ppn, kFtlUnmapped);
+    EXPECT_EQ(ftl.gc_runs(), 1u);
+    EXPECT_TRUE(ftl.block_is_free(0));
+    for (uint64_t pinned : {pins[2], pins[3], pins[4]}) {
+      EXPECT_TRUE(ftl.Unpin(pinned));
+    }
+  });
+  sim.Run();
+}
+
+// Victims collected back to back do not erase in parallel: the engine
+// erases one block at a time, so the n-th erase completes n erase latencies
+// after the first was issued.
+TEST(FtlTest, EraseEngineErasesOneBlockAtATime) {
+  constexpr uint64_t kEraseNs = 2'000'000;
+  Simulator sim;
+  RamEnv env(kEraseNs);
+  Ftl ftl(&sim, &env, TightConfig());
+  std::vector<uint64_t> issued_at;
+  sim.Spawn("churn", [&] {
+    Rng rng(5);
+    uint32_t version = 0;
+    while (ftl.erases() < 4) {
+      const uint64_t before = ftl.erases();
+      HostWrite(ftl, env, rng.Uniform(ftl.config().total_lpns), ++version);
+      for (uint64_t i = before; i < ftl.erases(); ++i) {
+        issued_at.push_back(sim.now());
+      }
+    }
+  });
+  sim.Run();
+  // Media ops are free here, so the first three victims were collected at
+  // time 0; the write that then needed the first of them waited for it.
+  ASSERT_EQ(issued_at.size(), 4u);
+  EXPECT_EQ(issued_at[2], 0u);
+  EXPECT_EQ(issued_at[3], kEraseNs);
+  std::vector<uint64_t> ready;
+  for (uint32_t b = 0; b < ftl.num_blocks(); ++b) {
+    if (ftl.block_ready_at(b) > 0) {
+      ready.push_back(ftl.block_ready_at(b));
+    }
+  }
+  std::sort(ready.begin(), ready.end());
+  ASSERT_EQ(ready.size(), 4u);
+  for (size_t i = 0; i < ready.size(); ++i) {
+    EXPECT_EQ(ready[i], (i + 1) * kEraseNs);
+  }
+}
+
+// A map writeback runs inside a step that cannot be retried, so it must
+// not need a block that is still erasing. A caller that waits for
+// CommitReadyAt before such a step, as KvSsd::ExecStore does before its
+// commit, writes its map back without an erase wait. Media ops are free
+// here, so the clock moves only while the caller waits for an erase.
+TEST(FtlTest, MapWritebacksNeverWaitForAnErase) {
+  Simulator sim;
+  RamEnv env(/*erase_latency_ns=*/2'000'000);
+  Ftl ftl(&sim, &env, TightConfig());
+  sim.Spawn("churn", [&] {
+    Rng rng(7);
+    for (uint32_t version = 1; version <= 4000; ++version) {
+      const uint64_t lpn = rng.Uniform(ftl.config().total_lpns);
+      const bool write = rng.Uniform(10) < 8;
+      const uint64_t ppn = write ? AllocRunWaiting(ftl, 1) : kFtlUnmapped;
+      if (write) {
+        ASSERT_NE(ppn, kFtlUnmapped);
+        ASSERT_TRUE(env.FlashWrite(ppn, PageFor(lpn, version)));
+      }
+      for (uint64_t ready; (ready = ftl.CommitReadyAt()) > sim.now();) {
+        Simulator::Sleep(ready - sim.now());
+      }
+      // Installs and unmaps alike may evict a dirty segment: a writeback.
+      const uint64_t t = sim.now();
+      if (write) {
+        ftl.MapInstall(lpn, ppn);
+      } else {
+        ftl.MapErase(lpn);
+      }
+      ftl.CheckpointMap();
+      ASSERT_EQ(sim.now(), t) << "a map writeback waited for an erase";
+    }
+  });
+  sim.Run();
+  EXPECT_GT(ftl.map_writebacks(), 100u);
+  EXPECT_GT(ftl.erases(), 10u);
+  EXPECT_GT(sim.now(), 0u);  // writers did wait for erases
 }
 
 }  // namespace

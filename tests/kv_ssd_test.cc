@@ -305,6 +305,154 @@ TEST(KvSsdTest, MonitorCatchesSkippedShadowCommit) {
   EXPECT_EQ(clean_metrics.monitors().violations(MonitorId::kFtlMapDataAtomicity), 0u);
 }
 
+// --- Concurrent commands: background erases, metadata-only device lock ----
+
+// Two queues over 16 erase blocks of 8 pages: overwriting one key runs GC
+// every block's worth of stores, and the victims hold little live data.
+StackConfig ConcurrentKvConfig() {
+  StackConfig cfg = KvConfig();
+  cfg.num_queues = 2;
+  cfg.kv.dir_slots = 64;
+  cfg.kv.shadow_slots = 16;
+  cfg.kv.flash_pages = 128;
+  cfg.kv.pages_per_block = 8;
+  cfg.kv.total_lpns = 64;
+  cfg.kv.map_cache_segments = 1;
+  cfg.kv.gc_free_blocks_low = 2;
+  cfg.kv.max_value_bytes = 8 * 4096;  // a value must fit one erase block
+  return cfg;
+}
+
+struct Interval {
+  uint64_t begin = 0;
+  uint64_t end = 0;
+};
+
+// A Retrieve issued while a GC victim's erase is in flight takes about one
+// media read: the erase runs on the FTL's erase engine, not under the device
+// lock, and the writer that needs the erased block waits with the lock
+// released. (Were the erase run under the lock, such a Retrieve would wait
+// it out: >= 2 ms.)
+TEST(KvSsdConcurrencyTest, RetrieveDuringAnEraseTakesAboutOneMediaRead) {
+  const StackConfig cfg = ConcurrentKvConfig();
+  StorageStack stack(cfg);
+  ASSERT_TRUE(stack.KvFormat().ok());
+  uint64_t idle_get_ns = 0;
+  stack.Run([&] {
+    KvNvmeDriver& kv = *stack.kv_driver();
+    ASSERT_TRUE(kv.Store(0, "cold", "cold-value").ok());
+    const uint64_t t0 = stack.sim().now();
+    ASSERT_TRUE(kv.Retrieve(1, "cold").ok());
+    idle_get_ns = stack.sim().now() - t0;
+  });
+
+  const Ftl& ftl = stack.kv_ssd()->ftl();
+  std::vector<Interval> gc_stores;  // Stores that handed a GC victim over
+  std::vector<Interval> gets;
+  bool writer_done = false;
+  stack.Spawn("writer", [&] {
+    for (uint32_t i = 0; i < 160; ++i) {
+      const uint64_t runs = ftl.gc_runs();
+      const uint64_t begin = stack.sim().now();
+      CCNVME_CHECK(stack.kv_driver()->Store(0, "hot", ValueFor("hot", i, 3000)).ok());
+      if (ftl.gc_runs() > runs) {
+        gc_stores.push_back({begin, stack.sim().now()});
+      }
+    }
+    writer_done = true;
+  }, 0);
+  stack.Spawn("reader", [&] {
+    while (!writer_done) {
+      const uint64_t begin = stack.sim().now();
+      const Result<Buffer> got = stack.kv_driver()->Retrieve(1, "cold");
+      CCNVME_CHECK(got.ok() && AsString(*got) == "cold-value");
+      gets.push_back({begin, stack.sim().now()});
+      Simulator::Sleep(20'000);
+    }
+  }, 1);
+  stack.sim().Run();
+  ASSERT_GT(gc_stores.size(), 2u);
+
+  // The erase a GC Store handed over started inside that Store and runs
+  // for erase_latency_ns, so it is still in flight from the Store's return
+  // until erase_latency_ns after the Store began.
+  const uint64_t erase_ns = cfg.kv.erase_latency_ns;
+  size_t during_erase = 0;
+  uint64_t slowest_get_ns = 0;
+  for (const Interval& get : gets) {
+    slowest_get_ns = std::max(slowest_get_ns, get.end - get.begin);
+    during_erase += std::any_of(gc_stores.begin(), gc_stores.end(), [&](const Interval& s) {
+      return get.begin >= s.end && get.begin < s.begin + erase_ns;
+    });
+  }
+  EXPECT_GT(during_erase, 10u);
+  EXPECT_GT(ftl.erases(), 2u);
+  EXPECT_LT(slowest_get_ns, 2 * idle_get_ns) << "a Retrieve waited behind an erase";
+}
+
+// Two keys whose home slot in a |dir_slots| directory is the same (and not
+// the last slot, so the chain does not wrap): the second inserted probes
+// past the first.
+std::pair<std::string, std::string> KeysSharingAProbeChain(uint32_t dir_slots) {
+  auto home = [&](const std::string& key) { return Fnv1a(Bytes(key)) % dir_slots; };
+  std::string first = "chain0";
+  for (int i = 1; home(first) == dir_slots - 1; ++i) {
+    first = "chain0." + std::to_string(i);
+  }
+  for (int i = 1;; ++i) {
+    std::string second = "chain" + std::to_string(i);
+    if (home(second) == home(first)) {
+      return {first, second};
+    }
+  }
+}
+
+// Store A (eight pages) is still programming when Store B, a one-page value
+// of a different key with the same home slot, runs start to finish. Both
+// probed the home slot as their insert slot; B commits there, and A's
+// second probe, after its program, moves it one slot along the chain.
+TEST(KvSsdConcurrencyTest, StoresSharingAProbeChainCommitToDistinctSlots) {
+  const StackConfig cfg = ConcurrentKvConfig();
+  const auto [key_a, key_b] = KeysSharingAProbeChain(cfg.kv.dir_slots);
+  const std::string value_a = ValueFor(key_a, 1, 8 * 4096);
+  const std::string value_b = ValueFor(key_b, 2, 100);
+  StorageStack stack(cfg);
+  ASSERT_TRUE(stack.KvFormat().ok());
+  uint64_t a_done = 0;
+  uint64_t b_done = 0;
+  stack.Spawn("store_a", [&] {
+    CCNVME_CHECK(stack.kv_driver()->Store(0, key_a, value_a).ok());
+    a_done = stack.sim().now();
+  }, 0);
+  stack.Spawn("store_b", [&] {
+    Simulator::Sleep(30'000);
+    // A has taken its runs and not yet committed: it is in its program step.
+    EXPECT_EQ(stack.kv_ssd()->ftl().free_lpns(), cfg.kv.total_lpns - 8);
+    EXPECT_EQ(stack.kv_ssd()->stores(), 0u);
+    CCNVME_CHECK(stack.kv_driver()->Store(1, key_b, value_b).ok());
+    b_done = stack.sim().now();
+  }, 1);
+  stack.sim().Run();
+  EXPECT_LT(b_done, a_done) << "B waited for A's program";
+
+  stack.Run([&] {
+    KvNvmeDriver& kv = *stack.kv_driver();
+    const Result<Buffer> got_a = kv.Retrieve(0, key_a);
+    ASSERT_TRUE(got_a.ok()) << got_a.status().message();
+    EXPECT_EQ(AsString(*got_a), value_a);
+    const Result<Buffer> got_b = kv.Retrieve(0, key_b);
+    ASSERT_TRUE(got_b.ok()) << got_b.status().message();
+    EXPECT_EQ(AsString(*got_b), value_b);
+    // ListKeys walks the directory in slot order: B holds the home slot and
+    // A the next one.
+    const Result<std::vector<std::string>> listed = kv.ListKeys(0);
+    ASSERT_TRUE(listed.ok());
+    EXPECT_EQ(*listed, (std::vector<std::string>{key_b, key_a}));
+    ASSERT_TRUE(stack.kv_ssd()->CheckConsistency().ok());
+  });
+  EXPECT_EQ(stack.kv_ssd()->live_keys(), 2u);
+}
+
 // --- Systematic crash exploration of the KV commit window -----------------
 
 size_t TestThreads() {
@@ -368,6 +516,55 @@ TEST(KvExplorerTest, OverwriteChurnWithGcAllBoundariesRecover) {
   // explored boundaries include cuts inside migrate/checkpoint/erase.
   StorageStack probe(cfg);
   ASSERT_TRUE(probe.KvFormat().ok());
+}
+
+// Two queues over the same six erase blocks, for kv_concurrent_churn.
+StackConfig ExplorerConcurrentKvConfig() {
+  StackConfig cfg = ExplorerGcKvConfig();
+  cfg.num_queues = 2;
+  return cfg;
+}
+
+// Two cores overwrite keys on one probe chain, their Stores' program steps
+// overlap and GC runs mid-recording: every boundary still recovers.
+TEST(KvExplorerTest, ConcurrentChurnAllBoundariesRecover) {
+  Result<CrashWorkload> workload = FindCrashWorkload("kv_concurrent_churn");
+  ASSERT_TRUE(workload.ok());
+  const CrashRecording rec = RecordWorkload(ExplorerConcurrentKvConfig(), *workload);
+  // Data pages by fill byte ('A'..'L' core 0, 'M'..'X' core 1, one per
+  // Store), in recording order; GC erased a block and it was programmed again.
+  std::map<char, std::vector<size_t>> pages_by_fill;
+  std::set<uint64_t> programmed;
+  bool reprogrammed = false;
+  for (size_t i = 0; i < rec.events.size(); ++i) {
+    const BioEvent& ev = rec.events[i];
+    if (ev.op == BioOp::kWrite) {
+      reprogrammed |= !programmed.insert(ev.lba).second;
+      if (!ev.data.empty() && ev.data[0] >= 'A' && ev.data[0] <= 'X') {
+        pages_by_fill[static_cast<char>(ev.data[0])].push_back(i);
+      }
+    }
+  }
+  EXPECT_TRUE(reprogrammed);
+  // Some core-0 Store had a core-1 page programmed between its two pages.
+  bool overlapped = false;
+  for (char fill = 'A'; fill <= 'L'; ++fill) {
+    const std::vector<size_t>& own = pages_by_fill[fill];
+    for (char other = 'M'; other <= 'X' && own.size() >= 2; ++other) {
+      for (size_t i : pages_by_fill[other]) {
+        overlapped |= i > own[0] && i < own[1];
+      }
+    }
+  }
+  EXPECT_TRUE(overlapped);
+  ExpectAllPassed(ExploreRecording(rec, TestOptions()));
+}
+
+TEST(KvExplorerTest, ConcurrentChurnCatchesSkippedShadowCommit) {
+  StackConfig cfg = ExplorerConcurrentKvConfig();
+  cfg.kv.test_skip_ftl_shadow_commit = true;
+  const ExplorerReport report = ExploreWorkload(cfg, "kv_concurrent_churn", TestOptions());
+  EXPECT_GT(report.total_failures, 0u) << report.Summary();
 }
 
 // The KV fences are consistency boundaries: every kFtlQid PmrFence in the
