@@ -1,5 +1,7 @@
 #include "src/crashtest/crash_monkey.h"
 
+#include <map>
+
 #include "src/common/bytes.h"
 #include "src/common/logging.h"
 
@@ -412,6 +414,53 @@ CrashWorkload CrashMonkey::KvConcurrentChurn() {
           ctx.InvalidateFact(key);
           ctx.AddFact(OracleFact::KvValue(key, next));
           prev = next;
+        }
+      });
+    }
+    ctx.Join();
+  };
+}
+
+CrashWorkload CrashMonkey::KvPackedChurn() {
+  return [](CrashTestContext& ctx) {
+    // Fill a 4 KB staging frame after one to eleven values.
+    static constexpr size_t kSizes[] = {360, 1000, 1530, 2100, 700, 3000, 130};
+    constexpr uint16_t kCores = 2;
+    constexpr int kRounds = 8;
+    for (uint16_t core = 0; core < kCores; ++core) {
+      ctx.SpawnOnCore(core, [&ctx, core] {
+        auto store = [&](const std::string& key, const std::string* prev,
+                         const std::string& next) {
+          ctx.InvalidateFact(key);
+          ctx.AddFact(OracleFact::KvOneOf(
+              prev == nullptr ? OracleFact::KvAbsent(key) : OracleFact::KvValue(key, *prev),
+              OracleFact::KvValue(key, next)));
+          CCNVME_CHECK(ctx.kv().Store(core, key, next).ok());
+          ctx.InvalidateFact(key);
+          ctx.AddFact(OracleFact::KvValue(key, next));
+        };
+        store("cold" + std::to_string(core), nullptr,
+              std::string(900 + core * 200, static_cast<char>('a' + core)));
+        std::map<std::string, std::string> live;
+        for (int round = 0; round < kRounds; ++round) {
+          const std::string key = "p" + std::to_string(core) + "." + std::to_string(round % 3);
+          auto it = live.find(key);
+          if (round % 5 == 4 && it != live.end()) {
+            ctx.InvalidateFact(key);
+            ctx.AddFact(OracleFact::KvOneOf(OracleFact::KvValue(key, it->second),
+                                            OracleFact::KvAbsent(key)));
+            CCNVME_CHECK(ctx.kv().Delete(core, key).ok());
+            ctx.InvalidateFact(key);
+            ctx.AddFact(OracleFact::KvAbsent(key));
+            live.erase(it);
+            continue;
+          }
+          // Letters only, so a packed page is told from a map page by its
+          // first byte.
+          const std::string next(kSizes[(round + core * 3) % 7],
+                                 static_cast<char>('c' + (round + core * 11) % 24));
+          store(key, it == live.end() ? nullptr : &it->second, next);
+          live[key] = next;
         }
       });
     }

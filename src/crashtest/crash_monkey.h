@@ -85,6 +85,13 @@ class CrashMonkey {
   // cores' page programs unlocked, so their Stores overlap, and on a small
   // geometry GC runs mid-stream.
   static CrashWorkload KvConcurrentChurn();
+  // Two cores, on queues 0 and 1, overwrite and delete sub-page values of
+  // several sizes on three keys each, after storing one cold value that is
+  // never overwritten. The values are packed into the device's two staging
+  // frames, so the stream seals, flushes and reopens both; on a small
+  // geometry GC migrates the cold values' page, and the last values stay
+  // staged.
+  static CrashWorkload KvPackedChurn();
 
   // --- Multi-core workloads ----------------------------------------------
   // Two cores append+fsync their own files concurrently (SpawnOnCore), so

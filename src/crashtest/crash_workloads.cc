@@ -21,6 +21,7 @@ const std::map<std::string, CrashWorkload>& CrashWorkloadRegistry() {
           {"kv_put_get", CrashMonkey::KvPutGet()},
           {"kv_overwrite_churn", CrashMonkey::KvOverwriteChurn()},
           {"kv_concurrent_churn", CrashMonkey::KvConcurrentChurn()},
+          {"kv_packed_churn", CrashMonkey::KvPackedChurn()},
       };
   return *kRegistry;
 }

@@ -10,6 +10,10 @@ namespace ccnvme {
 
 namespace {
 constexpr uint64_t kPageBytes = 4096;
+constexpr size_t kPmrLineBytes = 64;
+constexpr size_t kPmrWcChunkBytes = 64 * kMmioWordSize;
+
+uint64_t PmrLines(size_t bytes) { return (bytes + kPmrLineBytes - 1) / kPmrLineBytes; }
 }  // namespace
 
 KvPmrLayout KvPmrLayout::From(uint32_t dir_slots, uint32_t shadow_slots,
@@ -22,11 +26,18 @@ KvPmrLayout KvPmrLayout::From(uint32_t dir_slots, uint32_t shadow_slots,
   l.gtd_off = l.sb_off - static_cast<size_t>(l.num_segments) * 8;
   l.shadow_off = l.gtd_off - static_cast<size_t>(shadow_slots) * kKvShadowBytes;
   l.dir_off = l.shadow_off - static_cast<size_t>(dir_slots) * kKvDirSlotBytes;
+  l.frame_off = l.dir_off - kKvFrames * (kKvFrameHeaderBytes + kKvFrameBytes);
   return l;
 }
 
 KvSsd::KvSsd(Simulator* sim, SsdModel* ssd, Pmr* pmr, const KvSsdConfig& config)
-    : sim_(sim), ssd_(ssd), pmr_(pmr), config_(config), mu_(sim), ftl_cv_(sim) {
+    : sim_(sim),
+      ssd_(ssd),
+      pmr_(pmr),
+      config_(config),
+      mu_(sim),
+      ftl_cv_(sim),
+      frame_cv_(sim) {
   CCNVME_CHECK(config_.dir_slots > 0 && config_.shadow_slots > 1);
   CCNVME_CHECK(config_.total_lpns <= (1ull << 26)) << "meta word packs 26 LPN bits";
   CCNVME_CHECK(config_.max_value_bytes < (1u << 20)) << "meta word packs 20 length bits";
@@ -36,7 +47,7 @@ KvSsd::KvSsd(Simulator* sim, SsdModel* ssd, Pmr* pmr, const KvSsdConfig& config)
                               config_.total_lpns, config_.map_entries_per_segment,
                               pmr_->size());
   // The ccNVMe P-SQ area grows from the bottom of the PMR; keep clear of it.
-  CCNVME_CHECK(layout_.dir_off >= 64 * 1024)
+  CCNVME_CHECK(layout_.frame_off >= 64 * 1024)
       << "KV metadata would overrun the PMR (shrink dir_slots or the geometry)";
   dir_.resize(config_.dir_slots);
 }
@@ -45,24 +56,50 @@ KvSsd::~KvSsd() = default;
 
 // --- meta word -------------------------------------------------------------
 
-uint64_t KvSsd::PackMeta(uint64_t lpn, uint32_t value_len, uint32_t key_len) {
+uint64_t KvSsd::PackMeta(uint64_t lpn, uint32_t value_len, uint32_t key_len,
+                         uint32_t offset) {
   return kMetaUsed | (lpn & 0x3FFFFFF) | (static_cast<uint64_t>(value_len & 0xFFFFF) << 26) |
-         (static_cast<uint64_t>(key_len & 0x1F) << 46);
+         (static_cast<uint64_t>(key_len & 0x1F) << 46) |
+         (static_cast<uint64_t>((offset / kKvPackAlign) & 0xFF) << 51);
+}
+
+std::array<KvSsd::RecoveredFrame, kKvFrames> KvSsd::RecoverFrames(
+    const std::array<uint64_t, kKvFrames>& headers, uint64_t total_lpns,
+    const std::function<bool(uint64_t)>& mapped, std::vector<std::string>* errors) {
+  std::array<RecoveredFrame, kKvFrames> frames{};
+  for (uint32_t f = 0; f < kKvFrames; ++f) {
+    if ((headers[f] & kFrameUsed) == 0) {
+      continue;
+    }
+    const uint64_t lpn = FrameLpn(headers[f]);
+    const bool staged_twice = std::any_of(frames.begin(), frames.begin() + f, [&](const auto& g) {
+      return g.fate == FrameFate::kStaged && g.lpn == lpn;
+    });
+    if (lpn >= total_lpns || staged_twice) {
+      errors->push_back("staging frame " + std::to_string(f) + " names lpn " +
+                        std::to_string(lpn) + " (beyond the logical space or staged twice)");
+      continue;
+    }
+    frames[f] = {mapped(lpn) ? FrameFate::kFlushed : FrameFate::kStaged, lpn};
+  }
+  return frames;
 }
 
 // --- recorded PMR traffic --------------------------------------------------
 
 void KvSsd::PmrStoreWc(size_t offset, std::span<const uint8_t> data) {
   pmr_->Write(offset, data);
-  Simulator::Sleep(config_.pmr_store_ns);
-  if (recorder_) {
+  Simulator::Sleep(config_.pmr_store_ns * PmrLines(data.size()));
+  for (size_t pos = 0; recorder_ && pos < data.size(); pos += kPmrWcChunkBytes) {
+    const std::span<const uint8_t> chunk =
+        data.subspan(pos, std::min(kPmrWcChunkBytes, data.size() - pos));
     BioEvent ev;
     ev.op = BioOp::kPmrWrite;
-    ev.lba = offset;
+    ev.lba = offset + pos;
     ev.flags = kBioPmrWc;
     ev.qid = kFtlQid;
     ev.device = device_id_;
-    ev.data.assign(data.begin(), data.end());
+    ev.data.assign(chunk.begin(), chunk.end());
     recorder_(ev);
   }
 }
@@ -191,11 +228,10 @@ void KvSsd::WriteSuperblock() {
 Status KvSsd::Format() {
   SimLockGuard lock(mu_);
   // Direct (unrecorded) PMR initialization, the mkfs analogue: zero the
-  // directory + shadow ring, set every GTD root to "none".
-  Buffer zeros(static_cast<size_t>(config_.dir_slots) * kKvDirSlotBytes +
-                   static_cast<size_t>(config_.shadow_slots) * kKvShadowBytes,
-               0);
-  pmr_->Write(layout_.dir_off, zeros);
+  // staging frames, the directory and the shadow ring, set every GTD root
+  // to "none".
+  Buffer zeros(layout_.gtd_off - layout_.frame_off, 0);
+  pmr_->Write(layout_.frame_off, zeros);
   Buffer none(static_cast<size_t>(layout_.num_segments) * 8, 0xFF);
   pmr_->Write(layout_.gtd_off, none);
   checkpoint_seq_ = 0;
@@ -203,6 +239,9 @@ Status KvSsd::Format() {
   live_keys_ = 0;
   WriteSuperblock();
   dir_.assign(config_.dir_slots, DirEnt{});
+  frames_ = {};
+  open_ = -1;
+  packed_refs_.clear();
   attach_errors_.clear();
   ftl_ = std::make_unique<Ftl>(sim_, this, config_.ToFtlConfig());
   attached_ = true;
@@ -258,15 +297,48 @@ Status KvSsd::Attach() {
       break;
     }
     for (uint32_t i = 0; i < sh.npages; ++i) {
-      ftl_->MapSetForReplay(sh.lpn + i, sh.ppn + i);
+      ftl_->MapSetForReplay(sh.lpn + i,
+                            sh.ppn == kKvShadowUnmapped ? kFtlUnmapped : sh.ppn + i);
     }
     last_seq_ = sh.seq;
+  }
+
+  // Staging frames. One whose LPN the map now has was flushed before the
+  // cut (its shadow is durable, its header clear was not): its header is
+  // cleared so no later frame can share the LPN with it.
+  std::array<uint64_t, kKvFrames> headers{};
+  for (uint32_t f = 0; f < kKvFrames; ++f) {
+    Buffer word(8);
+    pmr_->Read(layout_.FrameHeaderOff(f), word);
+    headers[f] = GetU64(word, 0);
+  }
+  std::vector<std::string> frame_errors;
+  const std::array<RecoveredFrame, kKvFrames> recovered = RecoverFrames(
+      headers, config_.total_lpns,
+      [&](uint64_t lpn) { return ftl_->MapLookup(lpn) != kFtlUnmapped; }, &frame_errors);
+  for (const std::string& error : frame_errors) {
+    attach_errors_.push_back("kv-ssd: " + error);
+  }
+  frames_ = {};
+  open_ = -1;
+  packed_refs_.clear();
+  for (uint32_t f = 0; f < kKvFrames; ++f) {
+    const uint64_t lpn = recovered[f].lpn;
+    if (recovered[f].fate == FrameFate::kFlushed) {
+      PmrStoreUncached(layout_.FrameHeaderOff(f), Buffer(8, 0));
+    } else if (recovered[f].fate == FrameFate::kStaged) {
+      frames_[f] = Frame{FrameState::kSealed, lpn, 0};
+      packed_refs_[lpn] = 1;
+      ftl_->ClaimLpn(lpn);
+    }
   }
 
   // Directory walk: mirror the slots into RAM and rebuild physical-page
   // liveness. Every LPN a live entry covers must be mapped — an unmapped
   // one means the commit word landed without its shadow (the injected-bug
-  // signature) or the image is corrupt.
+  // signature) or the image is corrupt — unless a frame stages it. Values
+  // packed into one page share its LPN, which is counted (and marked live)
+  // once.
   dir_.assign(config_.dir_slots, DirEnt{});
   std::vector<uint8_t> claimed(config_.total_lpns, 0);
   for (uint32_t s = 0; s < config_.dir_slots; ++s) {
@@ -278,7 +350,6 @@ Status KvSsd::Attach() {
     if (!MetaLive(e.meta)) {
       continue;
     }
-    live_keys_++;
     const uint32_t key_len = MetaKeyLen(e.meta);
     const uint64_t lpn = MetaLpn(e.meta);
     const uint32_t npages = MetaPages(e.meta);
@@ -287,7 +358,26 @@ Status KvSsd::Attach() {
         lpn + npages > config_.total_lpns) {
       attach_errors_.push_back("kv-ssd: directory slot " + std::to_string(s) +
                                " has out-of-range fields");
+      e.meta = kMetaTomb;  // dead in RAM: no command may read or release its LPNs
       continue;
+    }
+    live_keys_++;
+    if (MetaPacked(e.meta)) {
+      // An entry running past its page is still counted below, so deleting
+      // or overwriting it releases the shared page like any other.
+      const uint32_t end = PackedEnd(e.meta);
+      if (end > kKvFrameBytes) {
+        attach_errors_.push_back("kv-ssd: packed entry in slot " + std::to_string(s) +
+                                 " runs past its page (ends at byte " + std::to_string(end) +
+                                 ")");
+      }
+      claimed[lpn] = 1;
+      if (const int f = StagedFrame(lpn); f >= 0) {
+        frames_[f].fill = std::max(frames_[f].fill, PackedBytes(end));
+      }
+      if (packed_refs_[lpn]++ > 0) {
+        continue;  // a shared page already marked live, or a staged LPN
+      }
     }
     for (uint32_t i = 0; i < npages; ++i) {
       claimed[lpn + i] = 1;
@@ -316,6 +406,18 @@ Status KvSsd::Attach() {
     }
   }
   ftl_->FinishAttach();
+
+  // The staged frame with more room stays open; if both are staged (a cut
+  // during a flush), the other is flushed by the Store that next needs it.
+  for (uint32_t f = 0; f < kKvFrames; ++f) {
+    if (frames_[f].state == FrameState::kSealed &&
+        (open_ < 0 || frames_[f].fill < frames_[open_].fill)) {
+      open_ = static_cast<int>(f);
+    }
+  }
+  if (open_ >= 0) {
+    frames_[open_].state = FrameState::kOpen;
+  }
   attached_ = true;
   PublishFtlMetrics();
   return OkStatus();
@@ -404,12 +506,59 @@ void KvSsd::Probe(std::span<const uint8_t> key, int* found, int* insert) const {
 }
 
 void KvSsd::ReleaseValue(uint64_t meta) {
+  if (MetaPacked(meta)) {
+    DropPackedRef(MetaLpn(meta));
+    return;
+  }
   const uint64_t lpn = MetaLpn(meta);
   const uint32_t npages = MetaPages(meta);
   for (uint32_t i = 0; i < npages; ++i) {
     ftl_->MapErase(lpn + i);
     ftl_->FreeLpn(lpn + i);
   }
+}
+
+void KvSsd::DropPackedRef(uint64_t lpn) {
+  auto it = packed_refs_.find(lpn);
+  CCNVME_CHECK(it != packed_refs_.end()) << "packed lpn " << lpn << " has no references";
+  if (--it->second == 0) {
+    packed_refs_.erase(it);
+    ftl_->MapErase(lpn);
+    ftl_->FreeLpn(lpn);
+  }
+}
+
+int KvSsd::StagedFrame(uint64_t lpn) const {
+  for (uint32_t f = 0; f < kKvFrames; ++f) {
+    if (frames_[f].state != FrameState::kFree && frames_[f].lpn == lpn) {
+      return static_cast<int>(f);
+    }
+  }
+  return -1;
+}
+
+uint64_t KvSsd::NextShadowSeq() {
+  // Ring-wrap guard: the shadow for seq would overwrite a not-yet-dead
+  // entry; checkpoint the map first so every older shadow is redundant.
+  const uint64_t seq = last_seq_ + 1;
+  if (seq - checkpoint_seq_ > config_.shadow_slots) {
+    ftl_->CheckpointMap();
+  }
+  last_seq_ = seq;
+  return seq;
+}
+
+void KvSsd::StoreShadow(uint64_t seq, uint64_t lpn, uint32_t npages, uint64_t ppn,
+                        uint32_t slot) {
+  Buffer rec(kKvShadowBytes, 0);
+  PutU64(rec, 0, seq);
+  PutU64(rec, 8, lpn);
+  PutU32(rec, 16, npages);
+  PutU32(rec, 20, static_cast<uint32_t>(ppn));
+  PutU32(rec, 24, slot);
+  PutU32(rec, 28, ShadowCrc(std::span<const uint8_t>(rec.data(), 28)));
+  PmrStoreWc(layout_.shadow_off + static_cast<size_t>(seq % config_.shadow_slots) * kKvShadowBytes,
+             rec);
 }
 
 void KvSsd::WaitForFtl(uint64_t ready_at) {
@@ -421,6 +570,14 @@ void KvSsd::WaitForFtl(uint64_t ready_at) {
   } else {
     ftl_cv_.WaitFor(mu_, ready_at - t0);
   }
+  if (Tracer* tracer = sim_->tracer()) {
+    tracer->WaitEdgeEvent(WaitEdge::kFtlGc, t0, sim_->now());
+  }
+}
+
+void KvSsd::WaitForFlush() {
+  const uint64_t t0 = sim_->now();
+  frame_cv_.Wait(mu_);
   if (Tracer* tracer = sim_->tracer()) {
     tracer->WaitEdgeEvent(WaitEdge::kFtlGc, t0, sim_->now());
   }
@@ -447,66 +604,25 @@ uint16_t KvSsd::ExecStore(std::span<const uint8_t> key, std::span<const uint8_t>
   if (found < 0 && insert < 0) {
     return kKvStatusCapacity;  // directory full
   }
+  if (!value.empty() && value.size() < kPageBytes) {
+    return StorePacked(key, value);
+  }
 
-  // 1. Data pages, out-of-place into the open erase block. The runs are
-  // allocated under mu_ (GC may run inside AllocRun and is blamed on this
-  // command via wait.ftl_gc) and programmed with mu_ released, the run's
-  // block pinned so GC leaves it alone meanwhile.
+  // 1. Data pages, out-of-place into the open erase block.
   const uint32_t npages = static_cast<uint32_t>((value.size() + kPageBytes - 1) / kPageBytes);
   uint64_t lpn = 0;
-  uint64_t ppn = 0;
-  auto release_run = [&] {
-    ftl_->DiscardRun(ppn, npages);
+  if (npages > 0 && (lpn = ftl_->AllocLpnRun(npages)) == kFtlUnmapped) {
+    return kKvStatusCapacity;
+  }
+  auto free_lpns = [&] {
     for (uint32_t i = 0; i < npages; ++i) {
       ftl_->FreeLpn(lpn + i);
     }
   };
-  if (npages > 0) {
-    lpn = ftl_->AllocLpnRun(npages);
-    if (lpn == kFtlUnmapped) {
-      return kKvStatusCapacity;
-    }
-    uint64_t ready_at = 0;
-    while ((ppn = ftl_->AllocRun(npages, &ready_at)) == kFtlBusy) {
-      WaitForFtl(ready_at);
-    }
-    if (ppn == kFtlUnmapped) {
-      for (uint32_t i = 0; i < npages; ++i) {
-        ftl_->FreeLpn(lpn + i);
-      }
-      return kKvStatusCapacity;
-    }
-    ftl_->Pin(ppn);
-    mu_.Unlock();
-    uint32_t programmed = 0;
-    for (; programmed < npages; ++programmed) {
-      Buffer page(kPageBytes, 0);
-      const size_t begin = static_cast<size_t>(programmed) * kPageBytes;
-      const size_t len = std::min(kPageBytes, value.size() - begin);
-      std::copy(value.begin() + begin, value.begin() + begin + len, page.begin());
-      if (!FlashWrite(ppn + programmed, page)) {
-        break;
-      }
-    }
-    mu_.Lock();
-    for (uint32_t i = 0; i < programmed; ++i) {
-      ftl_->CountHostPage();
-    }
-    if (programmed < npages) {
-      UnpinPage(ppn);
-      release_run();
-      return kKvStatusMediaError;
-    }
-  }
-  // The commit below cannot be retried once it starts, and its map
-  // writebacks must not wait for an erase under mu_: wait for their room
-  // first, with mu_ released. The run stays pinned meanwhile, since its
-  // pages are not mapped yet.
-  for (uint64_t ready_at; (ready_at = ftl_->CommitReadyAt()) > sim_->now();) {
-    WaitForFtl(ready_at);
-  }
-  if (npages > 0) {
-    UnpinPage(ppn);
+  uint64_t ppn = 0;
+  if (const uint16_t status = ProgramRun(value, &ppn); status != 0) {
+    free_lpns();
+    return status;
   }
 
   // Probe again: while the pages programmed, another key may have taken
@@ -516,24 +632,17 @@ uint16_t KvSsd::ExecStore(std::span<const uint8_t> key, std::span<const uint8_t>
   const int slot = found >= 0 ? found : insert;
   if (slot < 0) {
     if (npages > 0) {
-      release_run();
+      ftl_->DiscardRun(ppn, npages);
     }
+    free_lpns();
     return kKvStatusCapacity;  // directory filled up meanwhile
   }
-  const uint64_t old_meta = found >= 0 ? dir_[slot].meta : 0;
 
   // 2. Stage the L2P updates (volatile until checkpoint or replay).
   for (uint32_t i = 0; i < npages; ++i) {
     ftl_->MapInstall(lpn + i, ppn + i);
   }
-
-  // Ring-wrap guard: the shadow for seq would overwrite a not-yet-dead
-  // entry; checkpoint the map first so every older shadow is redundant.
-  const uint64_t seq = last_seq_ + 1;
-  if (seq - checkpoint_seq_ > config_.shadow_slots) {
-    ftl_->CheckpointMap();
-  }
-  last_seq_ = seq;
+  const uint64_t seq = NextShadowSeq();
 
   // 3. ARM: key bytes (first insert into this slot) + shadow, then fence.
   std::array<uint8_t, kKvMaxKeyLen> padded{};
@@ -544,16 +653,7 @@ uint16_t KvSsd::ExecStore(std::span<const uint8_t> key, std::span<const uint8_t>
     if (need_key_write) {
       PmrStoreWc(layout_.dir_off + static_cast<size_t>(slot) * kKvDirSlotBytes, padded);
     }
-    Buffer rec(kKvShadowBytes, 0);
-    PutU64(rec, 0, seq);
-    PutU64(rec, 8, lpn);
-    PutU32(rec, 16, npages);
-    PutU32(rec, 20, static_cast<uint32_t>(ppn));
-    PutU32(rec, 24, static_cast<uint32_t>(slot));
-    PutU32(rec, 28, ShadowCrc(std::span<const uint8_t>(rec.data(), 28)));
-    PmrStoreWc(layout_.shadow_off +
-                   static_cast<size_t>(seq % config_.shadow_slots) * kKvShadowBytes,
-               rec);
+    StoreShadow(seq, lpn, npages, ppn, static_cast<uint32_t>(slot));
     PmrFence();  // ARM: shadow + key bytes durable from here on
     shadow_armed = true;
   } else if (need_key_write) {
@@ -562,28 +662,216 @@ uint16_t KvSsd::ExecStore(std::span<const uint8_t> key, std::span<const uint8_t>
     PmrStoreWc(layout_.dir_off + static_cast<size_t>(slot) * kKvDirSlotBytes, padded);
   }
 
-  // 4. COMMIT: the single 8-byte meta word is the atomicity point.
-  const uint64_t meta = PackMeta(lpn, static_cast<uint32_t>(value.size()),
-                                 static_cast<uint32_t>(key.size()));
+  // 4. COMMIT.
+  Commit(static_cast<uint32_t>(slot), found >= 0, key,
+         PackMeta(lpn, static_cast<uint32_t>(value.size()), static_cast<uint32_t>(key.size())),
+         /*data_durable=*/true, shadow_armed);
+  return 0;
+}
+
+uint16_t KvSsd::ProgramRun(std::span<const uint8_t> data, uint64_t* ppn) {
+  const uint32_t npages = static_cast<uint32_t>((data.size() + kPageBytes - 1) / kPageBytes);
+  if (npages > 0) {
+    // GC may run inside AllocRun; it is blamed on this command via
+    // wait.ftl_gc.
+    uint64_t ready_at = 0;
+    while ((*ppn = ftl_->AllocRun(npages, &ready_at)) == kFtlBusy) {
+      WaitForFtl(ready_at);
+    }
+    if (*ppn == kFtlUnmapped) {
+      return kKvStatusCapacity;
+    }
+    ftl_->Pin(*ppn);
+    mu_.Unlock();
+    uint32_t programmed = 0;
+    for (; programmed < npages; ++programmed) {
+      Buffer page(kPageBytes, 0);
+      const size_t begin = static_cast<size_t>(programmed) * kPageBytes;
+      const size_t len = std::min(kPageBytes, data.size() - begin);
+      std::copy(data.begin() + begin, data.begin() + begin + len, page.begin());
+      if (!FlashWrite(*ppn + programmed, page)) {
+        break;
+      }
+    }
+    mu_.Lock();
+    for (uint32_t i = 0; i < programmed; ++i) {
+      ftl_->CountHostPage();
+    }
+    if (programmed < npages) {
+      UnpinPage(*ppn);
+      ftl_->DiscardRun(*ppn, npages);
+      return kKvStatusMediaError;
+    }
+  }
+  // The commit that maps the run cannot be retried once it starts, and its
+  // map writebacks must not wait for an erase under mu_: wait for their room
+  // first, with mu_ released. The run stays pinned meanwhile, since its
+  // pages are not mapped yet.
+  for (uint64_t ready_at; (ready_at = ftl_->CommitReadyAt()) > sim_->now();) {
+    WaitForFtl(ready_at);
+  }
+  if (npages > 0) {
+    UnpinPage(*ppn);
+  }
+  return 0;
+}
+
+void KvSsd::Commit(uint32_t slot, bool found, std::span<const uint8_t> key, uint64_t meta,
+                   bool data_durable, bool shadow_armed) {
+  // The single 8-byte meta word is the atomicity point.
+  const uint64_t old_meta = found ? dir_[slot].meta : 0;
   Buffer word(8);
   PutU64(word, 0, meta);
   PmrStoreWc(layout_.dir_off + static_cast<size_t>(slot) * kKvDirSlotBytes + 24, word);
   if (Metrics* m = sim_->metrics()) {
-    m->monitors().OnKvCommit(Fnv1a(key), /*data_durable=*/true, shadow_armed);
+    m->monitors().OnKvCommit(Fnv1a(key), data_durable, shadow_armed);
   }
   PmrFence();  // COMMIT
 
-  if (found < 0) {
+  if (!found) {
     live_keys_++;
   }
-  dir_[slot].key = padded;
+  std::fill(dir_[slot].key.begin(), dir_[slot].key.end(), 0);
+  std::copy(key.begin(), key.end(), dir_[slot].key.begin());
   dir_[slot].meta = meta;
   if (MetaLive(old_meta)) {
     ReleaseValue(old_meta);  // the overwritten value's LPNs are dead now
   }
   stores_++;
   PublishFtlMetrics();
-  return 0;
+}
+
+uint16_t KvSsd::StorePacked(std::span<const uint8_t> key, std::span<const uint8_t> value) {
+  // 1. A frame with room: the open one if the value fits, else the next,
+  // which must be free. Wait, unlocked, while another Store flushes it;
+  // flush it here if a failed flush or a recovery left it sealed. The
+  // commit cannot be retried once it starts, and retiring the overwritten
+  // value may write the map back, so also wait, unlocked, until that needs
+  // no erase (as the unpacked path does).
+  auto needs_next_frame = [&] {
+    return open_ < 0 || frames_[open_].fill + value.size() > kKvFrameBytes;
+  };
+  for (;;) {
+    if (needs_next_frame()) {
+      const uint32_t next = open_ < 0 ? 0 : 1 - open_;
+      if (frames_[next].state == FrameState::kFlushing) {
+        WaitForFlush();
+        continue;
+      }
+      if (frames_[next].state == FrameState::kSealed) {
+        frames_[next].state = FrameState::kFlushing;
+        if (!FlushFrame(next)) {
+          return kKvStatusCapacity;
+        }
+        continue;
+      }
+    }
+    const uint64_t ready_at = ftl_->CommitReadyAt();
+    if (ready_at <= sim_->now()) {
+      break;
+    }
+    WaitForFtl(ready_at);
+  }
+  int sealed = -1;
+  if (needs_next_frame()) {
+    const uint64_t lpn = ftl_->AllocLpnRun(1);
+    if (lpn == kFtlUnmapped) {
+      return kKvStatusCapacity;
+    }
+    if (open_ >= 0) {
+      sealed = open_;
+      frames_[sealed].state = FrameState::kFlushing;  // by this Store, below
+    }
+    open_ = open_ < 0 ? 0 : 1 - open_;
+    frames_[open_] = Frame{FrameState::kOpen, lpn, 0};
+    packed_refs_[lpn] = 1;  // the frame's own reference, until it flushes
+    const uint64_t seq = NextShadowSeq();
+    Buffer header(8);
+    PutU64(header, 0, kFrameUsed | lpn);
+    PmrStoreWc(layout_.FrameHeaderOff(open_), header);
+    StoreShadow(seq, lpn, 1, kKvShadowUnmapped, kKvShadowNoSlot);
+  }
+  const uint32_t f = static_cast<uint32_t>(open_);
+  const uint64_t lpn = frames_[f].lpn;
+  const uint32_t offset = frames_[f].fill;
+  frames_[f].fill += PackedBytes(value.size());
+  frames_[f].copying++;
+  packed_refs_[lpn]++;
+
+  // 2. STAGE: copy the value bytes into the range just taken with mu_
+  // released (a flush of the frame waits for the copy), then, under mu_,
+  // the key bytes on first insert into the slot, and a fence. A frame just
+  // opened has its header and unmap shadow ride the same fence.
+  mu_.Unlock();
+  PmrStoreWc(layout_.FrameDataOff(f) + offset, value);
+  mu_.Lock();
+  if (--frames_[f].copying == 0 && frames_[f].state != FrameState::kOpen) {
+    frame_cv_.NotifyAll();  // sealed meanwhile: its flush waits for the copies
+  }
+  // Probe now: the waits above released mu_, and another key may have
+  // taken this key's insert slot.
+  int found = -1;
+  int insert = -1;
+  Probe(key, &found, &insert);
+  const int slot = found >= 0 ? found : insert;
+  uint16_t status = 0;
+  if (slot < 0) {
+    DropPackedRef(lpn);
+    status = kKvStatusCapacity;  // directory filled up meanwhile
+  } else {
+    std::array<uint8_t, kKvMaxKeyLen> padded{};
+    std::copy(key.begin(), key.end(), padded.begin());
+    if (found < 0 || dir_[slot].key != padded) {
+      PmrStoreWc(layout_.dir_off + static_cast<size_t>(slot) * kKvDirSlotBytes, padded);
+    }
+    if (!config_.test_skip_ftl_shadow_commit) {
+      PmrFence();
+    }
+    // 3. COMMIT.
+    Commit(static_cast<uint32_t>(slot), found >= 0, key,
+           PackMeta(lpn, static_cast<uint32_t>(value.size()), static_cast<uint32_t>(key.size()),
+                    offset),
+           /*data_durable=*/!config_.test_skip_ftl_shadow_commit, /*shadow_armed=*/true);
+  }
+  // Flush the frame this Store sealed. A failed flush leaves it sealed for
+  // the next Store that needs it; this value is durable either way.
+  if (sealed >= 0) {
+    FlushFrame(static_cast<uint32_t>(sealed));
+  }
+  return status;
+}
+
+bool KvSsd::FlushFrame(uint32_t f) {
+  while (frames_[f].copying > 0) {
+    frame_cv_.Wait(mu_);
+  }
+  const uint64_t lpn = frames_[f].lpn;
+  // A frame whose values all died needs no page: only its header goes.
+  if (packed_refs_[lpn] > 1) {
+    // The program streams the page out of controller memory; the media
+    // write charges that transfer (its backend pipe), so reading the frame
+    // costs nothing more here. No Store writes a frame being flushed.
+    Buffer page(kPageBytes);
+    pmr_->Read(layout_.FrameDataOff(f), page);
+    uint64_t ppn = 0;
+    if (ProgramRun(page, &ppn) != 0) {
+      frames_[f].state = FrameState::kSealed;
+      frame_cv_.NotifyAll();
+      return false;
+    }
+    ftl_->MapInstall(lpn, ppn);
+    StoreShadow(NextShadowSeq(), lpn, 1, ppn, kKvShadowNoSlot);
+    if (!config_.test_skip_ftl_shadow_commit) {
+      PmrFence();  // the mapping is durable: the staged copy is redundant
+    }
+  }
+  // One uncached store, durable at once: from here recovery finds the frame
+  // free, and the LPN may be freed and reused.
+  PmrStoreUncached(layout_.FrameHeaderOff(f), Buffer(8, 0));
+  frames_[f] = Frame{};
+  frame_cv_.NotifyAll();
+  DropPackedRef(lpn);
+  return true;
 }
 
 uint16_t KvSsd::ExecRetrieve(std::span<const uint8_t> key, Buffer* out,
@@ -603,6 +891,21 @@ uint16_t KvSsd::ExecRetrieve(std::span<const uint8_t> key, Buffer* out,
   const uint32_t value_len = MetaValueLen(meta);
   const uint64_t lpn = MetaLpn(meta);
   const uint32_t npages = MetaPages(meta);
+  const bool packed = MetaPacked(meta);
+  const uint32_t in_page = packed ? MetaOffset(meta) : 0;
+  if (packed && PackedEnd(meta) > kKvFrameBytes) {
+    return kKvStatusInternal;  // runs past its page: corrupt (Attach reported it)
+  }
+  if (const int f = packed ? StagedFrame(lpn) : -1; f >= 0) {
+    // Still staged: read it from the frame, under mu_ so no flush retires
+    // the frame meanwhile.
+    out->assign(value_len, 0);
+    pmr_->Read(layout_.FrameDataOff(static_cast<uint32_t>(f)) + in_page, *out);
+    Simulator::Sleep(config_.pmr_store_ns * PmrLines(value_len));
+    *result = value_len;
+    retrieves_++;
+    return 0;
+  }
   std::vector<uint64_t> ppns(npages);
   for (uint32_t i = 0; i < npages; ++i) {
     ppns[i] = ftl_->MapLookup(lpn + i);
@@ -624,7 +927,7 @@ uint16_t KvSsd::ExecRetrieve(std::span<const uint8_t> key, Buffer* out,
     if (ok) {
       const size_t begin = static_cast<size_t>(i) * kPageBytes;
       const size_t len = std::min(kPageBytes, static_cast<uint64_t>(value_len) - begin);
-      std::copy(page.begin(), page.begin() + len, out->begin() + begin);
+      std::copy(page.begin() + in_page, page.begin() + in_page + len, out->begin() + begin);
     }
   }
   mu_.Lock();

@@ -11,11 +11,31 @@
 //     segments, both written out-of-place by the FTL;
 //   * the controller PMR (capacitor-backed, survives power cuts): a hash
 //     directory of keys, a shadow ring of per-command map entries, the
-//     global translation directory (GTD: map-segment roots) and a
-//     superblock. All laid out top-down from the end of the PMR so the
-//     ccNVMe P-SQ area at the bottom is untouched.
+//     global translation directory (GTD: map-segment roots), a superblock,
+//     and two 4 KB staging frames that pack values shorter than a page.
+//     All laid out top-down from the end of the PMR so the ccNVMe P-SQ
+//     area at the bottom is untouched.
 //
-// KV Store commit protocol (the crash window src/crashtest enumerates):
+// A value shorter than one page is packed, four 1 KB values to a flash
+// page. Its Store takes a 16-byte-aligned range of the open staging frame,
+// WC-stores the value bytes there (with mu_ released) and the key bytes,
+// fences, stores the meta word (which carries the offset), and fences
+// again: no flash program, no map change, no shadow. The Store that finds
+// the open frame full seals it, opens the other frame (waiting, unlocked,
+// while that one is still being flushed) and, after its own commit,
+// flushes the sealed frame as one page once every copy into it has
+// landed: allocate, program unlocked, install the mapping, arm one shadow
+// entry and fence, then clear the frame's header word with one uncached
+// store. A packed LPN is freed when the last directory entry naming it
+// dies (a count kept in RAM and rebuilt at attach); a frame holds its LPN
+// until it flushes. Recovery treats a frame whose LPN the map already has
+// as flushed: the mapped page beats the staged copy. The durable map may
+// still hold a mapping of a freed LPN, so opening a frame also arms a
+// shadow entry that unmaps its LPN; it rides the first value's fence
+// together with the frame header.
+//
+// KV Store commit protocol for values of a page or more (the crash window
+// src/crashtest enumerates):
 //   1. write the value's data pages to flash (out-of-place, blocking);
 //   2. stage the L2P updates in the cached map segments (volatile);
 //   3. ARM: WC-store the key bytes (first insert) and a checksummed
@@ -53,6 +73,8 @@
 
 #include <array>
 #include <cstdint>
+#include <functional>
+#include <map>
 #include <memory>
 #include <span>
 #include <string>
@@ -80,11 +102,21 @@ inline constexpr uint16_t kKvStatusInternal = 0x06;
 inline constexpr uint16_t kKvStatusMediaError = 0x281;
 
 inline constexpr uint32_t kKvSsdMagic = 0x4b564343;  // "CCKV" little-endian
-inline constexpr uint32_t kKvSsdVersion = 1;
+inline constexpr uint32_t kKvSsdVersion = 2;    // 2: staging frames
 inline constexpr size_t kKvSuperblockBytes = 128;
 inline constexpr size_t kKvDirSlotBytes = 32;   // 16B key + pad + 8B meta
 inline constexpr size_t kKvShadowBytes = 32;
 inline constexpr uint32_t kKvMaxKeyLen = 16;
+// Staging frames: each is a header line (one 8-byte word naming its LPN)
+// followed by one flash page of packed values.
+inline constexpr uint32_t kKvFrames = 2;
+inline constexpr size_t kKvFrameHeaderBytes = 64;
+inline constexpr size_t kKvFrameBytes = 4096;
+inline constexpr size_t kKvPackAlign = 16;      // packed value offsets
+// Shadow fields of the entries a staging frame arms: no directory slot, and
+// (when the frame opens) "this LPN is unmapped".
+inline constexpr uint32_t kKvShadowNoSlot = 0xFFFFFFFF;
+inline constexpr uint32_t kKvShadowUnmapped = 0xFFFFFFFF;
 
 struct KvSsdConfig {
   bool enabled = false;           // StackConfig gate: builds the KV path
@@ -125,7 +157,15 @@ struct KvPmrLayout {
   size_t gtd_off = 0;
   size_t shadow_off = 0;
   size_t dir_off = 0;
+  size_t frame_off = 0;  // the staging frames, below the directory
   uint32_t num_segments = 0;
+
+  size_t FrameHeaderOff(uint32_t frame) const {
+    return frame_off + frame * (kKvFrameHeaderBytes + kKvFrameBytes);
+  }
+  size_t FrameDataOff(uint32_t frame) const {
+    return FrameHeaderOff(frame) + kKvFrameHeaderBytes;
+  }
 
   static KvPmrLayout From(uint32_t dir_slots, uint32_t shadow_slots,
                           uint64_t total_lpns, uint32_t map_entries_per_segment,
@@ -183,8 +223,11 @@ class KvSsd : public FtlEnv {
   uint64_t EraseLatencyNs() const override { return config_.erase_latency_ns; }
   void OnMapCheckpointed() override;
 
-  // Directory meta-word packing (shared with tools/ftl_inspect).
-  static uint64_t PackMeta(uint64_t lpn, uint32_t value_len, uint32_t key_len);
+  // Directory meta-word packing (shared with tools/ftl_inspect): LPN in
+  // bits 0-25, value length 26-45, key length 46-50, a packed value's
+  // in-page offset / 16 in 51-58.
+  static uint64_t PackMeta(uint64_t lpn, uint32_t value_len, uint32_t key_len,
+                           uint32_t offset = 0);
   static constexpr uint64_t kMetaUsed = 1ull << 63;
   static constexpr uint64_t kMetaTomb = 1ull << 62;
   static uint64_t MetaLpn(uint64_t meta) { return meta & 0x3FFFFFF; }
@@ -194,12 +237,44 @@ class KvSsd : public FtlEnv {
   static uint32_t MetaKeyLen(uint64_t meta) {
     return static_cast<uint32_t>((meta >> 46) & 0x1F);
   }
+  static uint32_t MetaOffset(uint64_t meta) {
+    return static_cast<uint32_t>((meta >> 51) & 0xFF) * kKvPackAlign;
+  }
   static bool MetaLive(uint64_t meta) {
     return (meta & kMetaUsed) != 0 && (meta & kMetaTomb) == 0;
   }
   static uint32_t MetaPages(uint64_t meta) {
     return (MetaValueLen(meta) + 4095) / 4096;
   }
+  // Every non-empty value shorter than a page is packed.
+  static bool MetaPacked(uint64_t meta) {
+    return MetaValueLen(meta) > 0 && MetaValueLen(meta) < kKvFrameBytes;
+  }
+  // Where a packed value ends in its page. An entry ending past
+  // kKvFrameBytes is corrupt: recovery reports it and Retrieve refuses it.
+  static uint32_t PackedEnd(uint64_t meta) { return MetaOffset(meta) + MetaValueLen(meta); }
+  // The frame bytes a packed value of |len| bytes takes.
+  static uint32_t PackedBytes(size_t len) {
+    return static_cast<uint32_t>((len + kKvPackAlign - 1) / kKvPackAlign * kKvPackAlign);
+  }
+  // Staging-frame header word: kFrameUsed | LPN while the frame stages
+  // values, 0 when it is free.
+  static constexpr uint64_t kFrameUsed = 1ull << 63;
+  static uint64_t FrameLpn(uint64_t header) { return header & ~kFrameUsed; }
+  // Recovery's reading of the frames' header words (shared with
+  // tools/ftl_inspect). A frame is free, stages its LPN, or was flushed
+  // before the cut: |mapped(lpn)| says the replayed map has the LPN, and
+  // the mapped page beats the staged copy. A header naming an LPN beyond
+  // the logical space, or one an earlier frame stages, is reported into
+  // |errors| and the frame counts as free.
+  enum class FrameFate : uint8_t { kFree, kStaged, kFlushed };
+  struct RecoveredFrame {
+    FrameFate fate = FrameFate::kFree;
+    uint64_t lpn = 0;
+  };
+  static std::array<RecoveredFrame, kKvFrames> RecoverFrames(
+      const std::array<uint64_t, kKvFrames>& headers, uint64_t total_lpns,
+      const std::function<bool(uint64_t)>& mapped, std::vector<std::string>* errors);
 
   KvSsd(const KvSsd&) = delete;
   KvSsd& operator=(const KvSsd&) = delete;
@@ -216,16 +291,55 @@ class KvSsd : public FtlEnv {
     uint32_t ppn = 0;
     uint32_t slot = 0;
   };
+  // RAM view of a staging frame. kSealed: full, waiting for a Store to
+  // flush it (a failed flush, or both frames staged at attach); kFlushing:
+  // a Store is flushing it.
+  enum class FrameState : uint8_t { kFree, kOpen, kSealed, kFlushing };
+  struct Frame {
+    FrameState state = FrameState::kFree;
+    uint64_t lpn = 0;
+    uint32_t fill = 0;     // bytes handed out, 16-byte aligned
+    uint32_t copying = 0;  // Stores copying their value in with mu_ released
+  };
 
   // Probing. |found| gets the live slot of |key| or -1; |insert| the first
   // reusable (tombstone/empty) slot in the chain or -1 (table full).
   void Probe(std::span<const uint8_t> key, int* found, int* insert) const;
   bool KeyMatches(const DirEnt& e, std::span<const uint8_t> key) const;
   void ReleaseValue(uint64_t meta);
+  // Drops one reference to a packed LPN; the last one unmaps and frees it.
+  void DropPackedRef(uint64_t lpn);
+  // Sub-page Store: stage into the open frame (see the file comment).
+  uint16_t StorePacked(std::span<const uint8_t> key, std::span<const uint8_t> value);
+  // Flushes frame |f| (kFlushing) as one page and frees it. False, leaving
+  // it kSealed, if the device is full or the program fails.
+  bool FlushFrame(uint32_t f);
+  // The frame staging |lpn|, or -1.
+  int StagedFrame(uint64_t lpn) const;
+  // The next shadow sequence number; checkpoints the map first if the
+  // ring would overwrite a live entry.
+  uint64_t NextShadowSeq();
+  void StoreShadow(uint64_t seq, uint64_t lpn, uint32_t npages, uint64_t ppn,
+                   uint32_t slot);
+  // COMMIT: stores |meta| into |slot| (the atomicity point), fences, and
+  // retires the value the slot held.
+  void Commit(uint32_t slot, bool found, std::span<const uint8_t> key, uint64_t meta,
+              bool data_durable, bool shadow_armed);
   // Waits, with mu_ released, until a busy AllocRun may retry: the erase
   // it needs completes at |ready_at|, or (|ready_at| == 0) a pin drops. The
   // erase is GC's last step, so the wait is emitted as wait.ftl_gc.
   void WaitForFtl(uint64_t ready_at);
+  // Waits, with mu_ released, for a frame flush to end. Such a flush mostly
+  // waits for the erase engine, so this is wait.ftl_gc too.
+  void WaitForFlush();
+  // Programs |data| as a run of whole pages, the last zero-padded: allocates
+  // the run under mu_ (GC may run there), programs it with mu_ released and
+  // the run's block pinned so GC leaves it alone, then waits, unlocked,
+  // until the commit that maps it needs no erase for its map writebacks,
+  // and unpins it. Empty |data| only waits. Returns 0 with the run's first
+  // page in |*ppn|, or kKvStatusCapacity / kKvStatusMediaError with no page
+  // left allocated.
+  uint16_t ProgramRun(std::span<const uint8_t> data, uint64_t* ppn);
   void UnpinPage(uint64_t ppn);
 
   // Publishes the FTL level gauges (ftl.waf, page counts, GC totals) into
@@ -235,7 +349,9 @@ class KvSsd : public FtlEnv {
   // interned once so the per-op cost is array stores.
   void PublishFtlMetrics();
 
-  // Recorded PMR traffic (device-internal engine, qid = kFtlQid).
+  // Recorded PMR traffic (device-internal engine, qid = kFtlQid). Copies
+  // to and from the PMR cost pmr_store_ns per 64-byte line; a WC store is
+  // recorded in chunks of at most 64 words, the unit the crash model tears.
   void PmrStoreWc(size_t offset, std::span<const uint8_t> data);
   void PmrStoreUncached(size_t offset, std::span<const uint8_t> data);
   void PmrFence();
@@ -255,8 +371,14 @@ class KvSsd : public FtlEnv {
   SimMutex mu_;
   SimCondVar ftl_cv_;         // AllocRun retries: erase done or pin dropped
   uint32_t pin_waiters_ = 0;  // Stores waiting for a pin to drop
+  SimCondVar frame_cv_;       // a frame flush ended
   std::unique_ptr<Ftl> ftl_;
   std::vector<DirEnt> dir_;
+  std::array<Frame, kKvFrames> frames_{};
+  int open_ = -1;  // the open frame, or -1 (both free)
+  // Live directory entries naming each packed LPN, plus one while a frame
+  // stages it.
+  std::map<uint64_t, uint32_t> packed_refs_;
   bool attached_ = false;
   uint64_t last_seq_ = 0;
   uint64_t checkpoint_seq_ = 0;

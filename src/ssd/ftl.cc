@@ -135,8 +135,13 @@ uint64_t Ftl::AllocRun(uint32_t n, uint64_t* ready_at) {
   CCNVME_CHECK(n > 0 && n <= config_.pages_per_block)
       << "value run of " << n << " pages exceeds one erase block";
   *ready_at = 0;
-  if (!MaybeGc()) {
-    return kFtlBusy;  // every candidate victim is pinned
+  switch (MaybeGc()) {
+    case GcResult::kPinned:
+      return kFtlBusy;  // every candidate victim is pinned
+    case GcResult::kFull:
+      return kFtlUnmapped;
+    case GcResult::kOk:
+      break;
   }
   // While the next block erases, a run may take neither that block nor the
   // open block's last CommitWritebacks() pages, so the commit that follows
@@ -174,6 +179,7 @@ void Ftl::DiscardRun(uint64_t ppn, uint32_t n) {
   for (uint32_t i = 0; i < n; ++i) {
     MarkInvalid(ppn + i);
   }
+  gc_futile_ = false;
 }
 
 uint64_t Ftl::CommitReadyAt() {
@@ -268,6 +274,7 @@ void Ftl::MapInstall(uint64_t lpn, uint64_t ppn) {
   uint64_t& entry = frame.entries[lpn % config_.map_entries_per_segment];
   if (entry != kFtlUnmapped) {
     MarkInvalid(entry);
+    gc_futile_ = false;
   }
   entry = ppn;
   frame.dirty = true;
@@ -291,6 +298,7 @@ void Ftl::MapErase(uint64_t lpn) {
     return;
   }
   MarkInvalid(entry);
+  gc_futile_ = false;
   entry = kFtlUnmapped;
   frame.dirty = true;
 }
@@ -307,8 +315,18 @@ void Ftl::CheckpointMap() {
 
 // --- garbage collection ----------------------------------------------------
 
-bool Ftl::MaybeGc() {
+uint64_t Ftl::FreePages() const {
+  const uint64_t tail = block_open_ ? config_.pages_per_block - write_ptr_ : 0;
+  return static_cast<uint64_t>(free_blocks_.size()) * config_.pages_per_block + tail;
+}
+
+Ftl::GcResult Ftl::MaybeGc() {
+  uint32_t passes = 0;
+  uint64_t before_previous = 0;  // free pages before the previous pass
   while (free_blocks_.size() <= config_.gc_free_blocks_low) {
+    if (gc_futile_) {
+      return GcResult::kFull;
+    }
     // Greedy victim: most invalid pages, lowest block id on ties. Only
     // closed, unpinned blocks qualify (the open block is the migration
     // destination; a pinned block has an unlocked I/O in flight).
@@ -338,11 +356,21 @@ bool Ftl::MaybeGc() {
     if (victim == num_blocks_) {
       // Nothing reclaimable (AllocRun reports full if it matters), or only
       // pinned blocks are, in which case the caller waits for a pin to drop.
-      return !pinned_candidate;
+      return pinned_candidate ? GcResult::kPinned : GcResult::kOk;
     }
+    // A pass can cost as many pages as it frees: its migrations, plus the
+    // map writebacks they cause. The next pass usually gains again, but two
+    // that together gain nothing would repeat forever: report the device
+    // full.
+    const uint64_t before = FreePages();
     GcOnce(victim);
+    if (passes++ > 0 && FreePages() <= before_previous) {
+      gc_futile_ = true;
+      return GcResult::kFull;
+    }
+    before_previous = before;
   }
-  return true;
+  return GcResult::kOk;
 }
 
 void Ftl::GcOnce(uint32_t victim) {

@@ -24,6 +24,10 @@
 // holding its lock (CommitReadyAt does the same for a commit's map
 // writebacks). The migration pass is emitted as a `wait.ftl_gc` edge,
 // making GC first-class profiler blame on the foreground op that ran it.
+// Two passes in a row that do not raise the free page count (free-pool
+// pages plus the open block's unwritten tail) end GC: the allocation
+// reports the device full, and so does every later one until a host
+// overwrite or unmap invalidates a page.
 //
 // A block holding a pinned page (an in-flight read or program the caller
 // runs unlocked) is never picked as a GC victim, so it is never erased or
@@ -98,11 +102,15 @@ class Ftl {
   // kFtlUnmapped if the logical space has no such run.
   uint64_t AllocLpnRun(uint32_t n);
   void FreeLpn(uint64_t lpn);
+  // Attach: takes |lpn| out of the free set without mapping it (a staging
+  // frame of the front-end holds it).
+  void ClaimLpn(uint64_t lpn) { free_lpns_.erase(lpn); }
 
   // --- foreground data path ----------------------------------------------
   // Allocates |n| physically contiguous pages from the open erase block,
   // running GC first if the free pool is low. The caller writes the pages
-  // (env FlashWrite) and then installs mappings. kFtlUnmapped = device full.
+  // (env FlashWrite) and then installs mappings. kFtlUnmapped = device full
+  // (no room left, or GC stopped freeing pages).
   // kFtlBusy = retry later, without holding the caller's lock: the next
   // block is still erasing until |*ready_at| and the run needs it (or the
   // room CommitReadyAt keeps); or (|*ready_at| == 0) GC found only pinned
@@ -223,10 +231,15 @@ class Ftl {
   void ScheduleErase(uint32_t block);
   void MarkInvalid(uint64_t ppn);
   void MarkValid(uint64_t ppn, uint64_t lpn);
-  // Runs GC passes until the free pool is above the low-water mark. False
-  // if it needs a pass but every candidate victim is pinned.
-  bool MaybeGc();
+  enum class GcResult { kOk, kPinned, kFull };
+  // Runs GC passes until the free pool is above the low-water mark.
+  // kPinned: it needs a pass but every candidate victim is pinned. kFull:
+  // two passes in a row did not raise FreePages(), or GC already reported
+  // full and no host invalidation has happened since.
+  GcResult MaybeGc();
   void GcOnce(uint32_t victim);
+  // Free-pool pages plus the open block's unwritten tail.
+  uint64_t FreePages() const;
 
   Simulator* sim_;
   FtlEnv* env_;
@@ -248,6 +261,7 @@ class Ftl {
   std::set<uint64_t> free_lpns_;
 
   bool attach_mode_ = false;
+  bool gc_futile_ = false;  // GC reported full; cleared by host invalidations
   uint64_t erase_busy_until_ = 0;  // the erase engine's last completion time
   uint64_t host_pages_written_ = 0;
   uint64_t media_pages_written_ = 0;

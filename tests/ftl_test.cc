@@ -16,10 +16,12 @@ namespace ccnvme {
 namespace {
 
 // RAM-backed FtlEnv: flash pages and the GTD live in plain maps, media ops
-// are free. Latency/trace behaviour is covered by the full-stack KV tests.
+// are free unless a program latency is given. Latency/trace behaviour is
+// covered by the full-stack KV tests.
 class RamEnv : public FtlEnv {
  public:
-  explicit RamEnv(uint64_t erase_latency_ns = 0) : erase_latency_ns_(erase_latency_ns) {}
+  explicit RamEnv(uint64_t erase_latency_ns = 0, uint64_t program_ns = 0)
+      : erase_latency_ns_(erase_latency_ns), program_ns_(program_ns) {}
 
   void PersistGtd(uint32_t seg, uint64_t ppn) override {
     gtd_[seg] = ppn;
@@ -31,6 +33,9 @@ class RamEnv : public FtlEnv {
   }
   bool FlashWrite(uint64_t ppn, const Buffer& data) override {
     flash_[ppn] = data;
+    if (program_ns_ > 0) {
+      Simulator::Sleep(program_ns_);
+    }
     return true;
   }
   bool FlashRead(uint64_t ppn, Buffer* out) override {
@@ -55,6 +60,7 @@ class RamEnv : public FtlEnv {
   std::map<uint64_t, Buffer> flash_;
   std::map<uint32_t, uint64_t> gtd_;
   uint64_t erase_latency_ns_;
+  uint64_t program_ns_;
   int checkpoints_ = 0;
   int gtd_persists_ = 0;
 };
@@ -423,6 +429,53 @@ TEST(FtlTest, MapWritebacksNeverWaitForAnErase) {
   EXPECT_GT(ftl.map_writebacks(), 100u);
   EXPECT_GT(ftl.erases(), 10u);
   EXPECT_GT(sim.now(), 0u);  // writers did wait for erases
+}
+
+// A single-page overwrite churn of random LPNs with no unmaps fills the
+// tight geometry until GC victims hold about two thirds live pages. A pass
+// then migrates them, each migrated page's map update evicts a dirty segment
+// of the 2-frame cache, and the pass writes more pages than it frees. GC
+// must stop there and report the device full, not loop. Programs cost 1 us
+// here, so a looping GC runs the clock into the deadline and the test fails
+// instead of hanging.
+TEST(FtlTest, GcPassThatFreesNothingReportsTheDeviceFull) {
+  constexpr uint32_t kWrites = 8000;
+  Simulator sim;
+  RamEnv env(/*erase_latency_ns=*/0, /*program_ns=*/1000);
+  Ftl ftl(&sim, &env, TightConfig());
+  std::map<uint64_t, uint32_t> ref;
+  uint32_t applied = 0;
+  bool full = false;
+  bool done = false;
+  sim.Spawn("churn", [&] {
+    Rng rng(11);
+    for (uint32_t version = 1; version <= kWrites; ++version) {
+      const uint64_t lpn = rng.Uniform(ftl.config().total_lpns);
+      const uint64_t ppn = AllocRunWaiting(ftl, 1);
+      if (ppn == kFtlUnmapped) {
+        full = true;
+        break;
+      }
+      ASSERT_TRUE(env.FlashWrite(ppn, PageFor(lpn, version)));
+      ftl.MapInstall(lpn, ppn);
+      ftl.CountHostPage();
+      ref[lpn] = version;
+      applied++;
+    }
+    if (full) {
+      // Device full stays full: the next allocation runs no second pass.
+      const uint64_t runs = ftl.gc_runs();
+      uint64_t ready_at = 0;
+      EXPECT_EQ(ftl.AllocRun(1, &ready_at), kFtlUnmapped);
+      EXPECT_EQ(ftl.gc_runs(), runs);
+    }
+    VerifyAgainstReference(ftl, env, ref);
+    done = true;
+  });
+  sim.RunUntil(100'000'000);
+  ASSERT_TRUE(done) << "GC still looping after " << applied << " writes";
+  EXPECT_TRUE(full || applied == kWrites);
+  EXPECT_GT(ftl.gc_runs(), 0u);
 }
 
 }  // namespace

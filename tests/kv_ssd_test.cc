@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cctype>
+#include <functional>
 #include <map>
 #include <set>
 #include <string>
@@ -305,6 +307,206 @@ TEST(KvSsdTest, MonitorCatchesSkippedShadowCommit) {
   EXPECT_EQ(clean_metrics.monitors().violations(MonitorId::kFtlMapDataAtomicity), 0u);
 }
 
+// --- Packed sub-page values: staging frames in the PMR ----------------------
+
+// Four 1 KB values fill a staging frame; the Store that finds it full seals
+// it and flushes it as one page. 13 Stores: three flushed frames, and the
+// 13th value staged.
+TEST(KvPackingTest, FourOneKbStoresCostOneHostPage) {
+  StorageStack stack(KvConfig());
+  ASSERT_TRUE(stack.KvFormat().ok());
+  stack.Run([&] {
+    KvNvmeDriver& kv = *stack.kv_driver();
+    for (int k = 0; k < 13; ++k) {
+      const std::string key = "k" + std::to_string(k);
+      ASSERT_TRUE(kv.Store(0, key, ValueFor(key, 1, 1024)).ok());
+    }
+    EXPECT_EQ(stack.kv_ssd()->ftl().host_pages_written(), 3u);
+    for (int k = 0; k < 13; ++k) {
+      const std::string key = "k" + std::to_string(k);
+      const Result<Buffer> got = kv.Retrieve(0, key);
+      ASSERT_TRUE(got.ok()) << key;
+      EXPECT_EQ(AsString(*got), ValueFor(key, 1, 1024)) << key;
+    }
+  });
+}
+
+// A value still staged in the PMR at the cut reads back after KvAttach, and
+// the restored frame keeps packing from where it stopped.
+TEST(KvPackingTest, StagedValueSurvivesACrashImageRoundTrip) {
+  const StackConfig cfg = KvConfig();
+  std::map<std::string, std::string> ref;
+  CrashImage image;
+  {
+    StorageStack stack(cfg);
+    ASSERT_TRUE(stack.KvFormat().ok());
+    stack.Run([&] {
+      KvNvmeDriver& kv = *stack.kv_driver();
+      for (int k = 0; k < 4; ++k) {
+        const std::string key = "f" + std::to_string(k);
+        ref[key] = ValueFor(key, 1, 1024);
+        ASSERT_TRUE(kv.Store(0, key, ref[key]).ok());
+      }
+      // Finds the first frame full: flushes it and stages itself.
+      ref["staged"] = ValueFor("staged", 1, 700);
+      ASSERT_TRUE(kv.Store(0, "staged", ref["staged"]).ok());
+    });
+    EXPECT_EQ(stack.kv_ssd()->ftl().host_pages_written(), 1u);
+    image = stack.CaptureCrashImage();
+  }
+
+  StorageStack stack(cfg, image);
+  ASSERT_TRUE(stack.KvAttach().ok());
+  stack.Run([&] {
+    ASSERT_TRUE(stack.kv_ssd()->CheckConsistency().ok());
+    KvNvmeDriver& kv = *stack.kv_driver();
+    for (const auto& [key, value] : ref) {
+      const Result<Buffer> got = kv.Retrieve(0, key);
+      ASSERT_TRUE(got.ok()) << key << ": " << got.status().message();
+      EXPECT_EQ(AsString(*got), value) << key;
+    }
+    // 704 staged bytes + 3 x 1024 still fit the frame; the fourth does not.
+    for (int k = 0; k < 4; ++k) {
+      const std::string key = "post" + std::to_string(k);
+      ref[key] = ValueFor(key, 1, 1024);
+      ASSERT_TRUE(kv.Store(0, key, ref[key]).ok());
+      EXPECT_EQ(stack.kv_ssd()->ftl().host_pages_written(), k < 3 ? 0u : 1u) << key;
+    }
+    for (const auto& [key, value] : ref) {
+      const Result<Buffer> got = kv.Retrieve(0, key);
+      ASSERT_TRUE(got.ok()) << key;
+      EXPECT_EQ(AsString(*got), value) << key;
+    }
+  });
+}
+
+// Four values share one flushed page and its LPN: overwriting or deleting
+// three of them leaves the page live, and the last one's delete frees both.
+TEST(KvPackingTest, PackedPageIsReleasedWithItsLastValue) {
+  StorageStack stack(KvConfig());
+  ASSERT_TRUE(stack.KvFormat().ok());
+  const Ftl& ftl = stack.kv_ssd()->ftl();
+  stack.Run([&] {
+    KvNvmeDriver& kv = *stack.kv_driver();
+    for (const char* key : {"a", "b", "c", "d", "e"}) {
+      ASSERT_TRUE(kv.Store(0, key, ValueFor(key, 1, 1024)).ok());
+    }
+    // a-d share the first page programmed (block 0); e is staged.
+    ASSERT_EQ(ftl.host_pages_written(), 1u);
+    EXPECT_EQ(ftl.block_valid_pages(0), 1u);
+    const uint64_t free_lpns = ftl.free_lpns();
+    ASSERT_TRUE(kv.Store(0, "a", ValueFor("a", 2, 1024)).ok());
+    ASSERT_TRUE(kv.Delete(0, "b").ok());
+    ASSERT_TRUE(kv.Store(0, "c", ValueFor("c", 2, 1024)).ok());
+    EXPECT_EQ(ftl.block_valid_pages(0), 1u);
+    EXPECT_EQ(ftl.free_lpns(), free_lpns);
+    const Result<Buffer> got = kv.Retrieve(0, "d");
+    ASSERT_TRUE(got.ok());
+    EXPECT_EQ(AsString(*got), ValueFor("d", 1, 1024));
+
+    ASSERT_TRUE(kv.Delete(0, "d").ok());
+    EXPECT_EQ(ftl.block_valid_pages(0), 0u);
+    EXPECT_EQ(ftl.free_lpns(), free_lpns + 1);
+    for (const char* key : {"a", "c"}) {
+      const Result<Buffer> value = kv.Retrieve(0, key);
+      ASSERT_TRUE(value.ok()) << key;
+      EXPECT_EQ(AsString(*value), ValueFor(key, 2, 1024)) << key;
+    }
+    ASSERT_TRUE(stack.kv_ssd()->CheckConsistency().ok());
+  });
+}
+
+// Stores |key| as a 1000-byte value (staged in frame 0) and runs |before|,
+// captures the image, lets |corrupt| edit its PMR and returns what
+// CheckConsistency says after KvAttach; |after| then runs on the attached
+// stack.
+Status AttachCorruptedPackedImage(
+    const std::string& key,
+    const std::function<void(const KvPmrLayout&, uint32_t slot, Buffer& pmr)>& corrupt,
+    const std::function<void(KvNvmeDriver&)>& before = {},
+    const std::function<void(KvNvmeDriver&)>& after = {}) {
+  const StackConfig cfg = KvConfig();
+  CrashImage image;
+  {
+    StorageStack stack(cfg);
+    CCNVME_CHECK(stack.KvFormat().ok());
+    stack.Run([&] {
+      CCNVME_CHECK(stack.kv_driver()->Store(0, key, std::string(1000, 'v')).ok());
+      if (before) {
+        before(*stack.kv_driver());
+      }
+    });
+    image = stack.CaptureCrashImage();
+  }
+  const KvPmrLayout layout =
+      KvPmrLayout::From(cfg.kv.dir_slots, cfg.kv.shadow_slots, cfg.kv.total_lpns,
+                        cfg.kv.map_entries_per_segment, image.pmr().size());
+  // The first key in an empty directory lands on its home slot.
+  corrupt(layout, static_cast<uint32_t>(Fnv1a(Bytes(key)) % cfg.kv.dir_slots), image.pmr());
+  StorageStack stack(cfg, image);
+  const Status attach = stack.KvAttach();
+  if (!attach.ok()) {
+    return attach;
+  }
+  Status consistent;
+  stack.Run([&] {
+    consistent = stack.kv_ssd()->CheckConsistency();
+    if (after) {
+      after(*stack.kv_driver());
+    }
+  });
+  return consistent;
+}
+
+// A packed entry whose offset plus length runs past its page is reported,
+// not read, and still holds its share of the page: deleting it leaves the
+// value it shares the page with readable.
+TEST(KvPackingTest, PackedEntryRunningPastItsPageIsReported) {
+  const Status st = AttachCorruptedPackedImage(
+      "overrun",
+      [](const KvPmrLayout& layout, uint32_t slot, Buffer& pmr) {
+        const size_t at = layout.dir_off + static_cast<size_t>(slot) * kKvDirSlotBytes + 24;
+        const uint64_t meta = GetU64(pmr, at);
+        ASSERT_TRUE(KvSsd::MetaPacked(meta));
+        // Offset 3200 + 1000 bytes ends past 4096.
+        PutU64(pmr, at, KvSsd::PackMeta(KvSsd::MetaLpn(meta), KvSsd::MetaValueLen(meta),
+                                        KvSsd::MetaKeyLen(meta), 3200));
+      },
+      [](KvNvmeDriver& kv) {
+        // "sibling", "f1" and "f2" join "overrun" in frame 0; "next" flushes
+        // it. Then only "overrun" and "sibling" keep the page.
+        for (const char* key : {"sibling", "f1", "f2", "next"}) {
+          CCNVME_CHECK(kv.Store(0, key, ValueFor(key, 1, 1000)).ok());
+        }
+        for (const char* key : {"f1", "f2"}) {
+          CCNVME_CHECK(kv.Delete(0, key).ok());
+        }
+      },
+      [](KvNvmeDriver& kv) {
+        EXPECT_FALSE(kv.Retrieve(0, "overrun").ok());
+        ASSERT_TRUE(kv.Delete(0, "overrun").ok());
+        const Result<Buffer> got = kv.Retrieve(0, "sibling");
+        ASSERT_TRUE(got.ok()) << got.status().message();
+        EXPECT_EQ(AsString(*got), ValueFor("sibling", 1, 1000));
+      });
+  ASSERT_FALSE(st.ok());
+  EXPECT_NE(st.message().find("runs past its page"), std::string::npos) << st.message();
+}
+
+// A staging-frame header naming an LPN beyond the logical space is
+// reported; the entry it staged then covers an unmapped LPN.
+TEST(KvPackingTest, FrameHeaderBeyondTheLogicalSpaceIsReported) {
+  const Status st = AttachCorruptedPackedImage(
+      "header", [](const KvPmrLayout& layout, uint32_t slot, Buffer& pmr) {
+        (void)slot;
+        const uint64_t header = GetU64(pmr, layout.FrameHeaderOff(0));
+        ASSERT_NE(header & KvSsd::kFrameUsed, 0u);
+        PutU64(pmr, layout.FrameHeaderOff(0), KvSsd::kFrameUsed | KvConfig().kv.total_lpns);
+      });
+  ASSERT_FALSE(st.ok());
+  EXPECT_NE(st.message().find("staging frame 0 names lpn"), std::string::npos) << st.message();
+}
+
 // --- Concurrent commands: background erases, metadata-only device lock ----
 
 // Two queues over 16 erase blocks of 8 pages: overwriting one key runs GC
@@ -332,29 +534,41 @@ struct Interval {
 // media read: the erase runs on the FTL's erase engine, not under the device
 // lock, and the writer that needs the erased block waits with the lock
 // released. (Were the erase run under the lock, such a Retrieve would wait
-// it out: >= 2 ms.)
+// it out: >= 2 ms.) Two cold values cover both read paths: "cold" fills its
+// own page, and "small" is packed at offset 1024 of a page the fifth 1 KB
+// Store flushed. The writer's values fill a page, so each of its Stores
+// programs one.
 TEST(KvSsdConcurrencyTest, RetrieveDuringAnEraseTakesAboutOneMediaRead) {
   const StackConfig cfg = ConcurrentKvConfig();
+  const std::map<std::string, std::string> cold = {{"cold", ValueFor("cold", 0, 4096)},
+                                                   {"small", ValueFor("small", 0, 1024)}};
   StorageStack stack(cfg);
   ASSERT_TRUE(stack.KvFormat().ok());
-  uint64_t idle_get_ns = 0;
+  std::map<std::string, uint64_t> idle_get_ns;
   stack.Run([&] {
     KvNvmeDriver& kv = *stack.kv_driver();
-    ASSERT_TRUE(kv.Store(0, "cold", "cold-value").ok());
-    const uint64_t t0 = stack.sim().now();
-    ASSERT_TRUE(kv.Retrieve(1, "cold").ok());
-    idle_get_ns = stack.sim().now() - t0;
+    ASSERT_TRUE(kv.Store(0, "cold", cold.at("cold")).ok());
+    for (const std::string key : {"pad0", "small", "pad1", "pad2", "pad3"}) {
+      ASSERT_TRUE(
+          kv.Store(0, key, key == "small" ? cold.at(key) : ValueFor(key, 0, 1024)).ok());
+    }
+    ASSERT_EQ(stack.kv_ssd()->ftl().host_pages_written(), 2u);  // "small" is on flash
+    for (const auto& [key, value] : cold) {
+      const uint64_t t0 = stack.sim().now();
+      ASSERT_TRUE(kv.Retrieve(1, key).ok());
+      idle_get_ns[key] = stack.sim().now() - t0;
+    }
   });
 
   const Ftl& ftl = stack.kv_ssd()->ftl();
   std::vector<Interval> gc_stores;  // Stores that handed a GC victim over
-  std::vector<Interval> gets;
+  std::map<std::string, std::vector<Interval>> gets;
   bool writer_done = false;
   stack.Spawn("writer", [&] {
     for (uint32_t i = 0; i < 160; ++i) {
       const uint64_t runs = ftl.gc_runs();
       const uint64_t begin = stack.sim().now();
-      CCNVME_CHECK(stack.kv_driver()->Store(0, "hot", ValueFor("hot", i, 3000)).ok());
+      CCNVME_CHECK(stack.kv_driver()->Store(0, "hot", ValueFor("hot", i, 4096)).ok());
       if (ftl.gc_runs() > runs) {
         gc_stores.push_back({begin, stack.sim().now()});
       }
@@ -363,31 +577,35 @@ TEST(KvSsdConcurrencyTest, RetrieveDuringAnEraseTakesAboutOneMediaRead) {
   }, 0);
   stack.Spawn("reader", [&] {
     while (!writer_done) {
-      const uint64_t begin = stack.sim().now();
-      const Result<Buffer> got = stack.kv_driver()->Retrieve(1, "cold");
-      CCNVME_CHECK(got.ok() && AsString(*got) == "cold-value");
-      gets.push_back({begin, stack.sim().now()});
+      for (const auto& [key, value] : cold) {
+        const uint64_t begin = stack.sim().now();
+        const Result<Buffer> got = stack.kv_driver()->Retrieve(1, key);
+        CCNVME_CHECK(got.ok() && AsString(*got) == value);
+        gets[key].push_back({begin, stack.sim().now()});
+      }
       Simulator::Sleep(20'000);
     }
   }, 1);
   stack.sim().Run();
   ASSERT_GT(gc_stores.size(), 2u);
+  EXPECT_GT(ftl.erases(), 2u);
 
   // The erase a GC Store handed over started inside that Store and runs
   // for erase_latency_ns, so it is still in flight from the Store's return
   // until erase_latency_ns after the Store began.
   const uint64_t erase_ns = cfg.kv.erase_latency_ns;
-  size_t during_erase = 0;
-  uint64_t slowest_get_ns = 0;
-  for (const Interval& get : gets) {
-    slowest_get_ns = std::max(slowest_get_ns, get.end - get.begin);
-    during_erase += std::any_of(gc_stores.begin(), gc_stores.end(), [&](const Interval& s) {
-      return get.begin >= s.end && get.begin < s.begin + erase_ns;
-    });
+  for (const auto& [key, intervals] : gets) {
+    size_t during_erase = 0;
+    uint64_t slowest_get_ns = 0;
+    for (const Interval& get : intervals) {
+      slowest_get_ns = std::max(slowest_get_ns, get.end - get.begin);
+      during_erase += std::any_of(gc_stores.begin(), gc_stores.end(), [&](const Interval& s) {
+        return get.begin >= s.end && get.begin < s.begin + erase_ns;
+      });
+    }
+    EXPECT_GT(during_erase, 10u) << key;
+    EXPECT_LT(slowest_get_ns, 2 * idle_get_ns[key]) << key << ": a Retrieve waited behind an erase";
   }
-  EXPECT_GT(during_erase, 10u);
-  EXPECT_GT(ftl.erases(), 2u);
-  EXPECT_LT(slowest_get_ns, 2 * idle_get_ns) << "a Retrieve waited behind an erase";
 }
 
 // Two keys whose home slot in a |dir_slots| directory is the same (and not
@@ -564,6 +782,60 @@ TEST(KvExplorerTest, ConcurrentChurnCatchesSkippedShadowCommit) {
   StackConfig cfg = ExplorerConcurrentKvConfig();
   cfg.kv.test_skip_ftl_shadow_commit = true;
   const ExplorerReport report = ExploreWorkload(cfg, "kv_concurrent_churn", TestOptions());
+  EXPECT_GT(report.total_failures, 0u) << report.Summary();
+}
+
+// Two queues over four erase blocks of eight pages: a packed page is a
+// quarter of the flash a one-page value takes, so a smaller device keeps GC
+// running under kv_packed_churn.
+StackConfig ExplorerPackedKvConfig() {
+  StackConfig cfg = ExplorerConcurrentKvConfig();
+  cfg.kv.flash_pages = 32;
+  return cfg;
+}
+
+// Two cores churn sub-page values through the staging frames: both frames
+// are sealed, flushed and reopened, GC migrates a packed page (a program
+// repeating an earlier packed page's bytes), the recording ends with a
+// value still staged, and every boundary recovers.
+TEST(KvExplorerTest, PackedChurnAllBoundariesRecover) {
+  const StackConfig cfg = ExplorerPackedKvConfig();
+  Result<CrashWorkload> workload = FindCrashWorkload("kv_packed_churn");
+  ASSERT_TRUE(workload.ok());
+  const CrashRecording rec = RecordWorkload(cfg, *workload);
+  const KvPmrLayout layout =
+      KvPmrLayout::From(cfg.kv.dir_slots, cfg.kv.shadow_slots, cfg.kv.total_lpns,
+                        cfg.kv.map_entries_per_segment, rec.base.pmr().size());
+  int opened[kKvFrames] = {};
+  bool staged[kKvFrames] = {};
+  std::vector<const Buffer*> packed_pages;  // values are letters, map pages are not
+  bool migrated = false;
+  for (const BioEvent& ev : rec.events) {
+    if (ev.op == BioOp::kPmrWrite) {
+      for (uint32_t f = 0; f < kKvFrames; ++f) {
+        if (ev.lba == layout.FrameHeaderOff(f)) {
+          staged[f] = GetU64(ev.data, 0) != 0;
+          opened[f] += staged[f];
+        }
+      }
+    } else if (ev.op == BioOp::kWrite && std::isalpha(ev.data[0])) {
+      for (const Buffer* page : packed_pages) {
+        migrated |= *page == ev.data;
+      }
+      packed_pages.push_back(&ev.data);
+    }
+  }
+  EXPECT_GE(opened[0], 2);
+  EXPECT_GE(opened[1], 2);
+  EXPECT_TRUE(staged[0] || staged[1]);
+  EXPECT_TRUE(migrated);
+  ExpectAllPassed(ExploreRecording(rec, TestOptions()));
+}
+
+TEST(KvExplorerTest, PackedChurnCatchesSkippedShadowCommit) {
+  StackConfig cfg = ExplorerPackedKvConfig();
+  cfg.kv.test_skip_ftl_shadow_commit = true;
+  const ExplorerReport report = ExploreWorkload(cfg, "kv_packed_churn", TestOptions());
   EXPECT_GT(report.total_failures, 0u) << report.Summary();
 }
 

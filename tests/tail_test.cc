@@ -522,6 +522,9 @@ TEST(TailWorkloadTest, InjectedFtlGcStallAndMapMissThrashAreClassified) {
   opts.seed = 14;
   opts.key_space = 900;
   opts.kv.backend = MiniKvBackend::kKvSsd;
+  // One-page values: sub-page ones are packed four to a page, and their
+  // LPNs then fit one map segment, so the map cache would stop missing.
+  opts.kv.value_size = 4096;
   RunFillsync(stack, opts);
 
   ASSERT_GT(tail.requests(), 0u);

@@ -5,17 +5,20 @@
 //
 // The KV superblock is self-describing (geometry lives at sb[56..96)), so
 // no StackConfig is needed: the tool parses the PMR (superblock, GTD,
-// shadow ring, key directory), demand-loads the flash copies of the L2P
-// map segments from the image's durable media view, replays the shadow
-// tail exactly as mount-time Attach would, and then walks the directory —
-// reporting map residency, the replayable shadow chain, per-erase-block
-// valid page counts, the WAF stats mirror, and every map/data atomicity
-// violation a real Attach would flag (a live directory entry covering an
-// unmapped LPN is the test_skip_ftl_shadow_commit signature).
+// shadow ring, staging frames, key directory), demand-loads the flash
+// copies of the L2P map segments from the image's durable media view,
+// replays the shadow tail exactly as mount-time Attach would, and then
+// walks the directory — reporting map residency, the replayable shadow
+// chain, each staging frame (LPN, fill, live values), per-erase-block
+// valid page counts, the WAF stats mirror, and every violation a real
+// Attach would flag (a live directory entry covering an unmapped LPN is
+// the test_skip_ftl_shadow_commit signature). Packed values share their
+// page's LPN, which is counted once.
 //
 // With --metrics[=path] a metrics snapshot (inspect.ftl_* counters) is
 // written to |path| (stdout when omitted), mirroring nvlog_inspect.
 #include <algorithm>
+#include <array>
 #include <cstdio>
 #include <cstring>
 #include <map>
@@ -49,6 +52,19 @@ struct BlockCount {
   uint32_t value_pages = 0;
   uint32_t map_pages = 0;
 };
+
+struct FrameRec {
+  KvSsd::FrameFate fate = KvSsd::FrameFate::kFree;
+  uint64_t lpn = 0;
+  uint32_t fill = 0;
+  uint32_t live_values = 0;
+};
+
+const char* FrameStateName(KvSsd::FrameFate fate) {
+  return fate == KvSsd::FrameFate::kStaged    ? "staged"
+         : fate == KvSsd::FrameFate::kFlushed ? "flushed"
+                                              : "free";
+}
 
 }  // namespace
 
@@ -126,7 +142,7 @@ int main(int argc, char** argv) {
   }
   const KvPmrLayout layout = KvPmrLayout::From(dir_slots, shadow_slots, total_lpns,
                                                map_entries_per_segment, pmr.size());
-  if (layout.dir_off > pmr.size()) {
+  if (layout.frame_off > pmr.size()) {
     std::fprintf(stderr, "KV metadata larger than the PMR (corrupt geometry)\n");
     return 1;
   }
@@ -207,20 +223,49 @@ int main(int argc, char** argv) {
       if (lpn >= total_lpns) {
         continue;
       }
-      l2p[lpn / map_entries_per_segment][lpn % map_entries_per_segment] = sh.ppn + i;
+      l2p[lpn / map_entries_per_segment][lpn % map_entries_per_segment] =
+          sh.ppn == kKvShadowUnmapped ? kFtlUnmapped : sh.ppn + i;
     }
     sh.replayed = true;
     replay_seq = sh.seq;
     shadow_replayed++;
   }
 
+  // --- staging frames -------------------------------------------------------
+  // Read by Attach's own rule against the replayed map.
+  auto mapped = [&](uint64_t lpn) {
+    return l2p[lpn / map_entries_per_segment][lpn % map_entries_per_segment];
+  };
+  std::array<uint64_t, kKvFrames> headers{};
+  for (uint32_t f = 0; f < kKvFrames; ++f) {
+    headers[f] = GetU64(pmr, layout.FrameHeaderOff(f));
+  }
+  const std::array<KvSsd::RecoveredFrame, kKvFrames> recovered = KvSsd::RecoverFrames(
+      headers, total_lpns, [&](uint64_t lpn) { return mapped(lpn) != kFtlUnmapped; },
+      &violations);
+  std::vector<FrameRec> frames(kKvFrames);
+  for (uint32_t f = 0; f < kKvFrames; ++f) {
+    frames[f].fate = recovered[f].fate;
+    frames[f].lpn = recovered[f].lpn;
+  }
+  auto staged_frame = [&](uint64_t lpn) {
+    for (uint32_t f = 0; f < kKvFrames; ++f) {
+      if (frames[f].fate == KvSsd::FrameFate::kStaged && frames[f].lpn == lpn) {
+        return static_cast<int>(f);
+      }
+    }
+    return -1;
+  };
+
   // --- directory walk + per-block valid counts ------------------------------
   uint64_t live_keys = 0;
   uint64_t tombstones = 0;
   uint64_t live_value_bytes = 0;
-  uint64_t live_pages = 0;
+  uint64_t live_pages = 0;  // distinct flash pages holding live values
+  uint64_t staged_values = 0;
   std::vector<BlockCount> blocks(num_blocks);
   std::vector<uint8_t> ppn_claimed(flash_pages, 0);
+  std::vector<uint8_t> packed_lpn_seen(total_lpns, 0);
   for (uint32_t s = 0; s < layout.num_segments; ++s) {
     if (gtd[s] != kFtlUnmapped && gtd[s] < flash_pages) {
       blocks[gtd[s] / pages_per_block].map_pages++;
@@ -249,10 +294,28 @@ int main(int argc, char** argv) {
       continue;
     }
     live_value_bytes += KvSsd::MetaValueLen(meta);
-    live_pages += npages;
+    if (KvSsd::MetaPacked(meta)) {
+      // Reported, and still counted as Attach counts it.
+      const uint32_t end = KvSsd::PackedEnd(meta);
+      if (end > kKvFrameBytes) {
+        violations.push_back("directory slot " + std::to_string(s) +
+                             " holds a packed entry that runs past its page (ends at byte " +
+                             std::to_string(end) + ")");
+      }
+      if (const int f = staged_frame(lpn); f >= 0) {
+        frames[f].live_values++;
+        frames[f].fill = std::max(frames[f].fill, KvSsd::PackedBytes(end));
+        staged_values++;
+        continue;
+      }
+      if (packed_lpn_seen[lpn] != 0) {
+        continue;  // a page shared with an earlier entry: claimed once
+      }
+      packed_lpn_seen[lpn] = 1;
+    }
     for (uint32_t i = 0; i < npages; ++i) {
       const uint64_t l = lpn + i;
-      const uint64_t ppn = l2p[l / map_entries_per_segment][l % map_entries_per_segment];
+      const uint64_t ppn = mapped(l);
       if (ppn == kFtlUnmapped || ppn >= flash_pages) {
         violations.push_back("directory slot " + std::to_string(s) +
                              " covers unmapped lpn " + std::to_string(l) +
@@ -265,6 +328,7 @@ int main(int argc, char** argv) {
         continue;
       }
       ppn_claimed[ppn] = 1;
+      live_pages++;
       blocks[static_cast<uint32_t>(ppn / pages_per_block)].value_pages++;
     }
   }
@@ -287,6 +351,7 @@ int main(int argc, char** argv) {
     reg.Add(reg.Counter("inspect.ftl_live_keys"), live_keys);
     reg.Add(reg.Counter("inspect.ftl_tombstones"), tombstones);
     reg.Add(reg.Counter("inspect.ftl_live_pages"), live_pages);
+    reg.Add(reg.Counter("inspect.ftl_staged_values"), staged_values);
     reg.Add(reg.Counter("inspect.ftl_map_segments_resident"), resident_segments);
     reg.Add(reg.Counter("inspect.ftl_shadow_replayable"), shadow_replayed);
     reg.Add(reg.Counter("inspect.ftl_shadow_torn"), shadow_torn);
@@ -316,8 +381,16 @@ int main(int argc, char** argv) {
          << ",\n  \"directory\": {\"live_keys\": " << live_keys
          << ", \"tombstones\": " << tombstones
          << ", \"live_value_bytes\": " << live_value_bytes
-         << ", \"live_pages\": " << live_pages << "}"
-         << ",\n  \"shadow_torn\": " << shadow_torn << ",\n  \"shadows\": [";
+         << ", \"live_pages\": " << live_pages << ", \"staged_values\": " << staged_values
+         << "}"
+         << ",\n  \"frames\": [";
+    for (uint32_t f = 0; f < kKvFrames; ++f) {
+      json << (f == 0 ? "" : ",") << "\n    {\"frame\": " << f << ", \"state\": \""
+           << FrameStateName(frames[f].fate) << "\", \"lpn\": " << frames[f].lpn
+           << ", \"fill\": " << frames[f].fill << ", \"live_values\": " << frames[f].live_values
+           << "}";
+    }
+    json << "\n  ],\n  \"shadow_torn\": " << shadow_torn << ",\n  \"shadows\": [";
     for (size_t i = 0; i < shadows.size(); ++i) {
       const ShadowRec& sh = shadows[i];
       json << (i == 0 ? "" : ",") << "\n    {\"seq\": " << sh.seq
@@ -356,18 +429,38 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(gc_migrated));
     std::printf("map residency: %u/%u segments have flash roots\n", resident_segments,
                 layout.num_segments);
-    std::printf("directory: %llu live key(s), %llu tombstone(s), %llu value bytes on %llu page(s)\n",
-                static_cast<unsigned long long>(live_keys),
-                static_cast<unsigned long long>(tombstones),
-                static_cast<unsigned long long>(live_value_bytes),
-                static_cast<unsigned long long>(live_pages));
+    std::printf(
+        "directory: %llu live key(s), %llu tombstone(s), %llu value bytes on %llu page(s) "
+        "+ %llu staged value(s)\n",
+        static_cast<unsigned long long>(live_keys), static_cast<unsigned long long>(tombstones),
+        static_cast<unsigned long long>(live_value_bytes),
+        static_cast<unsigned long long>(live_pages),
+        static_cast<unsigned long long>(staged_values));
+    for (uint32_t f = 0; f < kKvFrames; ++f) {
+      const FrameRec& fr = frames[f];
+      if (fr.fate == KvSsd::FrameFate::kFree) {
+        std::printf("staging frame %u: free\n", f);
+      } else if (fr.fate == KvSsd::FrameFate::kFlushed) {
+        std::printf("staging frame %u: lpn %llu already mapped (flushed)\n", f,
+                    static_cast<unsigned long long>(fr.lpn));
+      } else {
+        std::printf("staging frame %u: lpn %llu, %u of %zu bytes filled, %u live value(s)\n", f,
+                    static_cast<unsigned long long>(fr.lpn), fr.fill, kKvFrameBytes,
+                    fr.live_values);
+      }
+    }
     std::printf("shadow ring: %zu undrained entr%s (%u replayable), %u torn\n\n",
                 shadows.size(), shadows.size() == 1 ? "y" : "ies", shadow_replayed,
                 shadow_torn);
     for (const ShadowRec& sh : shadows) {
-      std::printf("  [slot %3u] seq=%llu lpn=%llu+%u -> ppn=%u dir_slot=%u%s\n",
-                  sh.ring_slot, static_cast<unsigned long long>(sh.seq),
-                  static_cast<unsigned long long>(sh.lpn), sh.npages, sh.ppn, sh.dir_slot,
+      const std::string target =
+          sh.ppn == kKvShadowUnmapped ? "unmapped" : "ppn=" + std::to_string(sh.ppn);
+      const std::string slot =
+          sh.dir_slot == kKvShadowNoSlot ? "frame" : "dir_slot=" + std::to_string(sh.dir_slot);
+      std::printf("  [slot %3u] seq=%llu lpn=%llu+%u -> %s %s%s\n", sh.ring_slot,
+                  static_cast<unsigned long long>(sh.seq),
+                  static_cast<unsigned long long>(sh.lpn), sh.npages, target.c_str(),
+                  slot.c_str(),
                   sh.replayed ? "" : " (beyond the consecutive chain; not replayed)");
     }
     if (!shadows.empty()) {
