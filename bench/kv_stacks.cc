@@ -11,12 +11,17 @@
 //
 // Reported per stack: throughput, write amplification (device bytes per
 // user byte; the KV-SSD's media/host page ratio is also published as the
-// ftl.waf metrics gauge), and the put-path latency. The KV-SSD run attaches
-// the critical-path profiler rooted at the kv.op span: its blame vector
-// sums EXACTLY to the aggregate op latency (asserted below), and under GC
+// ftl.waf metrics gauge), and the put-path latency.
+//
+// Part 2 repeats the KV-SSD run with 4096 B values. The device packs 1 KB
+// values four to a flash page, so their live set fits one map segment and
+// never misses the 1-frame map cache; a page-sized value takes a page of its
+// own, and that live set spans both segments. This pass attaches the
+// critical-path profiler rooted at the kv.op span: its blame vector sums
+// EXACTLY to the aggregate op latency (asserted below), and under GC
 // pressure wait.ftl_gc / wait.ftl_map_miss surface as first-class entries.
 //
-// Part 2 sweeps the FTL's GC threshold (gc_free_blocks_low): a larger
+// Part 3 sweeps the FTL's GC threshold (gc_free_blocks_low): a larger
 // reserve starts GC earlier and more often, when victims have accumulated
 // less staleness — more migrations per host write (higher WAF) and more
 // foreground wait.ftl_gc stalls. What the reserve buys is free-block
@@ -33,11 +38,13 @@ namespace {
 constexpr int kThreads = 8;
 constexpr uint16_t kQueues = 8;
 constexpr uint64_t kDurationNs = 20'000'000;
-// ~570 live 1-page values (unique keys actually drawn from the population
-// at this duration) against 896 flash pages: steady-state overwrite churn
-// that forces GC, with the live set straddling both 512-entry map segments
-// so the 1-frame map cache demand-pages.
+// ~570 live keys (unique keys actually drawn from the population at this
+// duration) against 896 flash pages: steady-state overwrite churn that
+// forces GC. With page-sized values the live set straddles both 512-entry
+// map segments, so the 1-frame map cache demand-pages.
 constexpr uint64_t kKeySpace = 900;
+constexpr uint32_t kValueBytes = 1024;
+constexpr uint32_t kPageValueBytes = 4096;
 
 struct StackResult {
   double kiops = 0;
@@ -46,13 +53,15 @@ struct StackResult {
   double ftl_waf = 0;       // KV-SSD only: media pages / host pages
 };
 
-FillsyncOptions BenchFillsync(BenchContext& ctx, MiniKvBackend backend) {
+FillsyncOptions BenchFillsync(BenchContext& ctx, MiniKvBackend backend,
+                              uint32_t value_bytes = kValueBytes) {
   FillsyncOptions opts;
   opts.num_threads = kThreads;
   opts.duration_ns = kDurationNs;
   opts.seed = ctx.seed() - 42 + 7;  // fig12's fillsync stream, shifted by --seed
   opts.key_space = kKeySpace;
   opts.kv.backend = backend;
+  opts.kv.value_size = value_bytes;
   return opts;
 }
 
@@ -98,14 +107,14 @@ StackResult RunFsStack(BenchContext& ctx, JournalKind kind) {
   out.kiops = r.Kiops();
   out.mean_put_ns = MeanPhaseNs(snap, TracePoint::kSyncTotal);
   const double user_bytes =
-      static_cast<double>(r.ops) * (16 + 1024);  // key + value per put
+      static_cast<double>(r.ops) * (16 + kValueBytes);  // key + value per put
   out.write_amp =
       static_cast<double>(snap.Counter(TraceCounterName(TraceCounter::kBlockIoBytes))) /
       user_bytes;
   return out;
 }
 
-StackResult RunKvStack(BenchContext& ctx, uint32_t gc_free_blocks_low,
+StackResult RunKvStack(BenchContext& ctx, uint32_t gc_free_blocks_low, uint32_t value_bytes,
                        bool report_blame, uint64_t* out_gc_stall_ns) {
   StackConfig cfg;
   cfg.ssd = SsdConfig::Optane905P();
@@ -121,7 +130,8 @@ StackResult RunKvStack(BenchContext& ctx, uint32_t gc_free_blocks_low,
   Status st = stack.KvFormat();
   CCNVME_CHECK(st.ok()) << st.ToString();
 
-  const FillsyncResult r = RunFillsync(stack, BenchFillsync(ctx, MiniKvBackend::kKvSsd));
+  const FillsyncResult r =
+      RunFillsync(stack, BenchFillsync(ctx, MiniKvBackend::kKvSsd, value_bytes));
 
   const MetricsSnapshot snap = metrics.TakeSnapshot();
   CCNVME_CHECK_EQ(snap.TotalViolations(), 0u) << "invariant violation during bench";
@@ -145,7 +155,7 @@ StackResult RunKvStack(BenchContext& ctx, uint32_t gc_free_blocks_low,
   StackResult out;
   out.kiops = r.Kiops();
   out.mean_put_ns = MeanPhaseNs(snap, TracePoint::kKvTotal);
-  const double user_bytes = static_cast<double>(r.ops) * (16 + 1024);
+  const double user_bytes = static_cast<double>(r.ops) * (16 + value_bytes);
   out.write_amp =
       static_cast<double>(ftl.media_pages_written()) * 4096.0 / user_bytes;
   out.ftl_waf = ftl.waf();
@@ -158,7 +168,7 @@ StackResult RunKvStack(BenchContext& ctx, uint32_t gc_free_blocks_low,
     CCNVME_CHECK_GT(miss_edge.count, 0u) << "map cache never missed";
 
     ctx.ReportProfile(profiler);
-    ctx.Log("\nKV-SSD put-path blame vector (exact sum over %llu ops):\n",
+    ctx.Log("KV-SSD put-path blame vector (exact sum over %llu ops):\n",
             static_cast<unsigned long long>(profiler.finished_requests()));
     for (const auto& [key, ns] : profiler.TopKeys(6)) {
       ctx.Log("  %-22s %8.0f ns/op (%4.1f%%)\n", key.name(),
@@ -193,8 +203,8 @@ void RunKvStacks(BenchContext& ctx) {
 
   const StackResult mqfs = RunFsStack(ctx, JournalKind::kMultiQueue);
   const StackResult extfs = RunFsStack(ctx, JournalKind::kClassic);
-  const StackResult kvssd = RunKvStack(ctx, /*gc_free_blocks_low=*/2,
-                                       /*report_blame=*/true, nullptr);
+  const StackResult kvssd = RunKvStack(ctx, /*gc_free_blocks_low=*/2, kValueBytes,
+                                       /*report_blame=*/false, nullptr);
 
   ctx.Log("%-10s %10s %14s %12s\n", "stack", "KIOPS", "put-path ns", "write amp");
   const struct {
@@ -218,11 +228,17 @@ void RunKvStacks(BenchContext& ctx) {
   ctx.Metric("kv_write_amp_extfs", extfs.write_amp);
   ctx.Metric("kv_write_amp_kvssd", kvssd.write_amp);
 
-  ctx.Log("\nWAF vs GC threshold (gc_free_blocks_low; same workload, KV-SSD only)\n\n");
+  ctx.Log("\nKV-SSD again with %u B values (one flash page each, so the live set spans\n"
+          "both map segments and the map cache misses):\n\n",
+          kPageValueBytes);
+  RunKvStack(ctx, /*gc_free_blocks_low=*/2, kPageValueBytes, /*report_blame=*/true, nullptr);
+
+  ctx.Log("\nWAF vs GC threshold (gc_free_blocks_low; 1 KB values, KV-SSD only)\n\n");
   ctx.Log("%12s %10s %10s %14s %12s\n", "gc_low", "KIOPS", "ftl WAF", "gc stall us", "put ns");
   for (uint32_t low : {2u, 4u, 6u, 8u}) {
     uint64_t gc_stall_ns = 0;
-    const StackResult r = RunKvStack(ctx, low, /*report_blame=*/false, &gc_stall_ns);
+    const StackResult r =
+        RunKvStack(ctx, low, kValueBytes, /*report_blame=*/false, &gc_stall_ns);
     ctx.Log("%12u %10.1f %10.3f %14.0f %12.0f\n", low, r.kiops, r.ftl_waf,
             static_cast<double>(gc_stall_ns) / 1000.0, r.mean_put_ns);
     ctx.Metric("ftl_waf_gc_low_" + std::to_string(low), r.ftl_waf);

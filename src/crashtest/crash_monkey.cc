@@ -1,5 +1,6 @@
 #include "src/crashtest/crash_monkey.h"
 
+#include <array>
 #include <map>
 
 #include "src/common/bytes.h"
@@ -471,13 +472,16 @@ CrashWorkload CrashMonkey::KvPackedChurn() {
 // ---------------------------------------------------------------------------
 // Multi-core workloads
 
-CrashWorkload CrashMonkey::MultiCoreAppends() {
-  return [](CrashTestContext& ctx) {
-    constexpr uint16_t kCores = 2;
-    for (uint16_t core = 0; core < kCores; ++core) {
-      ctx.SpawnOnCore(core, [&ctx, core] {
+namespace {
+
+// Two actors, actor i bound to cores[i], each append+fsync its own file for
+// three rounds.
+CrashWorkload OwnFileAppends(std::array<uint16_t, 2> cores) {
+  return [cores](CrashTestContext& ctx) {
+    for (uint16_t actor = 0; actor < cores.size(); ++actor) {
+      ctx.SpawnOnCore(cores[actor], [&ctx, actor] {
         ExtFs& fs = ctx.fs();
-        const std::string path = "/mc_" + std::to_string(core);
+        const std::string path = "/mc_" + std::to_string(actor);
         auto ino = fs.Create(path);
         CCNVME_CHECK(ino.ok());
         for (int round = 0; round < 3; ++round) {
@@ -485,10 +489,10 @@ CrashWorkload CrashMonkey::MultiCoreAppends() {
             ctx.InvalidateFact(path);
           }
           const size_t len = kFsBlockSize / 2 + static_cast<size_t>(round) * 300;
-          const uint8_t fill = static_cast<uint8_t>(0x40 + core * 8 + round);
+          const uint8_t fill = static_cast<uint8_t>(0x40 + actor * 8 + round);
           CCNVME_CHECK(fs.Append(*ino, Buffer(len, fill)).ok());
           CCNVME_CHECK(fs.Fsync(*ino).ok());
-          // The file is exclusive to this core, so freezing its content
+          // The file is exclusive to this actor, so freezing its content
           // right after fsync is race-free even mid-interleaving.
           ctx.AddFact(OracleFact::FileContent(fs, path));
         }
@@ -497,6 +501,12 @@ CrashWorkload CrashMonkey::MultiCoreAppends() {
     ctx.Join();
   };
 }
+
+}  // namespace
+
+CrashWorkload CrashMonkey::MultiCoreAppends() { return OwnFileAppends({0, 1}); }
+
+CrashWorkload CrashMonkey::SameCoreAppends() { return OwnFileAppends({0, 0}); }
 
 CrashWorkload CrashMonkey::MultiCoreSharedFsync() {
   return [](CrashTestContext& ctx) {
@@ -513,8 +523,7 @@ CrashWorkload CrashMonkey::MultiCoreSharedFsync() {
     ctx.InvalidateFact("/shared");
     const InodeNum shared = *ino;
     for (uint16_t core = 0; core < kCores; ++core) {
-      ctx.SpawnOnCore(core, [&ctx, shared, core] {
-        ExtFs& fs = ctx.fs();
+      ctx.SpawnOnCore(core, [&ctx, &fs, shared, core] {
         const uint64_t off = core * kRegion;
         CCNVME_CHECK(
             fs.Write(shared, off, Buffer(kRegion, static_cast<uint8_t>(0xA0 + core))).ok());

@@ -98,6 +98,10 @@ class CrashMonkey {
   // the recorded stream interleaves both queues' traffic and crash cuts
   // land between one core's commit and the other's in-flight writes.
   static CrashWorkload MultiCoreAppends();
+  // The same, with both actors on core 0: their fsyncs share one hardware
+  // queue, so two MQFS transactions are in flight on one P-SQ and two NVLog
+  // appenders overlap one's copy with the other's persist barrier.
+  static CrashWorkload SameCoreAppends();
   // Two cores overwrite disjoint regions of ONE shared file and fsync it
   // concurrently: cross-core group commit (leader/follower aggregation).
   // Each core arms a FileRegion fact the moment its own fsync returns —

@@ -17,6 +17,7 @@ const std::map<std::string, CrashWorkload>& CrashWorkloadRegistry() {
           {"nvlog_appends", CrashMonkey::NvlogAppends()},
           {"nvlog_overwrite_churn", CrashMonkey::NvlogOverwriteChurn()},
           {"multicore_appends", CrashMonkey::MultiCoreAppends()},
+          {"samecore_appends", CrashMonkey::SameCoreAppends()},
           {"multicore_shared_fsync", CrashMonkey::MultiCoreSharedFsync()},
           {"kv_put_get", CrashMonkey::KvPutGet()},
           {"kv_overwrite_churn", CrashMonkey::KvOverwriteChurn()},

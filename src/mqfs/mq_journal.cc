@@ -41,20 +41,43 @@ Status MqJournal::Sync(const SyncOp& op, SyncMode mode) {
   const uint32_t qid = blk_->current_queue();
   const uint32_t area_idx = qid % static_cast<uint32_t>(areas_.size());
   Area& area = *areas_[area_idx];
-  // Journal-handle wait: with fewer areas than queues (or same-core
-  // contention) syncs serialize on the area's build lock.
-  const uint64_t handle_begin = sim_->now();
-  SimLockGuard build_guard(area.build_mu);
-  const uint64_t handle_acquired = sim_->now();
-  const uint64_t tx_id = fs_->AllocTxId();
-  // The journal is the layer that learns the transaction id; publish it so
-  // every downstream span of this request flow carries it.
-  MutableTraceContext().tx_id = tx_id;
-  Tracer* tracer = sim_->tracer();
-  if (tracer != nullptr) {
-    tracer->WaitEdgeEvent(WaitEdge::kJournalHandle, handle_begin, handle_acquired, area_idx);
+  CommittedTx committed;
+  {
+    // Journal-handle wait: another sync on this queue (or on a queue
+    // sharing the area) is building its transaction.
+    const uint64_t handle_begin = sim_->now();
+    SimLockGuard build_guard(area.build_mu);
+    const uint64_t handle_acquired = sim_->now();
+    const uint64_t tx_id = fs_->AllocTxId();
+    // The journal is the layer that learns the transaction id; publish it so
+    // every downstream span of this request flow carries it.
+    MutableTraceContext().tx_id = tx_id;
+    if (Tracer* tracer = sim_->tracer()) {
+      tracer->WaitEdgeEvent(WaitEdge::kJournalHandle, handle_begin, handle_acquired, area_idx);
+    }
+    CCNVME_ASSIGN_OR_RETURN(committed, BuildTx(op, qid, area_idx, tx_id));
   }
+  // build_mu is released at the atomicity point, once CommitTx has rung the
+  // P-SQDB: the next transaction on this queue is staged while this one is
+  // in flight. ccNVMe completes a queue's transactions in order (§4.4), so
+  // the two still become durable, and reach the checkpoint list, in tx order.
+  for (auto& h : committed.overflow) {
+    CCNVME_RETURN_IF_ERROR(blk_->Wait(h));
+  }
+  if (mode == SyncMode::kFsync) {
+    ScopedSpan wait_span(sim_->tracer(), TracePoint::kSyncWaitDurable);
+    blk_->WaitTxDurable(committed.tx);
+    Simulator::Sleep(costs_.wakeup_ns);
+  }
+  // kFatomic / kFdataatomic: the atomicity point has passed (the doorbell
+  // was rung inside CommitTx); return immediately.
+  return OkStatus();
+}
 
+Result<MqJournal::CommittedTx> MqJournal::BuildTx(const SyncOp& op, uint32_t qid,
+                                                  uint32_t area_idx, uint64_t tx_id) {
+  Area& area = *areas_[area_idx];
+  Tracer* tracer = sim_->tracer();
   CCNVME_CHECK_LE(op.metadata.size(), DescriptorBlock::kMaxEntries)
       << "metadata set exceeds one descriptor (split the sync op)";
   const uint64_t needed = op.metadata.size() + 1;
@@ -65,7 +88,7 @@ Status MqJournal::Sync(const SyncOp& op, SyncMode mode) {
   auto rec = std::make_shared<TxRecord>();
   rec->tx_id = tx_id;
   rec->area = area_idx;
-  area.inflight++;
+  area.committed.push_back(rec);
   // Atomicity window (Figure 14's "A"): journal entry to P-SQDB ring.
   if (tracer != nullptr) {
     tracer->BeginSpan(TracePoint::kSyncAtomic);
@@ -209,50 +232,48 @@ Status MqJournal::Sync(const SyncOp& op, SyncMode mode) {
     m->monitors().ExpectTxMembers(tx_id, data_in_tx + metadata.size());
   }
   auto self = this;
-  auto handle = blk_->CommitTx(tx_id, area.start + jd_off, rec->jd.get(),
-                               [self, rec] { self->FinishTx(rec); });
+  CommittedTx committed;
+  committed.tx = blk_->CommitTx(tx_id, area.start + jd_off, rec->jd.get(),
+                                [self, rec] { self->FinishTx(rec); });
+  committed.overflow = std::move(overflow);
   transactions_++;
   if (tracer != nullptr) {
     tracer->EndSpan(TracePoint::kSyncSubmitDesc);
     tracer->EndSpan(TracePoint::kSyncAtomic);
   }
-
-  for (auto& h : overflow) {
-    CCNVME_RETURN_IF_ERROR(blk_->Wait(h));
-  }
-  if (mode == SyncMode::kFsync) {
-    ScopedSpan wait_span(tracer, TracePoint::kSyncWaitDurable);
-    blk_->WaitTxDurable(handle);
-    Simulator::Sleep(costs_.wakeup_ns);
-  }
-  // kFatomic / kFdataatomic: the atomicity point has passed (the doorbell
-  // was rung inside CommitTx); return immediately.
-  return OkStatus();
+  return committed;
 }
 
 void MqJournal::FinishTx(const std::shared_ptr<TxRecord>& rec) {
+  rec->durable = true;
   Area& area = *areas_[rec->area];
-  LoggedTx logged;
-  logged.tx_id = rec->tx_id;
-  logged.blocks_used = rec->blocks_used;
-  logged.end_offset = rec->end_offset;
-  logged.writes = std::move(rec->writes);
-  area.ckpt.push_back(std::move(logged));
+  // Only a durable prefix of the area's commit order moves to the checkpoint
+  // list: queues sharing an area complete out of order, and a checkpoint
+  // must never advance the area's start past a transaction still in flight.
+  while (!area.committed.empty() && area.committed.front()->durable) {
+    const std::shared_ptr<TxRecord> done = std::move(area.committed.front());
+    area.committed.pop_front();
+    LoggedTx logged;
+    logged.tx_id = done->tx_id;
+    logged.blocks_used = done->blocks_used;
+    logged.end_offset = done->end_offset;
+    logged.writes = std::move(done->writes);
+    area.ckpt.push_back(std::move(logged));
 
-  // log -> logged in the trees.
-  for (const LoggedWrite& w : area.ckpt.back().writes) {
-    const size_t t = TreeIndex(w.home);
-    JhChain* chain = trees_[t]->Find(w.home);
-    if (chain != nullptr) {
-      for (JhVersion& v : chain->versions) {
-        if (v.tx_id == w.tx_id) {
-          v.state = JhState::kLogged;
+    // log -> logged in the trees.
+    for (const LoggedWrite& w : area.ckpt.back().writes) {
+      const size_t t = TreeIndex(w.home);
+      JhChain* chain = trees_[t]->Find(w.home);
+      if (chain != nullptr) {
+        for (JhVersion& v : chain->versions) {
+          if (v.tx_id == w.tx_id) {
+            v.state = JhState::kLogged;
+          }
         }
       }
     }
   }
-  area.inflight--;
-  if (area.inflight == 0) {
+  if (area.committed.empty()) {
     area.quiesced.NotifyAll();
   }
 }
@@ -314,7 +335,7 @@ Status MqJournal::Checkpoint(uint32_t needy, uint64_t needed) {
   if (horizon == 0) {
     // Nothing checkpointable yet: transactions still in flight. Wait for
     // the device to drain some.
-    while (target.ckpt.empty() && target.inflight > 0) {
+    while (target.ckpt.empty() && !target.committed.empty()) {
       SimLockGuard amu(target.mu);
       target.quiesced.WaitFor(target.mu, 100'000);
     }
@@ -545,7 +566,7 @@ Status MqJournal::Shutdown() {
   // depends on ccNVMe state, then checkpoint every area.
   for (auto& area_ptr : areas_) {
     Area& area = *area_ptr;
-    while (area.inflight > 0) {
+    while (!area.committed.empty()) {
       SimLockGuard guard(area.mu);
       area.quiesced.WaitFor(area.mu, 100'000);
     }

@@ -91,24 +91,6 @@ class MqJournal : public Journal {
     uint64_t end_offset = 0;
     std::vector<LoggedWrite> writes;
   };
-  struct Area {
-    explicit Area(Simulator* sim) : mu(sim), build_mu(sim), quiesced(sim) {}
-    BlockNo start = 0;
-    uint64_t blocks = 0;
-    uint64_t head = 1;
-    uint64_t free = 0;
-    AreaSuperblock asb;
-    SimMutex mu;
-    // Serializes transaction construction on this queue: two threads bound
-    // to the same core never interleave mid-transaction on real hardware
-    // (§4.5's no-migration rule), and ccNVMe forbids interleaved open
-    // transactions on one hardware queue.
-    SimMutex build_mu;
-    // Durably logged transactions awaiting checkpoint, in tx order.
-    std::deque<LoggedTx> ckpt;
-    uint64_t inflight = 0;
-    SimCondVar quiesced;
-  };
   // Keeps the shadow copies and descriptor alive until the ccNVMe
   // transaction completes (fatomic returns before that).
   struct TxRecord {
@@ -119,7 +101,40 @@ class MqJournal : public Journal {
     std::vector<std::shared_ptr<Buffer>> copies;
     std::shared_ptr<Buffer> jd;
     std::vector<LoggedWrite> writes;
+    bool durable = false;
   };
+  struct Area {
+    explicit Area(Simulator* sim) : mu(sim), build_mu(sim), quiesced(sim) {}
+    BlockNo start = 0;
+    uint64_t blocks = 0;
+    uint64_t head = 1;
+    uint64_t free = 0;
+    AreaSuperblock asb;
+    SimMutex mu;
+    // Serializes transaction construction on this queue, from tx-id
+    // allocation through the P-SQDB ring in CommitTx: two threads bound to
+    // the same core never interleave mid-transaction on real hardware
+    // (§4.5's no-migration rule), and ccNVMe forbids interleaved open
+    // transactions on one hardware queue. It is not held while the
+    // transaction is in flight.
+    SimMutex build_mu;
+    // Committed transactions not yet moved to |ckpt|, in commit order.
+    std::deque<std::shared_ptr<TxRecord>> committed;
+    // Durably logged transactions awaiting checkpoint, in tx order.
+    std::deque<LoggedTx> ckpt;
+    SimCondVar quiesced;  // |committed| became empty
+  };
+  // What Sync still waits for once build_mu is released.
+  struct CommittedTx {
+    CcNvmeDriver::TxHandle tx;
+    // Data blocks past the P-SQ bound, written on the ordinary path.
+    std::vector<NvmeDriver::RequestHandle> overflow;
+  };
+
+  // Stages |op| as transaction |tx_id| on queue |qid| and rings its P-SQDB
+  // (caller holds the area's build_mu).
+  Result<CommittedTx> BuildTx(const SyncOp& op, uint32_t qid, uint32_t area_idx,
+                              uint64_t tx_id);
 
   size_t TreeIndex(BlockNo home) const {
     return static_cast<size_t>((home / kBlocksPerGroup) % trees_.size());

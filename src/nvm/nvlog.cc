@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <utility>
 
 #include "src/common/logging.h"
 #include "src/extfs/extfs.h"
@@ -24,9 +25,10 @@ NvLogScan NvLog::Init() {
     RingStore(0, zero);
     nvm_->FlushFence();
   }
-  // One timed load of the whole region, scanned in place by the shared
-  // offline scanner.
-  NvLogScan scan = ScanNvLogImage(nvm_->LoadInPlace(0, nvm_->size()));
+  // The shared offline scanner reads the image in place; the mount pays for
+  // the bytes it read (control block, head..tail), not the whole region.
+  NvLogScan scan = ScanNvLogImage(nvm_->live_image());
+  nvm_->ChargeLoad(scan.scanned_bytes);
   CCNVME_CHECK(scan.ctrl.valid) << "NVM log invalid after format: " << scan.stop_reason;
   head_off_ = scan.ctrl.head_off;
   head_seq_ = scan.ctrl.head_seq;
@@ -73,16 +75,21 @@ uint64_t NvLog::Append(uint64_t tx_id, const std::vector<NvLogBlock>& blocks) {
 }
 
 void NvLog::Fence() {
+  // The barrier covers only entries appended before it begins: another
+  // appender may append while its flush is in progress.
+  const uint64_t covered = appended_seq_;
   nvm_->FlushFence();
-  durable_seq_ = appended_seq_;
+  durable_seq_ = std::max(durable_seq_, covered);
 }
 
 void NvLog::AdvanceHead(uint32_t new_off, uint64_t new_seq, size_t freed_bytes) {
   nvm_->StoreU64(kNvLogHeadWordOffset, PackNvLogHead(new_seq, new_off));
   // The barrier persists the frontier — and, being a global fence, every
-  // other store still pending (an appender's unfenced entry rides along).
+  // entry appended before it began (an appender's unfenced entry rides
+  // along).
+  const uint64_t covered = appended_seq_;
   nvm_->FlushFence();
-  durable_seq_ = appended_seq_;
+  durable_seq_ = std::max(durable_seq_, covered);
   head_off_ = new_off;
   head_seq_ = new_seq;
   CCNVME_CHECK_LE(freed_bytes, used_bytes_);
@@ -127,7 +134,7 @@ NvLogJournal::NvLogJournal(Simulator* sim, BlockLayer* blk, NvmDevice* nvm,
       space_cv_(sim),
       idle_cv_(sim),
       stopped_(sim) {
-  log_.Init();
+  mount_scan_ = log_.Init();
   CCNVME_CHECK_GE(options_.drainers, 1u) << "NvLog needs at least one drainer";
   live_drainers_ = options_.drainers;
   for (uint32_t i = 0; i < options_.drainers; ++i) {
@@ -152,26 +159,30 @@ Status NvLogJournal::Sync(const SyncOp& op, SyncMode mode) {
   }
 
   Tracer* tracer = sim_->tracer();
-  const uint64_t lock_begin = sim_->now();
-  SimLockGuard guard(mu_);
-  if (tracer != nullptr) {
-    // Appenders serialize on the single log tail — the NVLog sibling of the
-    // jbd2 handle wait.
-    tracer->WaitEdgeEvent(WaitEdge::kJournalHandle, lock_begin, sim_->now());
-  }
-  const uint64_t tx_id = fs_->AllocTxId();
-  MutableTraceContext().tx_id = tx_id;
-
-  // Freeze the pages for the copy into NVM; writers stall until the entry
-  // is appended (not until it drains — that is the whole point).
-  std::vector<NvLogBlock> blocks;
-  blocks.reserve(bufs.size());
-  for (const BlockBufPtr& buf : bufs) {
-    buf->BeginWriteback();
-    blocks.push_back(NvLogBlock{buf->block_no, buf->data});
-  }
-
+  uint64_t last_seq = 0;
   {
+    const uint64_t lock_begin = sim_->now();
+    SimLockGuard guard(mu_);
+    if (tracer != nullptr) {
+      // Appenders serialize on the single log tail — the NVLog sibling of
+      // the jbd2 handle wait.
+      tracer->WaitEdgeEvent(WaitEdge::kJournalHandle, lock_begin, sim_->now());
+    }
+    const uint64_t tx_id = fs_->AllocTxId();
+    MutableTraceContext().tx_id = tx_id;
+
+    // Freeze the pages for the copy into NVM; writers stall until the entry
+    // is durable (not until it drains — that is the whole point). A page an
+    // earlier appender still holds frozen through its barrier (two inodes
+    // share an inode-table block) cannot change either, so it is copied as
+    // is: the entry holds its own copy from here on.
+    std::vector<NvLogBlock> blocks;
+    blocks.reserve(bufs.size());
+    for (const BlockBufPtr& buf : bufs) {
+      buf->BeginWriteback();
+      blocks.push_back(NvLogBlock{buf->block_no, buf->data});
+    }
+
     ScopedSpan span(tracer, TracePoint::kNvlogAppend);
     Simulator::Sleep(costs_.fs_journal_desc_ns);  // build the entry header
     for (size_t pos = 0; pos < blocks.size(); pos += kNvLogMaxBlocksPerEntry) {
@@ -186,10 +197,9 @@ Status NvLogJournal::Sync(const SyncOp& op, SyncMode mode) {
       // absorb-then-drain design.
       const uint64_t space_begin = sim_->now();
       while (!log_.HasSpace(entry_bytes)) {
-        // Earlier chunks of this op already sit in pending_; Wait releases
-        // the mutex, so the drainer could checkpoint them. Fence them first
-        // or a checkpoint block could reach media before its covering log
-        // entry is durable (the log-before-checkpoint invariant).
+        // The drainer claims only entries a barrier covers, and earlier
+        // chunks of this op (or other appenders' entries) may not be
+        // covered yet: fence them first so it can free space.
         if (!options_.test_skip_fence && log_.durable_seq() + 1 < log_.next_seq()) {
           log_.Fence();
         }
@@ -206,17 +216,25 @@ Status NvLogJournal::Sync(const SyncOp& op, SyncMode mode) {
         pe.home_lbas.push_back(b.home_lba);
       }
       pe.seq = log_.Append(tx_id, chunk);
+      last_seq = pe.seq;
       pending_.push_back(std::move(pe));
       appended_entries_++;
     }
   }
 
+  // mu_ covers only the copy into the ring: the next appender copies its
+  // entry while this one's barrier runs. The drainer claims an entry only
+  // once a barrier covers it (CanClaimFront), so log-before-checkpoint still
+  // holds.
   if (!options_.test_skip_fence) {
     // The durability point of an NVLog fsync: one flush+fence persist
-    // barrier, no disk I/O.
+    // barrier, no disk I/O — unless a barrier that began after this entry
+    // was appended has already covered it.
     ScopedSpan span(tracer, TracePoint::kNvlogFence);
     const uint64_t fence_begin = sim_->now();
-    log_.Fence();
+    if (log_.durable_seq() < last_seq) {
+      log_.Fence();
+    }
     if (tracer != nullptr) {
       tracer->WaitEdgeEvent(WaitEdge::kNvmFlush, fence_begin, sim_->now());
     }
@@ -234,6 +252,12 @@ Status NvLogJournal::Sync(const SyncOp& op, SyncMode mode) {
 
 bool NvLogJournal::CanClaimFront() const {
   if (pending_.empty()) {
+    return false;
+  }
+  // Log before checkpoint: an entry drains only once a persist barrier
+  // covers it. The injected fence-skip bug is exactly draining unfenced
+  // entries, so it keeps claiming them (no barrier would ever come).
+  if (pending_.front().seq > log_.durable_seq() && !options_.test_skip_fence) {
     return false;
   }
   for (uint64_t lba : pending_.front().home_lbas) {
@@ -400,10 +424,11 @@ void NvLogJournal::RetireBatch(const Batch& batch) {
 
 Status NvLogJournal::Recover() {
   ScopedSpan span(sim_->tracer(), TracePoint::kNvlogRecover);
+  // Replays the tail NvLog::Init scanned (and paid for) at construction.
   // Nothing stores to the tier until recovery advances the head below, so
-  // the in-place view holds still while the replay reads its payloads.
-  const std::span<const uint8_t> snap = nvm_->LoadInPlace(0, nvm_->size());
-  const NvLogScan scan = ScanNvLogImage(snap);
+  // the in-place view still holds the scanned payloads.
+  const NvLogScan scan = std::exchange(mount_scan_, {});
+  const std::span<const uint8_t> snap = nvm_->live_image();
   if (!scan.ctrl.valid || scan.tail.empty()) {
     return OkStatus();
   }

@@ -48,8 +48,9 @@ class NvLog {
   NvLog(Simulator* sim, NvmDevice* nvm);
 
   // Formats a fresh log if no valid one exists, then initializes the
-  // cursors from a scan of the surviving image. Must run inside an actor
-  // (timed NVM traffic). Returns the scanned undrained tail.
+  // cursors from a scan of the surviving image, charged for the bytes the
+  // scan read. Must run inside an actor (timed NVM traffic). Returns the
+  // scanned undrained tail.
   NvLogScan Init();
 
   size_t ring_bytes() const { return nvm_->size() - kNvLogCtrlBytes; }
@@ -63,7 +64,8 @@ class NvLog {
   // tail. Volatile until Fence(). Returns the entry's sequence number.
   uint64_t Append(uint64_t tx_id, const std::vector<NvLogBlock>& blocks);
 
-  // Persist barrier: everything appended so far becomes durable.
+  // Persist barrier: every entry appended before it begins becomes durable.
+  // One appended while its flush is in progress waits for a later barrier.
   void Fence();
 
   // Advances the persistent drain frontier past |freed_bytes| of drained
@@ -151,8 +153,9 @@ class NvLogJournal : public Journal {
   };
 
   void DrainLoop();
-  // True when the oldest pending entry exists and overlaps no in-flight
-  // batch's home blocks (caller holds mu_).
+  // True when the oldest pending entry exists, a persist barrier covers it
+  // (log before checkpoint), and it overlaps no in-flight batch's home
+  // blocks (caller holds mu_).
   bool CanClaimFront() const;
   // Pops a conflict-free contiguous run off pending_ and claims its home
   // blocks (caller holds mu_). Empty batch when nothing is claimable.
@@ -170,9 +173,14 @@ class NvLogJournal : public Journal {
   ExtFs* fs_;
   NvLogOptions options_;
   NvLog log_;
+  // The tail log_.Init() found at construction, kept for Recover to replay.
+  NvLogScan mount_scan_;
 
+  // Covers tx-id and sequence assignment, the space wait, the copy into the
+  // ring and the pending-list push: appends stay in sequence order. An
+  // appender's persist barrier and wake-up run after it is released.
   SimMutex mu_;
-  SimCondVar drain_cv_;  // appended entries are waiting / a conflict cleared
+  SimCondVar drain_cv_;  // durable entries are waiting / a conflict cleared
   SimCondVar space_cv_;  // a drain batch freed ring space
   SimCondVar idle_cv_;   // nothing pending and no batch in flight
   std::deque<PendingEntry> pending_;

@@ -39,6 +39,7 @@ Buffer NvLogRingRead(std::span<const uint8_t> nvm, size_t off, size_t len) {
 
 NvLogScan ScanNvLogImage(std::span<const uint8_t> nvm) {
   NvLogScan scan;
+  scan.scanned_bytes = std::min(nvm.size(), kNvLogCtrlBytes);
   if (nvm.size() <= kNvLogCtrlBytes || GetU64(nvm, 0) != kNvLogMagic) {
     scan.stop_reason = "no log (bad magic)";
     return scan;
@@ -58,8 +59,14 @@ NvLogScan ScanNvLogImage(std::span<const uint8_t> nvm) {
   uint64_t seq = scan.ctrl.head_seq + 1;
   size_t scanned = 0;
   scan.tail_end_off = static_cast<uint32_t>(pos);
+  // Reads advance through each entry, so the last one reaches furthest; the
+  // probe past a full ring wraps onto bytes already read.
+  auto read = [&](size_t entry_off, size_t len) {
+    scan.scanned_bytes = std::min(nvm.size(), kNvLogCtrlBytes + scanned + entry_off + len);
+    return NvLogRingRead(nvm, (pos + entry_off) % ring, len);
+  };
   for (;;) {
-    const Buffer fixed = NvLogRingRead(nvm, pos, 32);
+    const Buffer fixed = read(0, 32);
     if (GetU64(fixed, 0) != kNvLogEntryMagic) {
       scan.stop_reason = "end of log (no entry magic)";
       break;
@@ -75,7 +82,7 @@ NvLogScan ScanNvLogImage(std::span<const uint8_t> nvm) {
       break;
     }
     const size_t header_bytes = NvLogHeaderSize(nblocks);
-    const Buffer header = NvLogRingRead(nvm, pos, header_bytes);
+    const Buffer header = read(0, header_bytes);
     if (GetU64(header, header_bytes - 8) !=
         Fnv1a(std::span<const uint8_t>(header).first(header_bytes - 8))) {
       scan.stop_reason = "header checksum mismatch";
@@ -90,8 +97,7 @@ NvLogScan ScanNvLogImage(std::span<const uint8_t> nvm) {
     for (uint32_t b = 0; b < nblocks; ++b) {
       info.home_lbas.push_back(GetU64(header, 32 + 16 * b));
       info.checksums.push_back(GetU64(header, 32 + 16 * b + 8));
-      const Buffer payload =
-          NvLogRingRead(nvm, (pos + header_bytes + b * kFsBlockSize) % ring, kFsBlockSize);
+      const Buffer payload = read(header_bytes + b * kFsBlockSize, kFsBlockSize);
       if (Fnv1a(payload) != info.checksums.back()) {
         payload_ok = false;
         break;

@@ -97,6 +97,9 @@ struct NvLogScan {
   std::vector<NvLogEntryInfo> tail;  // valid undrained entries, seq order
   uint32_t tail_end_off = 0;         // ring offset just past the last valid entry
   std::string stop_reason;           // why the scan stopped
+  // Bytes the scan read: the control block, then the ring from the drain
+  // frontier to the furthest byte of the entry that stopped it.
+  size_t scanned_bytes = 0;
 };
 
 // Scans the undrained tail of a raw NVM image: parses the control block,

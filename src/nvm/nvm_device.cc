@@ -14,23 +14,33 @@ uint64_t Lines(size_t bytes) { return (bytes + kNvmLineSize - 1) / kNvmLineSize;
 }  // namespace
 
 NvmDevice::NvmDevice(Simulator* sim, const NvmConfig& config)
-    : sim_(sim), config_(config), image_(config.size_bytes, 0) {}
+    : sim_(sim),
+      config_(config),
+      image_(static_cast<uint8_t*>(std::calloc(config.size_bytes, 1))),
+      size_(config.size_bytes) {
+  CCNVME_CHECK(image_ != nullptr) << "cannot allocate the NVM image";
+}
 
 NvmDevice::NvmDevice(Simulator* sim, const NvmConfig& config, const Buffer& image)
-    : sim_(sim), config_(config), image_(image) {
+    : sim_(sim),
+      config_(config),
+      image_(static_cast<uint8_t*>(std::malloc(image.size()))),
+      size_(image.size()) {
   CCNVME_CHECK_EQ(image.size(), config.size_bytes)
       << "NVM image size does not match the configured device size";
+  CCNVME_CHECK(image_ != nullptr) << "cannot allocate the NVM image";
+  std::memcpy(image_.get(), image.data(), size_);
 }
 
 void NvmDevice::Store(size_t offset, std::span<const uint8_t> data) {
-  CCNVME_CHECK_LE(offset + data.size(), image_.size());
+  CCNVME_CHECK_LE(offset + data.size(), size_);
   // Chunked so every recorded event's payload fits one 64-bit torn-word
   // mask; the chunks of one Store are independent stores to the crash model
   // (cache lines evict independently anyway).
   size_t pos = 0;
   while (pos < data.size()) {
     const size_t len = std::min(kNvmStoreChunk, data.size() - pos);
-    uint8_t* dst = image_.data() + offset + pos;
+    uint8_t* dst = image_.get() + offset + pos;
     overwritten_.insert(overwritten_.end(), dst, dst + len);
     std::memcpy(dst, data.data() + pos, len);
     pending_.push_back(Range{offset + pos, len});
@@ -56,15 +66,14 @@ void NvmDevice::StoreU64(size_t offset, uint64_t v) {
 }
 
 void NvmDevice::Load(size_t offset, std::span<uint8_t> out) {
-  CCNVME_CHECK_LE(offset + out.size(), image_.size());
-  std::memcpy(out.data(), image_.data() + offset, out.size());
-  Simulator::Sleep(Lines(out.size()) * config_.load_line_ns);
+  CCNVME_CHECK_LE(offset + out.size(), size_);
+  std::memcpy(out.data(), image_.get() + offset, out.size());
+  ChargeLoad(out.size());
 }
 
-std::span<const uint8_t> NvmDevice::LoadInPlace(size_t offset, size_t len) {
-  CCNVME_CHECK_LE(offset + len, image_.size());
+void NvmDevice::ChargeLoad(size_t len) {
+  CCNVME_CHECK_LE(len, size_);
   Simulator::Sleep(Lines(len) * config_.load_line_ns);
-  return std::span<const uint8_t>(image_).subspan(offset, len);
 }
 
 uint64_t NvmDevice::LoadU64(size_t offset) {
@@ -88,7 +97,7 @@ size_t NvmDevice::FlushFence() {
 }
 
 Buffer NvmDevice::durable_image() const {
-  Buffer durable = image_;
+  Buffer durable(image_.get(), image_.get() + size_);
   // Newest first, so a byte stored twice since the fence ends up with what
   // it held at the fence.
   size_t end = overwritten_.size();

@@ -26,6 +26,8 @@
 #define SRC_NVM_NVM_DEVICE_H_
 
 #include <cstdint>
+#include <cstdlib>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -61,7 +63,7 @@ class NvmDevice {
   // start as |image| (everything that survived is durable by definition).
   NvmDevice(Simulator* sim, const NvmConfig& config, const Buffer& image);
 
-  size_t size() const { return image_.size(); }
+  size_t size() const { return size_; }
   const NvmConfig& config() const { return config_; }
 
   // CPU store: visible to loads immediately, crash-durable only after the
@@ -73,10 +75,9 @@ class NvmDevice {
   // CPU load from the live view. Charges load cost in virtual time.
   void Load(size_t offset, std::span<uint8_t> out);
   uint64_t LoadU64(size_t offset);
-  // The same timed load of [offset, offset+len), read in place: charges
-  // what Load charges and returns a view of the live image instead of a
-  // copy. The view shows later stores, so read it before storing again.
-  std::span<const uint8_t> LoadInPlace(size_t offset, size_t len);
+  // Charges what a Load of |len| bytes charges, for bytes the caller read in
+  // place through live_image() instead of copying them (a mount-time scan).
+  void ChargeLoad(size_t len);
 
   // clwb of every line dirtied since the last barrier + sfence: makes every
   // pending store durable and records one kNvmFence event. Returns the
@@ -88,9 +89,9 @@ class NvmDevice {
   // explorer chooses their fate per 8-byte word itself. Built on each call
   // (a full-size copy), so take it at a cut, not on a hot path.
   Buffer durable_image() const;
-  // The live view (what loads see). For inspection tools on a running
-  // stack; never used to build crash states.
-  const Buffer& live_image() const { return image_; }
+  // The live view (what loads see), uncharged. It shows later stores, so
+  // read it before storing again. Never used to build crash states.
+  std::span<const uint8_t> live_image() const { return {image_.get(), size_}; }
 
   bool has_pending_stores() const { return !pending_.empty(); }
 
@@ -109,9 +110,16 @@ class NvmDevice {
     size_t len;
   };
 
+  struct Free {
+    void operator()(uint8_t* p) const { std::free(p); }
+  };
+
   Simulator* sim_;
   NvmConfig config_;
-  Buffer image_;                // the live view
+  // The live view. A fresh device takes it zeroed from calloc, so pages the
+  // log never touches cost neither host memory nor a fill at every build.
+  std::unique_ptr<uint8_t[], Free> image_;
+  size_t size_;
   std::vector<Range> pending_;  // stored-but-unfenced byte ranges, oldest first
   Buffer overwritten_;          // what each pending range held before, in order
   BioRecorder recorder_;

@@ -229,7 +229,8 @@ TEST(ExhaustiveVolumeInjectedBugTest, SkippedCommitGateIsCaught) {
 class ExhaustiveMultiCoreTest : public ::testing::TestWithParam<const char*> {};
 
 INSTANTIATE_TEST_SUITE_P(Workloads, ExhaustiveMultiCoreTest,
-                         ::testing::Values("multicore_appends", "multicore_shared_fsync"),
+                         ::testing::Values("multicore_appends", "multicore_shared_fsync",
+                                           "samecore_appends"),
                          [](const ::testing::TestParamInfo<const char*>& param_info) {
                            std::string name = param_info.param;
                            for (char& c : name) {
@@ -277,6 +278,51 @@ TEST(ExhaustiveMultiCoreTest, BothQueuesInFlight) {
   EXPECT_LT(first_q1, last_q0) << "cores did not interleave";
 }
 
+// Two actors on one core share queue 0. build_mu is released once a
+// transaction's P-SQDB is rung, so the second actor's transaction is staged
+// and rung while the first is still in flight: queue 0's second doorbell
+// precedes the P-SQ-head store that retires the first transaction.
+TEST(ExhaustiveMultiCoreTest, SameQueueTransactionsOverlap) {
+  Result<CrashWorkload> workload = FindCrashWorkload("samecore_appends");
+  ASSERT_TRUE(workload.ok());
+  const CrashRecording rec = RecordWorkload(MqfsConfig(), *workload);
+  std::vector<size_t> q0_rings;
+  for (size_t i = 0; i < rec.events.size(); ++i) {
+    const BioEvent& ev = rec.events[i];
+    EXPECT_EQ(ev.qid, 0u) << "both actors are bound to core 0";
+    if (ev.op == BioOp::kPmrDoorbell) {
+      q0_rings.push_back(i);
+    }
+  }
+  ASSERT_GE(q0_rings.size(), 2u);
+  const uint64_t first_tx = rec.events[q0_rings[0]].tx_id;
+  size_t first_head_store = rec.events.size();
+  for (size_t i = q0_rings[0] + 1; i < rec.events.size(); ++i) {
+    const BioEvent& ev = rec.events[i];
+    // The P-SQ-head store is the queue's one uncached (non-WC) PMR store
+    // besides the doorbell.
+    if (ev.op == BioOp::kPmrWrite && (ev.flags & kBioPmrWc) == 0 && ev.tx_id == first_tx) {
+      first_head_store = i;
+      break;
+    }
+  }
+  ASSERT_LT(first_head_store, rec.events.size()) << "first transaction never completed";
+  EXPECT_LT(q0_rings[1], first_head_store)
+      << "the second transaction was rung only after the first became durable";
+}
+
+// INJECTED BUG: recovery skips the P-SQ window scan. With two transactions
+// in flight on one P-SQ, the window holds both, and the explorer must still
+// catch recovery trusting them unvalidated.
+TEST(ExhaustiveMultiCoreInjectedBugTest, SameCoreSkippedWindowScanIsCaught) {
+  StackConfig cfg = MqfsConfig();
+  cfg.fs.test_skip_psq_window_scan = true;
+  const ExplorerReport report = ExploreWorkload(cfg, "samecore_appends", TestOptions());
+  EXPECT_FALSE(report.AllPassed())
+      << "explorer failed to catch the skipped window scan on a shared queue";
+  EXPECT_FALSE(report.failures.empty());
+}
+
 // INJECTED BUG: with cross-core ordering skipped, a follower fsync returns
 // while a concurrent leader's commit — which does NOT cover the follower's
 // write — is still in flight. The region fact the follower arms on return
@@ -313,7 +359,8 @@ class ExhaustiveNvlogTest : public ::testing::TestWithParam<const char*> {};
 
 INSTANTIATE_TEST_SUITE_P(Workloads, ExhaustiveNvlogTest,
                          ::testing::Values("nvlog_appends", "nvlog_overwrite_churn",
-                                           "create_delete", "generic_035"),
+                                           "create_delete", "generic_035", "multicore_appends",
+                                           "samecore_appends"),
                          [](const ::testing::TestParamInfo<const char*>& param_info) {
                            std::string name = param_info.param;
                            for (char& c : name) {
@@ -383,6 +430,18 @@ TEST(ExhaustiveNvlogInjectedBugTest, SkippedNvlogFenceIsCaught) {
   Result<std::string> replayed = ReplayArtifactCheck(*art);
   ASSERT_TRUE(replayed.ok()) << replayed.status().ToString();
   EXPECT_EQ(*replayed, failure.message);
+}
+
+// INJECTED BUG, with two appenders on one core: one appender's copy into the
+// ring overlaps the other's (skipped) barrier, and the drainer claims the
+// unfenced entries. The explorer must catch it.
+TEST(ExhaustiveNvlogInjectedBugTest, SameCoreSkippedNvlogFenceIsCaught) {
+  StackConfig cfg = NvlogConfig();
+  cfg.fs.test_skip_nvlog_fence = true;
+  const ExplorerReport report = ExploreWorkload(cfg, "samecore_appends", TestOptions());
+  EXPECT_FALSE(report.AllPassed())
+      << "explorer failed to catch the skipped NVM persist barrier with overlapping appenders";
+  EXPECT_FALSE(report.failures.empty());
 }
 
 // Injected recovery bug: skipping the P-SQ window scan makes recovery

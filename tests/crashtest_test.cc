@@ -266,7 +266,7 @@ TEST(CrashStreamPinTest, NvlogTier) {
   const CrashRecording rec = RecordNamed(cfg, "nvlog_overwrite_churn");
   EXPECT_GT(CountEvents(rec, [](const BioEvent& ev) { return ev.op == BioOp::kNvmWrite; }), 0u);
   EXPECT_EQ(rec.events.size(), 215u);
-  EXPECT_EQ(StreamHash(rec), 12851185119415075982ull);
+  EXPECT_EQ(StreamHash(rec), 4700758392594665463ull);
 }
 
 }  // namespace

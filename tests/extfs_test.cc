@@ -49,6 +49,8 @@ INSTANTIATE_TEST_SUITE_P(AllJournals, FsJournalTest,
                                return "Jbd2OverCcNvme";
                              case JournalKind::kMultiQueue:
                                return "MQFS";
+                             case JournalKind::kNvlog:
+                               return "NVLog";
                            }
                            return "unknown";
                          });

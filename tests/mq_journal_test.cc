@@ -6,6 +6,7 @@
 
 #include "src/harness/stack.h"
 #include "src/mqfs/mq_journal.h"
+#include "src/trace/tracer.h"
 
 namespace ccnvme {
 namespace {
@@ -174,6 +175,66 @@ TEST(MqJournalTest, RecoveryOrdersByGlobalTxIdAcrossAreas) {
         << "an out-of-order replay dropped directory entries";
     EXPECT_TRUE(after.fs().CheckConsistency().ok());
   });
+}
+
+TEST(MqJournalTest, SameQueueFsyncIsStagedWhileTheNeighbourIsInFlight) {
+  // Two contexts on one core fsync their own files at the same instant. The
+  // queue's build_mu covers staging through the P-SQDB ring only, so the
+  // second transaction is rung before the first is durable, and the second
+  // fsync's journal-handle wait is at most the first one's staging window
+  // (Figure 14's atomicity span), not its durability wait.
+  StorageStack stack(Config(1, 1024));
+  Tracer& tracer = stack.EnableTracing();
+  ASSERT_TRUE(stack.MkfsAndMount().ok());
+  std::vector<InodeNum> inos;
+  stack.Run([&] {
+    for (int i = 0; i < 2; ++i) {
+      auto ino = stack.fs().Create("/ctx" + std::to_string(i));
+      ASSERT_TRUE(ino.ok());
+      ASSERT_TRUE(stack.fs().Fsync(*ino).ok());
+      inos.push_back(*ino);
+    }
+  });
+  tracer.ResetAggregation();
+  const uint64_t start = stack.sim().now();
+  for (int i = 0; i < 2; ++i) {
+    stack.Spawn("ctx" + std::to_string(i), [&, i] {
+      ASSERT_TRUE(stack.fs().Write(inos[i], 0, Buffer(4 * kFsBlockSize, 0x30 + i)).ok());
+      ASSERT_TRUE(stack.fs().Fsync(inos[i]).ok());
+    }, 0);
+  }
+  stack.sim().Run();
+
+  std::vector<TraceEvent> rings;
+  std::vector<TraceEvent> durable;
+  std::vector<TraceEvent> atomic;
+  for (size_t i = 0; i < tracer.size(); ++i) {
+    const TraceEvent& ev = tracer.event(i);
+    if (ev.ts_ns < start || ev.is_wait_edge()) {
+      continue;
+    }
+    if (!ev.is_span && ev.point == TracePoint::kPsqDoorbell) {
+      rings.push_back(ev);
+    } else if (!ev.is_span && ev.point == TracePoint::kTxDurable) {
+      durable.push_back(ev);
+    } else if (ev.is_span && ev.point == TracePoint::kSyncAtomic) {
+      atomic.push_back(ev);
+    }
+  }
+  ASSERT_EQ(rings.size(), 2u);
+  ASSERT_EQ(durable.size(), 2u);
+  ASSERT_EQ(atomic.size(), 2u);
+  const uint64_t first_tx = rings[0].tx_id;
+  EXPECT_EQ(durable[0].tx_id, first_tx);
+  EXPECT_LT(rings[1].ts_ns, durable[0].ts_ns)
+      << "the second transaction was rung only after the first was durable";
+
+  const Tracer::PointAgg& handle = tracer.edge_agg(WaitEdge::kJournalHandle);
+  ASSERT_EQ(handle.count, 1u) << "exactly one context waits for the other";
+  const TraceEvent& first_staging = atomic[0].tx_id == first_tx ? atomic[0] : atomic[1];
+  EXPECT_GT(handle.total_ns, 0u);
+  EXPECT_LE(handle.total_ns, first_staging.dur_ns)
+      << "the handle wait covered the neighbour's durability wait";
 }
 
 }  // namespace
