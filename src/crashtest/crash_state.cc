@@ -1,6 +1,7 @@
 #include "src/crashtest/crash_state.h"
 
 #include <algorithm>
+#include <cstring>
 #include <map>
 #include <set>
 
@@ -519,18 +520,25 @@ CrashImage BuildCrashState(const CrashRecording& rec, const CrashPlan& plan,
         }
         const size_t begin = b * kFsBlockSize;
         const size_t end = std::min(begin + kFsBlockSize, ev.data.size());
-        Buffer& dst = image.devices[ev.device].media[ev.lba + b];
-        if (dst.size() != kFsBlockSize) {
-          dst.assign(kFsBlockSize, 0);
+        // The image shares its blocks with rec.base: Assign and Mutable
+        // give this state its own copy of a block before changing it.
+        MediaBlock& dst = image.devices[ev.device].media[ev.lba + b];
+        const std::span<const uint8_t> src(ev.data);
+        if (mask == ~0ull && end - begin == kFsBlockSize) {
+          dst.Assign(src.subspan(begin, kFsBlockSize));
+          continue;
         }
+        if (dst.size() != kFsBlockSize) {
+          dst = MediaBlock(Buffer(kFsBlockSize, 0));
+        }
+        const std::span<uint8_t> out = dst.Mutable();
         for (size_t s = 0; s * kSectorSize < end - begin; ++s) {
           if (((mask >> s) & 1) == 0) {
             continue;
           }
           const size_t so = begin + s * kSectorSize;
           const size_t len = std::min(kSectorSize, end - so);
-          std::copy(ev.data.begin() + static_cast<long>(so),
-                    ev.data.begin() + static_cast<long>(so + len), dst.begin() + s * kSectorSize);
+          std::memcpy(out.data() + s * kSectorSize, src.data() + so, len);
         }
       }
     } else if (ev.op == BioOp::kPmrWrite || ev.op == BioOp::kPmrDoorbell) {

@@ -1,6 +1,7 @@
 #include "src/harness/image_file.h"
 
 #include <cstdio>
+#include <span>
 
 namespace ccnvme {
 
@@ -14,46 +15,52 @@ constexpr uint32_t kImageVersion = 3;
 }  // namespace
 
 Status SaveImage(const CrashImage& image, const std::string& path) {
-  Buffer out;
-  out.resize(16);
-  PutU32(out, 0, kImageMagic);
-  PutU32(out, 4, kImageVersion);
-  PutU32(out, 8, kFsBlockSize);
-  PutU32(out, 12, static_cast<uint32_t>(image.devices.size()));
   for (const DeviceImage& dev : image.devices) {
-    size_t off = out.size();
-    out.resize(off + 16);
-    PutU64(out, off, dev.media.size());
-    PutU64(out, off + 8, dev.pmr.size());
     for (const auto& [block, data] : dev.media) {
       if (data.size() != kFsBlockSize) {
         return Internal("media block " + std::to_string(block) + " has odd size");
       }
-      off = out.size();
-      out.resize(off + 8 + kFsBlockSize);
-      PutU64(out, off, block);
-      std::memcpy(out.data() + off + 8, data.data(), kFsBlockSize);
     }
-    out.insert(out.end(), dev.pmr.begin(), dev.pmr.end());
   }
-  {
-    const size_t off = out.size();
-    out.resize(off + 8);
-    PutU64(out, off, image.nvm.size());
-    out.insert(out.end(), image.nvm.begin(), image.nvm.end());
-  }
-  const uint64_t csum = Fnv1a(out);
-  const size_t off = out.size();
-  out.resize(off + 8);
-  PutU64(out, off, csum);
-
   std::FILE* f = std::fopen(path.c_str(), "wb");
   if (f == nullptr) {
     return IoError("cannot open " + path + " for writing");
   }
-  const size_t written = std::fwrite(out.data(), 1, out.size(), f);
-  std::fclose(f);
-  if (written != out.size()) {
+  // Written front to back and hashed as it goes, so saving holds no second
+  // copy of the image's blocks.
+  uint64_t hash = Fnv1a({});
+  bool ok = true;
+  auto put = [&](std::span<const uint8_t> bytes) {
+    hash = Fnv1a(bytes, hash);
+    ok = ok && (bytes.empty() || std::fwrite(bytes.data(), 1, bytes.size(), f) == bytes.size());
+  };
+  auto put_u32 = [&](uint32_t v) {
+    uint8_t b[4];
+    PutU32(b, 0, v);
+    put(b);
+  };
+  auto put_u64 = [&](uint64_t v) {
+    uint8_t b[8];
+    PutU64(b, 0, v);
+    put(b);
+  };
+  put_u32(kImageMagic);
+  put_u32(kImageVersion);
+  put_u32(kFsBlockSize);
+  put_u32(static_cast<uint32_t>(image.devices.size()));
+  for (const DeviceImage& dev : image.devices) {
+    put_u64(dev.media.size());
+    put_u64(dev.pmr.size());
+    for (const auto& [block, data] : dev.media) {
+      put_u64(block);
+      put(data);
+    }
+    put(dev.pmr);
+  }
+  put_u64(image.nvm.size());
+  put(image.nvm);
+  put_u64(hash);
+  if (std::fclose(f) != 0 || !ok) {
     return IoError("short write to " + path);
   }
   return OkStatus();
@@ -117,9 +124,8 @@ Result<CrashImage> LoadImage(const std::string& path) {
     }
     for (uint64_t i = 0; i < num_blocks; ++i) {
       const uint64_t block = GetU64(raw, off);
-      Buffer data(raw.begin() + static_cast<long>(off + 8),
-                  raw.begin() + static_cast<long>(off + 8 + kFsBlockSize));
-      image.devices[d].media.emplace(block, std::move(data));
+      image.devices[d].media.emplace(
+          block, MediaBlock(std::span<const uint8_t>(raw).subspan(off + 8, kFsBlockSize)));
       off += 8 + kFsBlockSize;
     }
     image.devices[d].pmr.assign(raw.begin() + static_cast<long>(off),

@@ -54,7 +54,9 @@ struct StackConfig {
   KvSsdConfig kv;
 };
 
-// One member device's durable bytes: media durable view + PMR.
+// One member device's durable bytes: media durable view + PMR. The media
+// blocks are shared with the store they were captured from (and with every
+// stack booted from the image); the PMR is a copy.
 struct DeviceImage {
   MediaStore::BlockMap media;
   Buffer pmr;

@@ -36,8 +36,8 @@ Status MqJournal::Sync(const SyncOp& op, SyncMode mode) {
   if (op.data.empty() && op.metadata.empty()) {
     return OkStatus();
   }
-  // With fewer areas than hardware queues (the "+ccNVMe without
-  // multi-queue journaling" ablation of Figure 13), queues share areas.
+  // With fewer areas than hardware queues, queues share areas. No bench
+  // configures that: Figure 13's "+ccNVMe" step runs kCcNvmeJbd2, not MQFS.
   const uint32_t qid = blk_->current_queue();
   const uint32_t area_idx = qid % static_cast<uint32_t>(areas_.size());
   Area& area = *areas_[area_idx];

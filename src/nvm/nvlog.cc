@@ -275,6 +275,13 @@ NvLogJournal::Batch NvLogJournal::ClaimBatch(bool rush) {
   while (batch.entries.size() < limit && CanClaimFront()) {
     PendingEntry e = std::move(pending_.front());
     pending_.pop_front();
+    if (Metrics* m = sim_->metrics()) {
+      // The drain-order invariant, checked at the claim under mu_: the entry
+      // must already be durable in NVM before any of its blocks is
+      // checkpointed. Checked later, a barrier landing meanwhile would hide
+      // a claim made before it.
+      m->monitors().OnNvlogCheckpoint(e.seq, log_.durable_seq());
+    }
     for (uint64_t lba : e.home_lbas) {
       claimed_lbas_[lba]++;
     }
@@ -354,11 +361,6 @@ Status NvLogJournal::DrainBatch(const Batch& batch) {
   std::map<uint64_t, Buffer> writes;
   size_t logged_blocks = 0;
   for (const PendingEntry& e : batch.entries) {
-    if (Metrics* m = sim_->metrics()) {
-      // The drain-order invariant: this entry must already be durable in
-      // NVM before any of its blocks is checkpointed to media.
-      m->monitors().OnNvlogCheckpoint(e.seq, log_.durable_seq());
-    }
     for (size_t b = 0; b < e.home_lbas.size(); ++b) {
       NvLogBlock blk = log_.LoadBlock(e.ring_off, e.home_lbas.size(), b);
       writes[blk.home_lba] = std::move(blk.payload);

@@ -157,8 +157,9 @@ class NvLogJournal : public Journal {
   // (log before checkpoint), and it overlaps no in-flight batch's home
   // blocks (caller holds mu_).
   bool CanClaimFront() const;
-  // Pops a conflict-free contiguous run off pending_ and claims its home
-  // blocks (caller holds mu_). Empty batch when nothing is claimable.
+  // Pops a conflict-free contiguous run off pending_, claims its home blocks
+  // and reports each entry to the drain-order monitor (caller holds mu_).
+  // Empty batch when nothing is claimable.
   Batch ClaimBatch(bool rush);
   // Checkpoints one claimed batch through the block stack.
   Status DrainBatch(const Batch& batch);

@@ -1,10 +1,82 @@
 #include "src/ssd/media.h"
 
+#include <atomic>
 #include <cstring>
+#include <new>
+#include <utility>
 
 #include "src/common/logging.h"
 
 namespace ccnvme {
+
+// One allocation per block: the count, the size and the bytes that follow.
+// An intrusive count (rather than std::shared_ptr) lets Unique() load it
+// with acquire ordering, so a handle that finds itself the only owner also
+// sees every other thread's reads of the block finished before it writes.
+struct MediaBlock::Rep {
+  std::atomic<uint32_t> refs;
+  uint32_t size;
+
+  uint8_t* bytes() { return reinterpret_cast<uint8_t*>(this + 1); }
+
+  static Rep* New(size_t size) {
+    void* mem = ::operator new(sizeof(Rep) + size);
+    return new (mem) Rep{{1}, static_cast<uint32_t>(size)};
+  }
+};
+
+MediaBlock::MediaBlock(std::span<const uint8_t> bytes) : rep_(Rep::New(bytes.size())) {
+  std::memcpy(rep_->bytes(), bytes.data(), bytes.size());
+}
+
+MediaBlock::MediaBlock(const MediaBlock& other) noexcept : rep_(other.rep_) {
+  if (rep_ != nullptr) {
+    rep_->refs.fetch_add(1, std::memory_order_relaxed);
+  }
+}
+
+MediaBlock::MediaBlock(MediaBlock&& other) noexcept : rep_(std::exchange(other.rep_, nullptr)) {}
+
+MediaBlock& MediaBlock::operator=(MediaBlock other) noexcept {
+  std::swap(rep_, other.rep_);
+  return *this;
+}
+
+MediaBlock::~MediaBlock() {
+  if (rep_ != nullptr && rep_->refs.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+    ::operator delete(rep_);
+  }
+}
+
+const uint8_t* MediaBlock::data() const { return rep_ == nullptr ? nullptr : rep_->bytes(); }
+
+size_t MediaBlock::size() const { return rep_ == nullptr ? 0 : rep_->size; }
+
+bool MediaBlock::Unique() const { return rep_->refs.load(std::memory_order_acquire) == 1; }
+
+void MediaBlock::Assign(std::span<const uint8_t> bytes) {
+  if (rep_ != nullptr && rep_->size == bytes.size() && Unique()) {
+    std::memcpy(rep_->bytes(), bytes.data(), bytes.size());
+  } else {
+    *this = MediaBlock(bytes);
+  }
+}
+
+std::span<uint8_t> MediaBlock::Mutable() {
+  CCNVME_CHECK(rep_ != nullptr) << "writing through an empty media block handle";
+  if (!Unique()) {
+    *this = MediaBlock(std::span<const uint8_t>(*this));
+  }
+  return {rep_->bytes(), rep_->size};
+}
+
+bool operator==(const MediaBlock& a, const MediaBlock& b) {
+  if (a.rep_ == b.rep_) {
+    return true;
+  }
+  return a.size() == b.size() &&
+         (a.size() == 0 || std::memcmp(a.data(), b.data(), a.size()) == 0);
+}
 
 MediaStore::MediaStore(uint64_t capacity_bytes, uint32_t block_size)
     : capacity_(capacity_bytes), block_size_(block_size) {
@@ -18,23 +90,64 @@ void MediaStore::CheckRange(uint64_t offset, size_t size) const {
   CCNVME_CHECK_LE(offset + size, capacity_) << "media access out of range";
 }
 
-void MediaStore::ApplyTo(BlockMap& view, uint64_t offset, std::span<const uint8_t> data) {
-  const uint64_t first_block = offset / block_size_;
-  const uint64_t num_blocks = data.size() / block_size_;
-  for (uint64_t i = 0; i < num_blocks; ++i) {
-    Buffer& blk = view[first_block + i];
-    blk.resize(block_size_);
-    std::memcpy(blk.data(), data.data() + i * block_size_, block_size_);
+void MediaStore::DropPending(uint64_t block) {
+  if (overlay_.erase(block) == 0) {
+    return;  // no pending copy (the newest one is always in the overlay)
+  }
+  for (PendingWrite& pw : pending_) {
+    if (block >= pw.first_block && block - pw.first_block < pw.blocks.size()) {
+      pw.blocks[block - pw.first_block] = MediaBlock();
+    }
   }
 }
 
-void MediaStore::ReadFrom(const BlockMap& view, uint64_t offset, std::span<uint8_t> out) const {
+void MediaStore::WriteDurable(uint64_t offset, std::span<const uint8_t> data) {
+  CheckRange(offset, data.size());
   const uint64_t first_block = offset / block_size_;
-  const uint64_t num_blocks = out.size() / block_size_;
-  for (uint64_t i = 0; i < num_blocks; ++i) {
-    auto it = view.find(first_block + i);
+  for (uint64_t i = 0; i < data.size() / block_size_; ++i) {
+    durable_[first_block + i].Assign(data.subspan(i * block_size_, block_size_));
+    if (!overlay_.empty()) {
+      DropPending(first_block + i);
+    }
+  }
+}
+
+uint64_t MediaStore::WriteCached(uint64_t offset, std::span<const uint8_t> data) {
+  CheckRange(offset, data.size());
+  PendingWrite pw{next_seq_++, offset / block_size_, {}};
+  for (uint64_t i = 0; i < data.size() / block_size_; ++i) {
+    MediaBlock blk(data.subspan(i * block_size_, block_size_));
+    overlay_[pw.first_block + i] = blk;
+    pw.blocks.push_back(std::move(blk));
+  }
+  pending_.push_back(std::move(pw));
+  return pending_.back().seq;
+}
+
+void MediaStore::Read(uint64_t offset, std::span<uint8_t> out) const {
+  CheckRange(offset, out.size());
+  if (overlay_.empty()) {
+    ReadDurable(offset, out);
+    return;
+  }
+  const uint64_t first_block = offset / block_size_;
+  for (uint64_t i = 0; i < out.size() / block_size_; ++i) {
+    auto it = overlay_.find(first_block + i);
+    if (it == overlay_.end()) {
+      ReadDurable((first_block + i) * block_size_, out.subspan(i * block_size_, block_size_));
+    } else {
+      std::memcpy(out.data() + i * block_size_, it->second.data(), block_size_);
+    }
+  }
+}
+
+void MediaStore::ReadDurable(uint64_t offset, std::span<uint8_t> out) const {
+  CheckRange(offset, out.size());
+  const uint64_t first_block = offset / block_size_;
+  for (uint64_t i = 0; i < out.size() / block_size_; ++i) {
+    auto it = durable_.find(first_block + i);
     uint8_t* dst = out.data() + i * block_size_;
-    if (it == view.end()) {
+    if (it == durable_.end()) {
       std::memset(dst, 0, block_size_);
     } else {
       std::memcpy(dst, it->second.data(), block_size_);
@@ -42,51 +155,35 @@ void MediaStore::ReadFrom(const BlockMap& view, uint64_t offset, std::span<uint8
   }
 }
 
-void MediaStore::WriteDurable(uint64_t offset, std::span<const uint8_t> data) {
-  CheckRange(offset, data.size());
-  ApplyTo(current_, offset, data);
-  ApplyTo(durable_, offset, data);
-}
-
-uint64_t MediaStore::WriteCached(uint64_t offset, std::span<const uint8_t> data) {
-  CheckRange(offset, data.size());
-  ApplyTo(current_, offset, data);
-  PendingWrite pw;
-  pw.seq = next_seq_++;
-  pw.offset = offset;
-  pw.data.assign(data.begin(), data.end());
-  pending_bytes_ += data.size();
-  pending_.push_back(std::move(pw));
-  return pending_.back().seq;
-}
-
-void MediaStore::Read(uint64_t offset, std::span<uint8_t> out) const {
-  CheckRange(offset, out.size());
-  ReadFrom(current_, offset, out);
-}
-
-void MediaStore::ReadDurable(uint64_t offset, std::span<uint8_t> out) const {
-  CheckRange(offset, out.size());
-  ReadFrom(durable_, offset, out);
-}
-
 void MediaStore::Flush() {
-  for (const PendingWrite& pw : pending_) {
-    ApplyTo(durable_, pw.offset, pw.data);
+  // The overlay holds the newest unsuperseded pending copy of each block,
+  // which is what destaging every pending write in order would leave.
+  for (auto& [block, blk] : overlay_) {
+    durable_[block] = std::move(blk);
   }
+  overlay_.clear();
   pending_.clear();
-  pending_bytes_ = 0;
 }
 
 void MediaStore::PowerCut(const std::set<uint64_t>& survivors) {
   for (const PendingWrite& pw : pending_) {
-    if (survivors.count(pw.seq) != 0) {
-      ApplyTo(durable_, pw.offset, pw.data);
+    if (survivors.count(pw.seq) == 0) {
+      continue;
+    }
+    for (size_t i = 0; i < pw.blocks.size(); ++i) {
+      if (pw.blocks[i]) {
+        durable_[pw.first_block + i] = pw.blocks[i];
+      }
     }
   }
+  overlay_.clear();
   pending_.clear();
-  pending_bytes_ = 0;
-  current_ = durable_;
+}
+
+void MediaStore::LoadDurable(BlockMap blocks) {
+  durable_ = std::move(blocks);
+  overlay_.clear();
+  pending_.clear();
 }
 
 }  // namespace ccnvme

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <functional>
 
+#include "src/crashtest/crash_explorer.h"
 #include "src/crashtest/crash_monkey.h"
 #include "src/crashtest/crash_state.h"
 #include "src/crashtest/crash_workloads.h"
@@ -189,8 +190,7 @@ TEST(CrashMonkeyMqfsTest, CrashDuringRecoveryIsIdempotent) {
       const size_t blocks = ev.data.size() / kFsBlockSize;
       for (size_t b = 0; b < blocks; ++b) {
         second.media()[ev.lba + b] =
-            Buffer(ev.data.begin() + static_cast<long>(b * kFsBlockSize),
-                   ev.data.begin() + static_cast<long>((b + 1) * kFsBlockSize));
+            MediaBlock(std::span<const uint8_t>(ev.data).subspan(b * kFsBlockSize, kFsBlockSize));
       }
     }
     StorageStack again(cfg, second);
@@ -267,6 +267,68 @@ TEST(CrashStreamPinTest, NvlogTier) {
   EXPECT_GT(CountEvents(rec, [](const BioEvent& ev) { return ev.op == BioOp::kNvmWrite; }), 0u);
   EXPECT_EQ(rec.events.size(), 215u);
   EXPECT_EQ(StreamHash(rec), 4700758392594665463ull);
+}
+
+// --- Crash states share the base image's blocks ------------------------------
+
+uint64_t ImageFingerprint(const CrashImage& image) {
+  uint64_t h = Fnv1a({});
+  for (const DeviceImage& dev : image.devices) {
+    for (const auto& [block, data] : dev.media) {
+      uint8_t key[8];
+      PutU64(key, 0, block);
+      h = Fnv1a(data, Fnv1a(key, h));
+    }
+    h = Fnv1a(dev.pmr, h);
+  }
+  return Fnv1a(image.nvm, h);
+}
+
+// Every state of a boundary is built from the one base image, whose blocks
+// the states share (and the explorer's worker threads with them): a block an
+// event tears or overwrites must be copied, never changed in place. The base
+// is given a block at every address the workload writes, so each torn or
+// present write lands on a shared block.
+TEST(CrashStateSharingTest, BuildingEveryPlanOfATornBoundaryLeavesTheBaseUnchanged) {
+  StackConfig cfg = Ext4Config();
+  cfg.ssd = SsdConfig::Intel750();
+  CrashRecording rec = RecordNamed(cfg, "create_delete");
+  for (const BioEvent& ev : rec.events) {
+    if (ev.op == BioOp::kWrite) {
+      for (size_t b = 0; b < ev.data.size() / kFsBlockSize; ++b) {
+        rec.base.devices[ev.device].media.emplace(ev.lba + b,
+                                                  MediaBlock(Buffer(kFsBlockSize, 0xB5)));
+      }
+    }
+  }
+  const uint64_t base = ImageFingerprint(rec.base);
+  const ExplorerOptions options;
+  for (const size_t index : ConsistencyBoundaries(rec.events)) {
+    const std::vector<UncertainItem> items = CollectUncertain(rec, index);
+    const BoundaryPlans boundary = PlansForBoundary(rec, index, options);
+    const auto tears_media = [&](const CrashPlan& plan) {
+      for (size_t k = 0; k < plan.choices.size(); ++k) {
+        if (!items[k].is_pmr && !items[k].is_nvm && plan.choices[k] >= kChoiceTornBase) {
+          return true;
+        }
+      }
+      return false;
+    };
+    if (std::none_of(boundary.plans.begin(), boundary.plans.end(), tears_media)) {
+      continue;
+    }
+    size_t shared = 0;
+    for (const CrashPlan& plan : boundary.plans) {
+      const CrashImage state = BuildCrashState(rec, plan, options.seed);
+      for (const auto& [block, data] : state.media()) {
+        shared += data.SharesBytesWith(rec.base.media().at(block)) ? 1 : 0;
+      }
+    }
+    EXPECT_GT(shared, 0u) << "states copied blocks no event wrote";
+    EXPECT_EQ(ImageFingerprint(rec.base), base) << "boundary " << index;
+    return;
+  }
+  FAIL() << "no boundary tears a media write";
 }
 
 }  // namespace

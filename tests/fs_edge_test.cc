@@ -272,7 +272,7 @@ TEST(MediaStoreTest, PowerCutSurvivorSubsets) {
   EXPECT_EQ(out, b);
   media.ReadDurable(8192, out);
   EXPECT_EQ(out, Buffer(4096, 0));
-  EXPECT_TRUE(media.pending().empty());
+  EXPECT_FALSE(media.has_pending());
 }
 
 TEST(MediaStoreTest, SurvivorsApplyInSequenceOrder) {
@@ -285,6 +285,60 @@ TEST(MediaStoreTest, SurvivorsApplyInSequenceOrder) {
   Buffer out(4096);
   media.ReadDurable(0, out);
   EXPECT_EQ(out, v2) << "later write must win";
+}
+
+// A durable write (FUA, or any write on a power-loss-protected drive)
+// supersedes an older cached copy of its block: destaging the cache later
+// must not bring the stale bytes back. The crash-state builder applies
+// events in order and assumes the same.
+TEST(MediaStoreTest, DurableWriteSupersedesOlderCachedWrite) {
+  const Buffer x(2 * 4096, 0x11);
+  const Buffer y(4096, 0x22);
+  for (const bool cut : {false, true}) {
+    MediaStore media(1 << 20);
+    const uint64_t sx = media.WriteCached(0, x);  // blocks 0 and 1
+    media.WriteDurable(4096, y);                  // block 1 only
+    if (cut) {
+      media.PowerCut({sx});
+    } else {
+      media.Flush();
+    }
+    const char* how = cut ? "power cut keeping the cached write" : "flush";
+    Buffer out(4096);
+    media.ReadDurable(4096, out);
+    EXPECT_EQ(out, y) << how;
+    media.Read(4096, out);
+    EXPECT_EQ(out, y) << how;
+    media.ReadDurable(0, out);
+    EXPECT_EQ(out, Buffer(4096, 0x11)) << how << ": the unsuperseded block still destages";
+  }
+}
+
+TEST(MediaStoreTest, SnapshotSharesBlocksUntilTheStoreOverwritesThem) {
+  MediaStore media(1 << 20);
+  media.WriteDurable(0, Buffer(2 * 4096, 0xA));
+  const MediaStore::BlockMap snap = media.SnapshotDurable();
+  {
+    const MediaStore::BlockMap live = media.SnapshotDurable();
+    EXPECT_TRUE(snap.at(0).SharesBytesWith(live.at(0)));
+    EXPECT_TRUE(snap.at(1).SharesBytesWith(live.at(1)));
+  }
+  media.WriteDurable(0, Buffer(4096, 0xB));
+  const MediaStore::BlockMap live = media.SnapshotDurable();
+  EXPECT_FALSE(snap.at(0).SharesBytesWith(live.at(0)));
+  EXPECT_EQ(snap.at(0), MediaBlock(Buffer(4096, 0xA))) << "the snapshot kept its bytes";
+  EXPECT_EQ(live.at(0), MediaBlock(Buffer(4096, 0xB)));
+  EXPECT_TRUE(snap.at(1).SharesBytesWith(live.at(1))) << "an unwritten block stays shared";
+}
+
+TEST(MediaStoreTest, UnsharedBlockIsOverwrittenInPlace) {
+  MediaStore media(1 << 20);
+  media.WriteDurable(0, Buffer(4096, 0xA));
+  const uint8_t* const before = media.SnapshotDurable().at(0).data();
+  media.WriteDurable(0, Buffer(4096, 0xB));
+  const MediaStore::BlockMap live = media.SnapshotDurable();
+  EXPECT_EQ(live.at(0).data(), before);
+  EXPECT_EQ(live.at(0), MediaBlock(Buffer(4096, 0xB)));
 }
 
 TEST(FsEdgeTest, DataJournalingModeRoundTripAndCrash) {

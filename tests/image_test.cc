@@ -25,8 +25,8 @@ StackConfig SmallConfig() {
 
 TEST(ImageFileTest, SaveLoadRoundTrip) {
   CrashImage image;
-  image.media()[7] = Buffer(kFsBlockSize, 0xAB);
-  image.media()[100] = Buffer(kFsBlockSize, 0xCD);
+  image.media()[7] = MediaBlock(Buffer(kFsBlockSize, 0xAB));
+  image.media()[100] = MediaBlock(Buffer(kFsBlockSize, 0xCD));
   image.pmr() = Buffer(2 * 1024 * 1024, 0x11);
   const std::string path = TempPath("roundtrip");
   ASSERT_TRUE(SaveImage(image, path).ok());
@@ -41,7 +41,7 @@ TEST(ImageFileTest, SaveLoadRoundTrip) {
 
 TEST(ImageFileTest, CorruptionDetected) {
   CrashImage image;
-  image.media()[1] = Buffer(kFsBlockSize, 0x77);
+  image.media()[1] = MediaBlock(Buffer(kFsBlockSize, 0x77));
   image.pmr() = Buffer(1024, 0);
   const std::string path = TempPath("corrupt");
   ASSERT_TRUE(SaveImage(image, path).ok());
@@ -92,6 +92,94 @@ TEST(ImageFileTest, CrashImageArchiveWorkflow) {
     EXPECT_TRUE(after.fs().CheckConsistency().ok());
   });
   std::remove(path.c_str());
+}
+
+// FNV-1a over every media block (index and bytes) and the PMR of each
+// device, then the NVM image.
+uint64_t ImageFingerprint(const CrashImage& image) {
+  uint64_t h = Fnv1a({});
+  for (const DeviceImage& dev : image.devices) {
+    for (const auto& [block, data] : dev.media) {
+      uint8_t key[8];
+      PutU64(key, 0, block);
+      h = Fnv1a(data, Fnv1a(key, h));
+    }
+    h = Fnv1a(dev.pmr, h);
+  }
+  return Fnv1a(image.nvm, h);
+}
+
+void WriteAndFsync(StorageStack& stack, const std::string& path, uint8_t fill) {
+  stack.Run([&] {
+    auto ino = stack.fs().Lookup(path);
+    if (!ino.ok()) {
+      ino = stack.fs().Create(path);
+    }
+    ASSERT_TRUE(ino.ok());
+    ASSERT_TRUE(stack.fs().Write(*ino, 0, Buffer(2 * kFsBlockSize, fill)).ok());
+    ASSERT_TRUE(stack.fs().Fsync(*ino).ok());
+  });
+}
+
+// A crash image shares its blocks with the live store until the store
+// overwrites them, and keeps its own bytes afterwards.
+TEST(CrashImageSharingTest, CaptureSharesBlocksUntilTheStackOverwritesThem) {
+  StorageStack stack(SmallConfig());
+  ASSERT_TRUE(stack.MkfsAndMount().ok());
+  WriteAndFsync(stack, "/a", 0x1A);
+  const CrashImage image = stack.CaptureCrashImage();
+  const uint64_t captured = ImageFingerprint(image);
+  {
+    const MediaStore::BlockMap live = stack.ssd().media().SnapshotDurable();
+    ASSERT_EQ(live.size(), image.media().size());
+    for (const auto& [block, data] : image.media()) {
+      EXPECT_TRUE(data.SharesBytesWith(live.at(block))) << "block " << block;
+    }
+  }
+  WriteAndFsync(stack, "/a", 0x2A);
+  WriteAndFsync(stack, "/b", 0x2B);
+  EXPECT_EQ(ImageFingerprint(image), captured);
+  const MediaStore::BlockMap live = stack.ssd().media().SnapshotDurable();
+  size_t rewritten = 0;
+  for (const auto& [block, data] : image.media()) {
+    rewritten += data.SharesBytesWith(live.at(block)) ? 0 : 1;
+  }
+  EXPECT_GT(rewritten, 0u);
+  EXPECT_LT(rewritten, image.media().size()) << "untouched blocks stay shared";
+}
+
+// A stack booted from an image writes into blocks of its own: the image
+// stays as captured, so it can boot any number of stacks (perfbench's
+// recoveries, the crash explorer's states).
+TEST(CrashImageSharingTest, BootedStackLeavesItsImageUnchanged) {
+  const StackConfig cfg = SmallConfig();
+  CrashImage image;
+  {
+    StorageStack stack(cfg);
+    ASSERT_TRUE(stack.MkfsAndMount().ok());
+    WriteAndFsync(stack, "/a", 0x1A);
+    image = stack.CaptureCrashImage();
+  }
+  const uint64_t captured = ImageFingerprint(image);
+  for (int boot = 0; boot < 2; ++boot) {
+    StorageStack booted(cfg, image);
+    ASSERT_TRUE(booted.MountExisting().ok());
+    WriteAndFsync(booted, "/a", 0x3A);
+    WriteAndFsync(booted, "/c", 0x3C);
+    ASSERT_TRUE(booted.Unmount().ok());
+    EXPECT_TRUE(booted.ssd().media().SnapshotDurable() != image.media());
+    EXPECT_EQ(ImageFingerprint(image), captured) << "boot " << boot;
+  }
+  StorageStack again(cfg, image);
+  ASSERT_TRUE(again.MountExisting().ok());
+  again.Run([&] {
+    auto ino = again.fs().Lookup("/a");
+    ASSERT_TRUE(ino.ok());
+    Buffer out(2 * kFsBlockSize);
+    ASSERT_TRUE(again.fs().Read(*ino, 0, out).ok());
+    EXPECT_EQ(out, Buffer(2 * kFsBlockSize, 0x1A));
+    EXPECT_FALSE(again.fs().Lookup("/c").ok());
+  });
 }
 
 TEST(ImageFileTest, BitmapCountsMatchTreeWalk) {

@@ -509,15 +509,14 @@ TEST(NvlogMonitorTest, SkippedFenceIsCaughtLive) {
 // blocks, so no two appenders' entries share a home block and a batch can
 // run up to the newest entry. mu_ does not cover an appender's barrier, so
 // that entry may not be covered yet; the drainers must leave it alone.
-// Checked at every home-block write they issue: the block's content is in an
-// entry of the durable log (what a cut right then keeps), at or below
-// durable_seq(). Fast NVM reads let a batch reach its last entry's monitor
-// check while that entry's 500 ns barrier would still be running, so the
-// monitor catches a drainer that claims unfenced entries.
-TEST(NvlogConcurrencyTest, EightAppendersNeverCheckpointAnUnfencedEntry) {
+// Checked two ways: the drain-order monitor checks each entry when its batch
+// is claimed, and every home-block write the drainers issue must carry
+// content from an entry of the durable log (what a cut right then keeps), at
+// or below durable_seq(). |load_line_ns| is the NVM read cost per line.
+void RunEightAppendersAgainstFourDrainers(uint64_t load_line_ns) {
   StackConfig cfg = NvlogStackConfig();
   cfg.num_queues = 4;
-  cfg.nvm.load_line_ns = 1;
+  cfg.nvm.load_line_ns = load_line_ns;
   cfg.fs.nvlog_drainers = 4;
   cfg.fs.nvlog_drain_delay_ns = 1'000;
   StorageStack stack(cfg);
@@ -577,6 +576,20 @@ TEST(NvlogConcurrencyTest, EightAppendersNeverCheckpointAnUnfencedEntry) {
   EXPECT_GT(checked, 0u) << "no batch was drained while appenders were active";
   EXPECT_EQ(metrics.monitors().violations(MonitorId::kNvlogDrainOrder), 0u);
   ASSERT_TRUE(stack.Unmount().ok());
+}
+
+// Fast NVM reads let a drainer issue a block's home write while the entry's
+// 500 ns barrier would still be running, so the write-time durable-log check
+// also catches a drainer that claims unfenced entries.
+TEST(NvlogConcurrencyTest, EightAppendersNeverCheckpointAnUnfencedEntry) {
+  RunEightAppendersAgainstFourDrainers(1);
+}
+
+// At the default read cost a drainer spends about 11 us reading back each
+// block of a batch, long enough for a barrier to cover every entry it
+// claimed; the monitor's claim-time check must still see an unfenced claim.
+TEST(NvlogConcurrencyTest, EightAppendersNeverCheckpointAnUnfencedEntryAtDefaultReadCost) {
+  RunEightAppendersAgainstFourDrainers(NvmConfig{}.load_line_ns);
 }
 
 // --- Crash images carry the NVM tier --------------------------------------

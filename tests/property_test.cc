@@ -38,11 +38,12 @@ TEST_P(MediaModelTest, MatchesOracleThroughPowerCuts) {
       const uint64_t seq = media.WriteCached(block * kFsBlockSize, data);
       current_model[block] = data;
       pending.emplace_back(seq, std::make_pair(block, data));
-    } else if (op < 7) {  // durable write
+    } else if (op < 7) {  // durable write: supersedes older cached copies
       Buffer data(kFsBlockSize, static_cast<uint8_t>(rng.Next()));
       media.WriteDurable(block * kFsBlockSize, data);
       current_model[block] = data;
       durable_model[block] = data;
+      std::erase_if(pending, [&](const auto& p) { return p.second.first == block; });
     } else if (op == 7) {  // flush
       media.Flush();
       for (auto& [seq, w] : pending) {

@@ -277,6 +277,45 @@ TEST(VolumeFsTest, MirroredFilesystemRoundTripsThroughCrashImage) {
   });
 }
 
+// Booting resyncs every mirror leg from leg 0's image, and the legs share
+// those blocks; a write to one leg must still leave the other leg (and the
+// image) with the bytes they had.
+TEST(VolumeFsTest, ResyncedMirrorLegsShareBlocksButNotWrites) {
+  StackConfig cfg = MirrorConfig(2);
+  cfg.fs.journal = JournalKind::kMultiQueue;
+  cfg.fs.journal_areas = 1;
+  cfg.fs.journal_blocks = 2048;
+  CrashImage image;
+  {
+    StorageStack stack(cfg);
+    ASSERT_TRUE(stack.MkfsAndMount().ok());
+    image = stack.CaptureCrashImage();
+  }
+  ASSERT_FALSE(image.devices[0].media.empty());
+  const auto& [block, blk] = *image.devices[0].media.begin();
+  const Buffer original(blk.data(), blk.data() + blk.size());
+  const Buffer data = PatternBlocks(1, 0x5D);
+  ASSERT_NE(original, data);
+
+  StorageStack after(cfg, image);
+  {
+    const MediaStore::BlockMap leg0 = after.ssd(0).media().SnapshotDurable();
+    const MediaStore::BlockMap leg1 = after.ssd(1).media().SnapshotDurable();
+    ASSERT_EQ(leg0.size(), leg1.size());
+    for (const auto& [lba, leg0_blk] : leg0) {
+      EXPECT_TRUE(leg0_blk.SharesBytesWith(leg1.at(lba))) << "block " << lba;
+    }
+  }
+  after.ssd(1).media().WriteDurable(block * kLbaSize, data);
+  Buffer out(kLbaSize);
+  after.ssd(1).media().ReadDurable(block * kLbaSize, out);
+  EXPECT_EQ(out, data);
+  after.ssd(0).media().ReadDurable(block * kLbaSize, out);
+  EXPECT_EQ(out, original) << "the write reached the other leg";
+  EXPECT_EQ(Buffer(blk.data(), blk.data() + blk.size()), original)
+      << "the write reached the image";
+}
+
 TEST(VolumeTxTest, UnfinishedCommitReleasesItsStateAtTeardown) {
   // A transaction cut off before it is durable must not keep the volume's
   // per-commit state (and the caller's on_durable) alive through a member

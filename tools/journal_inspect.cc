@@ -51,11 +51,11 @@ std::pair<size_t, uint64_t> Resolve(const CrashImage& image, const Geometry& geo
   return {stripe % n, (stripe / n) * geo.chunk + lba % geo.chunk};
 }
 
-Buffer ReadBlock(const CrashImage& image, const Geometry& geo, uint64_t lba) {
+MediaBlock ReadBlock(const CrashImage& image, const Geometry& geo, uint64_t lba) {
   const auto [dev, dev_lba] = Resolve(image, geo, lba);
   auto it = image.devices[dev].media.find(dev_lba);
   if (it == image.devices[dev].media.end()) {
-    return Buffer(kFsBlockSize, 0);
+    return MediaBlock(Buffer(kFsBlockSize, 0));
   }
   return it->second;
 }
@@ -93,7 +93,7 @@ void DumpArea(const CrashImage& image, const Geometry& geo, const FsLayout& layo
   bool first_record = true;
   auto next = [&](uint64_t p) { return p + 1 >= blocks ? 1 : p + 1; };
   for (;;) {
-    const Buffer raw = ReadBlock(image, geo, start + pos);
+    const MediaBlock raw = ReadBlock(image, geo, start + pos);
     auto type = PeekRecordType(raw);
     if (!type.ok()) {
       if (json == nullptr) {
@@ -149,7 +149,7 @@ void DumpArea(const CrashImage& image, const Geometry& geo, const FsLayout& layo
     std::ostringstream entries;
     bool first_entry = true;
     for (const JournalEntry& e : desc->entries) {
-      const Buffer content = ReadBlock(image, geo, start + p);
+      const MediaBlock content = ReadBlock(image, geo, start + p);
       const bool ok = Fnv1a(content) == e.content_checksum;
       if (!ok) {
         ++bad_entries;
@@ -250,7 +250,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "cannot load image: %s\n", image.status().ToString().c_str());
     return 1;
   }
-  const Buffer sb_raw = ReadBlock(*image, geo, 0);
+  const MediaBlock sb_raw = ReadBlock(*image, geo, 0);
   auto sb = Superblock::Parse(sb_raw);
   if (!sb.ok()) {
     std::fprintf(stderr, "bad superblock: %s\n", sb.status().ToString().c_str());
