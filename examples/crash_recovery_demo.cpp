@@ -67,8 +67,7 @@ int main() {
   const CrashImage image = stack.CaptureCrashImage();
 
   // The PMR survives the crash; a recovery pass reads the window from it.
-  Pmr recovered_pmr;
-  recovered_pmr.Write(0, image.pmr());
+  const Pmr recovered_pmr(image.pmr());
   PrintWindow(recovered_pmr, 1, depth);
   std::printf("\n  Recovery policy (ccNVMe -> upper layer): transactions in the\n");
   std::printf("  window are replayed only if their journal content validates\n");

@@ -475,9 +475,9 @@ CrashImage BuildCrashState(const CrashRecording& rec, const CrashPlan& plan,
     choice_of[{items[k].event_index, items[k].block}] = c;
   }
 
-  CrashImage image;
-  image.devices = rec.base.devices;
-  image.nvm = rec.base.nvm;
+  // The image shares its blocks and pages with rec.base; every write below
+  // gives this state its own copy of a block or page before changing it.
+  CrashImage image = rec.base;
 
   const size_t n = std::min(plan.crash_index, rec.events.size());
   for (size_t i = 0; i < n; ++i) {
@@ -520,8 +520,6 @@ CrashImage BuildCrashState(const CrashRecording& rec, const CrashPlan& plan,
         }
         const size_t begin = b * kFsBlockSize;
         const size_t end = std::min(begin + kFsBlockSize, ev.data.size());
-        // The image shares its blocks with rec.base: Assign and Mutable
-        // give this state its own copy of a block before changing it.
         MediaBlock& dst = image.devices[ev.device].media[ev.lba + b];
         const std::span<const uint8_t> src(ev.data);
         if (mask == ~0ull && end - begin == kFsBlockSize) {
@@ -529,7 +527,7 @@ CrashImage BuildCrashState(const CrashRecording& rec, const CrashPlan& plan,
           continue;
         }
         if (dst.size() != kFsBlockSize) {
-          dst = MediaBlock(Buffer(kFsBlockSize, 0));
+          dst = MediaBlock(kFsBlockSize);
         }
         const std::span<uint8_t> out = dst.Mutable();
         for (size_t s = 0; s * kSectorSize < end - begin; ++s) {
@@ -542,7 +540,7 @@ CrashImage BuildCrashState(const CrashRecording& rec, const CrashPlan& plan,
         }
       }
     } else if (ev.op == BioOp::kPmrWrite || ev.op == BioOp::kPmrDoorbell) {
-      Buffer& pmr = image.devices[ev.device].pmr;
+      PageImage& pmr = image.devices[ev.device].pmr;
       CCNVME_CHECK_LE(ev.lba + ev.data.size(), pmr.size())
           << "PMR store outside the recorded base image";
       if (ev.op == BioOp::kPmrWrite && state[i] == WState::kUncertain) {
@@ -560,7 +558,7 @@ CrashImage BuildCrashState(const CrashRecording& rec, const CrashPlan& plan,
           continue;
         }
       }
-      std::copy(ev.data.begin(), ev.data.end(), pmr.begin() + static_cast<long>(ev.lba));
+      pmr.Write(ev.lba, ev.data);
     }
   }
   return image;

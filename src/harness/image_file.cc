@@ -1,5 +1,6 @@
 #include "src/harness/image_file.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <span>
 
@@ -44,6 +45,14 @@ Status SaveImage(const CrashImage& image, const std::string& path) {
     PutU64(b, 0, v);
     put(b);
   };
+  // A page image's bytes, absent pages as zeros.
+  static const Buffer kZeroPage(PageImage::kPageSize, 0);
+  auto put_pages = [&](const PageImage& pages) {
+    for (size_t i = 0; i < pages.page_count(); ++i) {
+      const size_t len = std::min(PageImage::kPageSize, pages.size() - i * PageImage::kPageSize);
+      put({pages.page(i) ? pages.page(i).data() : kZeroPage.data(), len});
+    }
+  };
   put_u32(kImageMagic);
   put_u32(kImageVersion);
   put_u32(kFsBlockSize);
@@ -55,10 +64,10 @@ Status SaveImage(const CrashImage& image, const std::string& path) {
       put_u64(block);
       put(data);
     }
-    put(dev.pmr);
+    put_pages(dev.pmr);
   }
   put_u64(image.nvm.size());
-  put(image.nvm);
+  put_pages(image.nvm);
   put_u64(hash);
   if (std::fclose(f) != 0 || !ok) {
     return IoError("short write to " + path);
@@ -128,8 +137,7 @@ Result<CrashImage> LoadImage(const std::string& path) {
           block, MediaBlock(std::span<const uint8_t>(raw).subspan(off + 8, kFsBlockSize)));
       off += 8 + kFsBlockSize;
     }
-    image.devices[d].pmr.assign(raw.begin() + static_cast<long>(off),
-                                raw.begin() + static_cast<long>(off + pmr_size));
+    image.devices[d].pmr = PageImage(std::span<const uint8_t>(raw).subspan(off, pmr_size));
     off += pmr_size;
   }
   if (version >= 3) {
@@ -141,8 +149,7 @@ Result<CrashImage> LoadImage(const std::string& path) {
     if (nvm_size > payload_end - off) {
       return Corruption("image truncated in NVM payload");
     }
-    image.nvm.assign(raw.begin() + static_cast<long>(off),
-                     raw.begin() + static_cast<long>(off + nvm_size));
+    image.nvm = PageImage(std::span<const uint8_t>(raw).subspan(off, nvm_size));
     off += nvm_size;
   }
   if (off != payload_end) {

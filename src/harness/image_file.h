@@ -13,6 +13,9 @@
 //   then the PMR bytes
 //   then (v3) a u64 NVM size + the NVM tier's durable bytes
 //   finally a u64 FNV-1a checksum of everything before it
+//
+// The PMR and NVM bytes are written in full, absent pages as zeros; a
+// loaded image holds only their pages that are not all zero.
 #ifndef SRC_HARNESS_IMAGE_FILE_H_
 #define SRC_HARNESS_IMAGE_FILE_H_
 

@@ -62,7 +62,7 @@ void StorageStack::Build(const CrashImage* image) {
       ssds_[d]->media().LoadDurable(image->devices[d].media);
       // PMR contents survive power loss by design (§4.4).
       CCNVME_CHECK_EQ(image->devices[d].pmr.size(), controllers_[d]->pmr().size());
-      controllers_[d]->pmr().Write(0, image->devices[d].pmr);
+      controllers_[d]->pmr() = Pmr(image->devices[d].pmr);
     }
 
     NvmeDriverConfig drv_cfg;
@@ -209,8 +209,7 @@ CrashImage StorageStack::CaptureCrashImage() const {
   image.devices.resize(ssds_.size());
   for (size_t d = 0; d < ssds_.size(); ++d) {
     image.devices[d].media = ssds_[d]->media().SnapshotDurable();
-    image.devices[d].pmr.assign(controllers_[d]->pmr().bytes().begin(),
-                                controllers_[d]->pmr().bytes().end());
+    image.devices[d].pmr = controllers_[d]->pmr().image();
   }
   if (nvm_ != nullptr) {
     image.nvm = nvm_->durable_image();

@@ -54,28 +54,29 @@ struct StackConfig {
   KvSsdConfig kv;
 };
 
-// One member device's durable bytes: media durable view + PMR. The media
-// blocks are shared with the store they were captured from (and with every
-// stack booted from the image); the PMR is a copy.
+// One member device's durable bytes: media durable view + PMR.
 struct DeviceImage {
   MediaStore::BlockMap media;
-  Buffer pmr;
+  PageImage pmr;
 };
 
 // The durable bytes that survive a power cut, one entry per member device
-// (single-device stacks use devices[0] via the accessors).
+// (single-device stacks use devices[0] via the accessors). Every media
+// block and PMR and NVM page is shared with the stack it was captured from
+// and with every stack booted from the image, so copying an image copies
+// handles, not bytes.
 struct CrashImage {
   std::vector<DeviceImage> devices;
   // Durable view of the byte-addressable NVM tier; empty when the stack has
   // none. Like the PMR, NVM contents survive power loss by design — only
   // unfenced stores are at the crash explorer's mercy.
-  Buffer nvm;
+  PageImage nvm;
 
   CrashImage() : devices(1) {}
   MediaStore::BlockMap& media() { return devices[0].media; }
   const MediaStore::BlockMap& media() const { return devices[0].media; }
-  Buffer& pmr() { return devices[0].pmr; }
-  const Buffer& pmr() const { return devices[0].pmr; }
+  PageImage& pmr() { return devices[0].pmr; }
+  const PageImage& pmr() const { return devices[0].pmr; }
 };
 
 class StorageStack {

@@ -17,7 +17,7 @@ namespace ccnvme {
 NvLog::NvLog(Simulator* sim, NvmDevice* nvm) : sim_(sim), nvm_(nvm) {}
 
 NvLogScan NvLog::Init() {
-  if (GetU64(nvm_->live_image(), 0) != kNvLogMagic) {
+  if (nvm_->live_image().ReadU64(0) != kNvLogMagic) {
     // Fresh device: lay down the control block and an empty ring.
     nvm_->StoreU64(0, kNvLogMagic);
     nvm_->StoreU64(kNvLogHeadWordOffset, PackNvLogHead(0, 0));
@@ -25,8 +25,9 @@ NvLogScan NvLog::Init() {
     RingStore(0, zero);
     nvm_->FlushFence();
   }
-  // The shared offline scanner reads the image in place; the mount pays for
-  // the bytes it read (control block, head..tail), not the whole region.
+  // The shared offline scanner reads the live view's pages directly; the
+  // mount pays for the bytes it read (control block, head..tail), not the
+  // whole region.
   NvLogScan scan = ScanNvLogImage(nvm_->live_image());
   nvm_->ChargeLoad(scan.scanned_bytes);
   CCNVME_CHECK(scan.ctrl.valid) << "NVM log invalid after format: " << scan.stop_reason;
@@ -428,9 +429,9 @@ Status NvLogJournal::Recover() {
   ScopedSpan span(sim_->tracer(), TracePoint::kNvlogRecover);
   // Replays the tail NvLog::Init scanned (and paid for) at construction.
   // Nothing stores to the tier until recovery advances the head below, so
-  // the in-place view still holds the scanned payloads.
+  // the live view still holds the scanned payloads.
   const NvLogScan scan = std::exchange(mount_scan_, {});
-  const std::span<const uint8_t> snap = nvm_->live_image();
+  const PageImage& snap = nvm_->live_image();
   if (!scan.ctrl.valid || scan.tail.empty()) {
     return OkStatus();
   }

@@ -24,28 +24,28 @@ Buffer EncodeNvLogHeader(uint64_t seq, uint64_t tx_id, const std::vector<NvLogBl
   return header;
 }
 
-Buffer NvLogRingRead(std::span<const uint8_t> nvm, size_t off, size_t len) {
+Buffer NvLogRingRead(const PageImage& nvm, size_t off, size_t len) {
   const size_t ring = nvm.size() - kNvLogCtrlBytes;
   CCNVME_CHECK_LT(off, ring);
   CCNVME_CHECK_LE(len, ring);
   Buffer out(len);
   const size_t first = std::min(len, ring - off);
-  std::copy_n(nvm.begin() + static_cast<long>(kNvLogCtrlBytes + off), first, out.begin());
+  nvm.Read(kNvLogCtrlBytes + off, std::span<uint8_t>(out).first(first));
   if (first < len) {
-    std::copy_n(nvm.begin() + kNvLogCtrlBytes, len - first, out.begin() + static_cast<long>(first));
+    nvm.Read(kNvLogCtrlBytes, std::span<uint8_t>(out).subspan(first));
   }
   return out;
 }
 
-NvLogScan ScanNvLogImage(std::span<const uint8_t> nvm) {
+NvLogScan ScanNvLogImage(const PageImage& nvm) {
   NvLogScan scan;
   scan.scanned_bytes = std::min(nvm.size(), kNvLogCtrlBytes);
-  if (nvm.size() <= kNvLogCtrlBytes || GetU64(nvm, 0) != kNvLogMagic) {
+  if (nvm.size() <= kNvLogCtrlBytes || nvm.ReadU64(0) != kNvLogMagic) {
     scan.stop_reason = "no log (bad magic)";
     return scan;
   }
   const size_t ring = nvm.size() - kNvLogCtrlBytes;
-  const uint64_t head_word = GetU64(nvm, kNvLogHeadWordOffset);
+  const uint64_t head_word = nvm.ReadU64(kNvLogHeadWordOffset);
   scan.ctrl.valid = true;
   scan.ctrl.head_off = NvLogHeadOff(head_word);
   scan.ctrl.head_seq = NvLogHeadSeq(head_word);
@@ -116,7 +116,7 @@ NvLogScan ScanNvLogImage(std::span<const uint8_t> nvm) {
   return scan;
 }
 
-Buffer ReadNvLogPayload(std::span<const uint8_t> nvm, const NvLogEntryInfo& entry,
+Buffer ReadNvLogPayload(const PageImage& nvm, const NvLogEntryInfo& entry,
                         size_t block_index) {
   CCNVME_CHECK_LT(block_index, entry.home_lbas.size());
   const size_t ring = nvm.size() - kNvLogCtrlBytes;

@@ -25,7 +25,7 @@
 // zeroes the 8-byte magic slot just past the new tail so the scan always
 // terminates at the genuine end, never at a stale previous-lap entry.
 //
-// Everything here is pure byte manipulation over a raw image span: the
+// Everything here is pure byte manipulation over an NVM page image: the
 // online log (src/nvm/nvlog.h), mount-time recovery, tools/nvlog_inspect
 // and the crash tests all share this one scanner.
 #ifndef SRC_NVM_NVLOG_FORMAT_H_
@@ -38,6 +38,7 @@
 
 #include "src/common/bytes.h"
 #include "src/common/logging.h"
+#include "src/ssd/media.h"
 #include "src/vfs/types.h"
 
 namespace ccnvme {
@@ -75,7 +76,7 @@ constexpr uint32_t NvLogHeadOff(uint64_t word) { return static_cast<uint32_t>(wo
 
 // Wrap-aware ring read of [off, off+len) into a fresh buffer. |off| is
 // ring-relative (0 = first ring byte).
-Buffer NvLogRingRead(std::span<const uint8_t> nvm, size_t off, size_t len);
+Buffer NvLogRingRead(const PageImage& nvm, size_t off, size_t len);
 
 struct NvLogControl {
   bool valid = false;  // log magic present
@@ -102,13 +103,13 @@ struct NvLogScan {
   size_t scanned_bytes = 0;
 };
 
-// Scans the undrained tail of a raw NVM image: parses the control block,
+// Scans the undrained tail of an NVM image: parses the control block,
 // then walks consecutive-seq entries from the drain frontier, validating
 // header and payload checksums, stopping at the first invalid entry.
-NvLogScan ScanNvLogImage(std::span<const uint8_t> nvm);
+NvLogScan ScanNvLogImage(const PageImage& nvm);
 
 // Extracts payload block |block_index| of a scanned entry.
-Buffer ReadNvLogPayload(std::span<const uint8_t> nvm, const NvLogEntryInfo& entry,
+Buffer ReadNvLogPayload(const PageImage& nvm, const NvLogEntryInfo& entry,
                         size_t block_index);
 
 }  // namespace ccnvme

@@ -1,7 +1,7 @@
 #include "src/nvm/nvm_device.h"
 
 #include <algorithm>
-#include <cstring>
+#include <utility>
 
 #include "src/common/logging.h"
 
@@ -14,36 +14,31 @@ uint64_t Lines(size_t bytes) { return (bytes + kNvmLineSize - 1) / kNvmLineSize;
 }  // namespace
 
 NvmDevice::NvmDevice(Simulator* sim, const NvmConfig& config)
-    : sim_(sim),
-      config_(config),
-      image_(static_cast<uint8_t*>(std::calloc(config.size_bytes, 1))),
-      size_(config.size_bytes) {
-  CCNVME_CHECK(image_ != nullptr) << "cannot allocate the NVM image";
-}
+    : sim_(sim), config_(config), live_(config.size_bytes), durable_(config.size_bytes) {}
 
-NvmDevice::NvmDevice(Simulator* sim, const NvmConfig& config, const Buffer& image)
-    : sim_(sim),
-      config_(config),
-      image_(static_cast<uint8_t*>(std::malloc(image.size()))),
-      size_(image.size()) {
+NvmDevice::NvmDevice(Simulator* sim, const NvmConfig& config, const PageImage& image)
+    : sim_(sim), config_(config), live_(image), durable_(image) {
   CCNVME_CHECK_EQ(image.size(), config.size_bytes)
       << "NVM image size does not match the configured device size";
-  CCNVME_CHECK(image_ != nullptr) << "cannot allocate the NVM image";
-  std::memcpy(image_.get(), image.data(), size_);
 }
 
 void NvmDevice::Store(size_t offset, std::span<const uint8_t> data) {
-  CCNVME_CHECK_LE(offset + data.size(), size_);
+  CCNVME_CHECK_LE(offset + data.size(), size());
   // Chunked so every recorded event's payload fits one 64-bit torn-word
   // mask; the chunks of one Store are independent stores to the crash model
   // (cache lines evict independently anyway).
   size_t pos = 0;
   while (pos < data.size()) {
     const size_t len = std::min(kNvmStoreChunk, data.size() - pos);
-    uint8_t* dst = image_.get() + offset + pos;
-    overwritten_.insert(overwritten_.end(), dst, dst + len);
-    std::memcpy(dst, data.data() + pos, len);
-    pending_.push_back(Range{offset + pos, len});
+    const size_t first_page = (offset + pos) / PageImage::kPageSize;
+    const size_t last_page = (offset + pos + len - 1) / PageImage::kPageSize;
+    for (size_t p = first_page; p <= last_page; ++p) {
+      if (live_.SamePage(durable_, p)) {
+        dirty_pages_.push_back(p);  // first store to the page since the fence
+      }
+    }
+    live_.Write(offset + pos, data.subspan(pos, len));
+    pending_stores_++;
     if (recorder_) {
       BioEvent ev;
       ev.op = BioOp::kNvmWrite;
@@ -66,13 +61,12 @@ void NvmDevice::StoreU64(size_t offset, uint64_t v) {
 }
 
 void NvmDevice::Load(size_t offset, std::span<uint8_t> out) {
-  CCNVME_CHECK_LE(offset + out.size(), size_);
-  std::memcpy(out.data(), image_.get() + offset, out.size());
+  live_.Read(offset, out);
   ChargeLoad(out.size());
 }
 
 void NvmDevice::ChargeLoad(size_t len) {
-  CCNVME_CHECK_LE(len, size_);
+  CCNVME_CHECK_LE(len, size());
   Simulator::Sleep(Lines(len) * config_.load_line_ns);
 }
 
@@ -83,9 +77,11 @@ uint64_t NvmDevice::LoadU64(size_t offset) {
 }
 
 size_t NvmDevice::FlushFence() {
-  const size_t flushed = pending_.size();
-  pending_.clear();
-  overwritten_.clear();
+  for (size_t p : dirty_pages_) {
+    durable_.SharePage(live_, p);
+  }
+  dirty_pages_.clear();
+  const size_t flushed = std::exchange(pending_stores_, 0);
   if (recorder_) {
     BioEvent ev;
     ev.op = BioOp::kNvmFence;
@@ -96,30 +92,26 @@ size_t NvmDevice::FlushFence() {
   return flushed;
 }
 
-Buffer NvmDevice::durable_image() const {
-  Buffer durable(image_.get(), image_.get() + size_);
-  // Newest first, so a byte stored twice since the fence ends up with what
-  // it held at the fence.
-  size_t end = overwritten_.size();
-  for (auto r = pending_.rbegin(); r != pending_.rend(); ++r) {
-    end -= r->len;
-    std::memcpy(durable.data() + r->offset, overwritten_.data() + end, r->len);
-  }
-  return durable;
-}
-
-void NvmApplyTornWords(Buffer& image, size_t offset, std::span<const uint8_t> data,
+void NvmApplyTornWords(PageImage& image, size_t offset, std::span<const uint8_t> data,
                        uint64_t word_mask) {
   CCNVME_CHECK_LE(offset + data.size(), image.size());
   const size_t words = (data.size() + kNvmWordSize - 1) / kNvmWordSize;
   CCNVME_CHECK_LE(words, 64u);
-  for (size_t w = 0; w < words; ++w) {
+  // One write per run of surviving words.
+  size_t w = 0;
+  while (w < words) {
     if (((word_mask >> w) & 1) == 0) {
+      ++w;
       continue;
     }
+    size_t end_word = w + 1;
+    while (end_word < words && ((word_mask >> end_word) & 1) != 0) {
+      ++end_word;
+    }
     const size_t begin = w * kNvmWordSize;
-    const size_t end = std::min(begin + kNvmWordSize, data.size());
-    std::memcpy(image.data() + offset + begin, data.data() + begin, end - begin);
+    const size_t end = std::min(end_word * kNvmWordSize, data.size());
+    image.Write(offset + begin, data.subspan(begin, end - begin));
+    w = end_word;
   }
 }
 

@@ -12,11 +12,14 @@
 //   * durable — what a power cut right now is GUARANTEED to leave behind
 //               (the live view as of the last FlushFence).
 //
-// Only the live view is held in full. For each store not yet fenced the
-// device also keeps the bytes that store overwrote; a fence drops them, and
-// the durable view is rebuilt on demand by putting them back, newest first.
-// Between fences that undo log is as large as the stores themselves, so the
-// tier costs one image of host memory, not two.
+// Both views are PageImages (src/ssd/media.h): sparse tables of
+// copy-on-write 4 KB pages, where a page never stored to holds no memory
+// and reads as zeros. The durable view shares every page not stored to
+// since the last FlushFence with the live view; the first store to a page
+// after a fence copies it, and the fence shares the stored pages back. So
+// the tier costs the pages it holds plus the pre-fence copies of the pages
+// stored since the last fence, and a crash image or a stack booted from one
+// shares pages instead of copying the region.
 //
 // Every store and barrier is reported to the crash-test recorder as
 // kNvmWrite / kNvmFence events, so src/crashtest can enumerate the torn
@@ -26,14 +29,13 @@
 #define SRC_NVM_NVM_DEVICE_H_
 
 #include <cstdint>
-#include <cstdlib>
-#include <memory>
 #include <span>
 #include <vector>
 
 #include "src/block/bio_event.h"
 #include "src/common/bytes.h"
 #include "src/sim/simulator.h"
+#include "src/ssd/media.h"
 
 namespace ccnvme {
 
@@ -60,10 +62,11 @@ class NvmDevice {
  public:
   NvmDevice(Simulator* sim, const NvmConfig& config);
   // Boots from a surviving persistent image (post power cut): both views
-  // start as |image| (everything that survived is durable by definition).
-  NvmDevice(Simulator* sim, const NvmConfig& config, const Buffer& image);
+  // share |image|'s pages (everything that survived is durable by
+  // definition).
+  NvmDevice(Simulator* sim, const NvmConfig& config, const PageImage& image);
 
-  size_t size() const { return size_; }
+  size_t size() const { return live_.size(); }
   const NvmConfig& config() const { return config_; }
 
   // CPU store: visible to loads immediately, crash-durable only after the
@@ -75,8 +78,8 @@ class NvmDevice {
   // CPU load from the live view. Charges load cost in virtual time.
   void Load(size_t offset, std::span<uint8_t> out);
   uint64_t LoadU64(size_t offset);
-  // Charges what a Load of |len| bytes charges, for bytes the caller read in
-  // place through live_image() instead of copying them (a mount-time scan).
+  // Charges what a Load of |len| bytes charges, for bytes the caller read
+  // through live_image() instead of Load (a mount-time scan).
   void ChargeLoad(size_t len);
 
   // clwb of every line dirtied since the last barrier + sfence: makes every
@@ -86,14 +89,14 @@ class NvmDevice {
 
   // The crash-conservative persistent image: bytes a power cut right now is
   // guaranteed to preserve. Unfenced stores are NOT included — the crash
-  // explorer chooses their fate per 8-byte word itself. Built on each call
-  // (a full-size copy), so take it at a cut, not on a hot path.
-  Buffer durable_image() const;
+  // explorer chooses their fate per 8-byte word itself. Copying it copies
+  // page handles, not bytes.
+  const PageImage& durable_image() const { return durable_; }
   // The live view (what loads see), uncharged. It shows later stores, so
   // read it before storing again. Never used to build crash states.
-  std::span<const uint8_t> live_image() const { return {image_.get(), size_}; }
+  const PageImage& live_image() const { return live_; }
 
-  bool has_pending_stores() const { return !pending_.empty(); }
+  bool has_pending_stores() const { return pending_stores_ != 0; }
 
   void set_recorder(BioRecorder recorder) { recorder_ = std::move(recorder); }
 
@@ -105,34 +108,25 @@ class NvmDevice {
   NvmDevice& operator=(const NvmDevice&) = delete;
 
  private:
-  struct Range {
-    size_t offset;
-    size_t len;
-  };
-
-  struct Free {
-    void operator()(uint8_t* p) const { std::free(p); }
-  };
-
   Simulator* sim_;
   NvmConfig config_;
-  // The live view. A fresh device takes it zeroed from calloc, so pages the
-  // log never touches cost neither host memory nor a fill at every build.
-  std::unique_ptr<uint8_t[], Free> image_;
-  size_t size_;
-  std::vector<Range> pending_;  // stored-but-unfenced byte ranges, oldest first
-  Buffer overwritten_;          // what each pending range held before, in order
+  PageImage live_;
+  PageImage durable_;
+  // Pages stored to since the last fence: the ones live_ and durable_ no
+  // longer share.
+  std::vector<size_t> dirty_pages_;
+  size_t pending_stores_ = 0;  // stored-but-unfenced chunks
   BioRecorder recorder_;
   uint64_t stores_ = 0;
   uint64_t fences_ = 0;
 };
 
-// Applies a TORN store to a raw NVM or PMR image: only the 8-byte words of
+// Applies a TORN store to an NVM or PMR image: only the 8-byte words of
 // |data| selected by |word_mask| (bit w covers bytes [8w, 8w+8) of |data|,
 // clipped to its size) land at |offset|; the rest keep their previous
 // contents. Used by the crash-state builder for unfenced kNvmWrite events
 // and torn write-combined kPmrWrite events.
-void NvmApplyTornWords(Buffer& image, size_t offset, std::span<const uint8_t> data,
+void NvmApplyTornWords(PageImage& image, size_t offset, std::span<const uint8_t> data,
                        uint64_t word_mask);
 
 }  // namespace ccnvme

@@ -1,5 +1,6 @@
 #include "src/ssd/media.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <new>
@@ -27,6 +28,10 @@ struct MediaBlock::Rep {
 
 MediaBlock::MediaBlock(std::span<const uint8_t> bytes) : rep_(Rep::New(bytes.size())) {
   std::memcpy(rep_->bytes(), bytes.data(), bytes.size());
+}
+
+MediaBlock::MediaBlock(size_t size) : rep_(Rep::New(size)) {
+  std::memset(rep_->bytes(), 0, size);
 }
 
 MediaBlock::MediaBlock(const MediaBlock& other) noexcept : rep_(other.rep_) {
@@ -76,6 +81,77 @@ bool operator==(const MediaBlock& a, const MediaBlock& b) {
   }
   return a.size() == b.size() &&
          (a.size() == 0 || std::memcmp(a.data(), b.data(), a.size()) == 0);
+}
+
+PageImage::PageImage(size_t size)
+    : size_(size), pages_((size + kPageSize - 1) / kPageSize) {}
+
+PageImage::PageImage(std::span<const uint8_t> bytes) : PageImage(bytes.size()) {
+  for (size_t off = 0; off < size_; off += kPageSize) {
+    const std::span<const uint8_t> page = bytes.subspan(off, std::min(kPageSize, size_ - off));
+    if (std::any_of(page.begin(), page.end(), [](uint8_t b) { return b != 0; })) {
+      Write(off, page);
+    }
+  }
+}
+
+size_t PageImage::pages_held() const {
+  return static_cast<size_t>(
+      std::count_if(pages_.begin(), pages_.end(), [](const MediaBlock& p) { return bool(p); }));
+}
+
+void PageImage::Write(size_t offset, std::span<const uint8_t> data) {
+  CCNVME_CHECK_LE(offset, size_) << "page image write out of range";
+  CCNVME_CHECK_LE(data.size(), size_ - offset) << "page image write out of range";
+  for (size_t pos = 0; pos < data.size();) {
+    const size_t at = offset + pos;
+    const size_t in_page = at % kPageSize;
+    const size_t len = std::min(kPageSize - in_page, data.size() - pos);
+    MediaBlock& page = pages_[at / kPageSize];
+    if (len == kPageSize) {
+      page.Assign(data.subspan(pos, len));
+    } else {
+      if (!page) {
+        page = MediaBlock(kPageSize);
+      }
+      std::memcpy(page.Mutable().data() + in_page, data.data() + pos, len);
+    }
+    pos += len;
+  }
+}
+
+void PageImage::Read(size_t offset, std::span<uint8_t> out) const {
+  CCNVME_CHECK_LE(offset, size_) << "page image read out of range";
+  CCNVME_CHECK_LE(out.size(), size_ - offset) << "page image read out of range";
+  for (size_t pos = 0; pos < out.size();) {
+    const size_t at = offset + pos;
+    const size_t in_page = at % kPageSize;
+    const size_t len = std::min(kPageSize - in_page, out.size() - pos);
+    const MediaBlock& page = pages_[at / kPageSize];
+    if (page) {
+      std::memcpy(out.data() + pos, page.data() + in_page, len);
+    } else {
+      std::memset(out.data() + pos, 0, len);
+    }
+    pos += len;
+  }
+}
+
+uint64_t PageImage::ReadU64(size_t offset) const {
+  uint8_t b[8];
+  Read(offset, b);
+  return GetU64(b, 0);
+}
+
+bool PageImage::SamePage(const PageImage& other, size_t index) const {
+  const MediaBlock& a = pages_[index];
+  const MediaBlock& b = other.pages_[index];
+  return a.SharesBytesWith(b) || (!a && !b);
+}
+
+void PageImage::SharePage(const PageImage& other, size_t index) {
+  CCNVME_CHECK_EQ(size_, other.size_);
+  pages_[index] = other.pages_[index];
 }
 
 MediaStore::MediaStore(uint64_t capacity_bytes, uint32_t block_size)

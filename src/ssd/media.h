@@ -14,6 +14,10 @@
 // crash states) share blocks with the store instead of copying them; a
 // write to a shared block replaces the store's reference with a fresh
 // block, so every snapshot keeps the bytes it captured.
+//
+// The byte-addressable persistent stores — the controller's PMR and the NVM
+// tier — are PageImages: sparse tables of the same copy-on-write blocks,
+// shared the same way.
 #ifndef SRC_SSD_MEDIA_H_
 #define SRC_SSD_MEDIA_H_
 
@@ -38,6 +42,8 @@ class MediaBlock {
   MediaBlock() = default;
   // A new block holding a copy of |bytes|.
   explicit MediaBlock(std::span<const uint8_t> bytes);
+  // A new block of |size| zero bytes.
+  explicit MediaBlock(size_t size);
 
   MediaBlock(const MediaBlock& other) noexcept;
   MediaBlock(MediaBlock&& other) noexcept;
@@ -68,6 +74,44 @@ class MediaBlock {
   Rep* rep_ = nullptr;
 };
 
+// A byte image of fixed size held as a sparse table of kPageSize-byte
+// MediaBlocks: a page never written is absent and reads as zeros. Copying
+// an image copies page handles, not bytes; a write copies a shared page
+// first, so every copy keeps the bytes it had. Every page block is
+// kPageSize bytes, also the last one of an image whose size is not a
+// multiple of it; bytes past size() are never read or written.
+class PageImage {
+ public:
+  static constexpr size_t kPageSize = 4096;
+
+  PageImage() = default;
+  // |size| zero bytes, holding no page.
+  explicit PageImage(size_t size);
+  // A copy of |bytes| holding only its pages that are not all zero.
+  explicit PageImage(std::span<const uint8_t> bytes);
+
+  size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  size_t page_count() const { return pages_.size(); }
+  // Pages held (written at least once); the others read as zeros.
+  size_t pages_held() const;
+
+  void Write(size_t offset, std::span<const uint8_t> data);
+  void Read(size_t offset, std::span<uint8_t> out) const;
+  uint64_t ReadU64(size_t offset) const;
+
+  // Page |index|, or an empty handle when it is absent.
+  const MediaBlock& page(size_t index) const { return pages_[index]; }
+  // True when page |index| is one block in both images, or absent from both.
+  bool SamePage(const PageImage& other, size_t index) const;
+  // Makes page |index| share |other|'s (an image of the same size).
+  void SharePage(const PageImage& other, size_t index);
+
+ private:
+  size_t size_ = 0;
+  std::vector<MediaBlock> pages_;
+};
+
 class MediaStore {
  public:
   MediaStore(uint64_t capacity_bytes, uint32_t block_size = 4096);
@@ -95,7 +139,6 @@ class MediaStore {
   // Power loss: applies pending writes whose seq is in |survivors| (in seq
   // order) to the durable view and drops the rest.
   void PowerCut(const std::set<uint64_t>& survivors);
-  void PowerCutLoseAll() { PowerCut({}); }
 
   bool has_pending() const { return !pending_.empty(); }
 

@@ -118,18 +118,6 @@ void SsdModel::MediaFlush() {
   media_.Flush();
 }
 
-void SsdModel::PowerCut(const std::set<uint64_t>* survivors) {
-  if (config_.power_loss_protection) {
-    media_.Flush();
-    return;
-  }
-  if (survivors == nullptr) {
-    media_.PowerCutLoseAll();
-  } else {
-    media_.PowerCut(*survivors);
-  }
-}
-
 void SsdModel::ResetStats() {
   reads_served_ = 0;
   writes_served_ = 0;

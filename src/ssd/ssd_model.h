@@ -74,11 +74,6 @@ class SsdModel {
   void InjectWriteErrors(int count) { write_errors_ = count; }
   void InjectReadErrors(int count) { read_errors_ = count; }
 
-  // Simulated power loss: pending cached writes survive only under PLP.
-  // With a volatile cache, |survivors| selects which pending writes made it
-  // out (crash tests drive this); pass nullptr to lose all of them.
-  void PowerCut(const std::set<uint64_t>* survivors);
-
   MediaStore& media() { return media_; }
   const SsdConfig& config() const { return config_; }
 

@@ -271,6 +271,13 @@ TEST(CrashStreamPinTest, NvlogTier) {
 
 // --- Crash states share the base image's blocks ------------------------------
 
+// FNV-1a of a page image's bytes, absent pages as zeros.
+uint64_t PagesFnv(const PageImage& image, uint64_t h) {
+  Buffer bytes(image.size());
+  image.Read(0, bytes);
+  return Fnv1a(bytes, h);
+}
+
 uint64_t ImageFingerprint(const CrashImage& image) {
   uint64_t h = Fnv1a({});
   for (const DeviceImage& dev : image.devices) {
@@ -279,9 +286,9 @@ uint64_t ImageFingerprint(const CrashImage& image) {
       PutU64(key, 0, block);
       h = Fnv1a(data, Fnv1a(key, h));
     }
-    h = Fnv1a(dev.pmr, h);
+    h = PagesFnv(dev.pmr, h);
   }
-  return Fnv1a(image.nvm, h);
+  return PagesFnv(image.nvm, h);
 }
 
 // Every state of a boundary is built from the one base image, whose blocks
@@ -329,6 +336,143 @@ TEST(CrashStateSharingTest, BuildingEveryPlanOfATornBoundaryLeavesTheBaseUnchang
     return;
   }
   FAIL() << "no boundary tears a media write";
+}
+
+// Gives the recording's base a page (of 0xB5 bytes) under every NVM or PMR
+// byte the recording stores to, so each store a crash state applies lands
+// on a page the state shares with the base.
+void GiveBasePagesUnderEveryStore(CrashRecording& rec) {
+  const Buffer fill(PageImage::kPageSize, 0xB5);
+  for (const BioEvent& ev : rec.events) {
+    PageImage* pages = nullptr;
+    if (ev.op == BioOp::kNvmWrite) {
+      pages = &rec.base.nvm;
+    } else if (ev.op == BioOp::kPmrWrite || ev.op == BioOp::kPmrDoorbell) {
+      pages = &rec.base.devices[ev.device].pmr;
+    }
+    if (pages == nullptr || ev.data.empty()) {
+      continue;
+    }
+    for (size_t p = ev.lba / PageImage::kPageSize;
+         p <= (ev.lba + ev.data.size() - 1) / PageImage::kPageSize; ++p) {
+      if (!pages->page(p)) {
+        const size_t at = p * PageImage::kPageSize;
+        pages->Write(at, std::span<const uint8_t>(fill).first(
+                             std::min(fill.size(), pages->size() - at)));
+      }
+    }
+  }
+}
+
+// Cuts the recording right after each store |selects| (inside its unfenced
+// window, so the store is uncertain there), builds every plan of each such
+// cut whose plans tear the store, and checks that the recording's base keeps
+// its bytes. Returns how many cuts it built; |shared| counts the NVM and PMR
+// pages the states still shared with the base.
+size_t BuildEveryPlanOfEachTornStore(const CrashRecording& rec,
+                                     const std::function<bool(const BioEvent&)>& selects,
+                                     size_t* shared) {
+  const uint64_t base = ImageFingerprint(rec.base);
+  const ExplorerOptions options;
+  size_t built = 0;
+  *shared = 0;
+  for (size_t i = 0; i < rec.events.size(); ++i) {
+    if (!selects(rec.events[i])) {
+      continue;
+    }
+    const std::vector<UncertainItem> items = CollectUncertain(rec, i + 1);
+    const BoundaryPlans cut = PlansForBoundary(rec, i + 1, options);
+    const auto tears = [&](const CrashPlan& plan) {
+      for (size_t k = 0; k < plan.choices.size(); ++k) {
+        if (items[k].event_index == i && plan.choices[k] >= kChoiceTornBase) {
+          return true;
+        }
+      }
+      return false;
+    };
+    if (std::none_of(cut.plans.begin(), cut.plans.end(), tears)) {
+      continue;
+    }
+    for (const CrashPlan& plan : cut.plans) {
+      const CrashImage state = BuildCrashState(rec, plan, options.seed);
+      for (size_t p = 0; p < state.nvm.page_count(); ++p) {
+        *shared += state.nvm.page(p) && state.nvm.SamePage(rec.base.nvm, p) ? 1 : 0;
+      }
+      for (size_t d = 0; d < state.devices.size(); ++d) {
+        const PageImage& pmr = state.devices[d].pmr;
+        for (size_t p = 0; p < pmr.page_count(); ++p) {
+          *shared += pmr.page(p) && pmr.SamePage(rec.base.devices[d].pmr, p) ? 1 : 0;
+        }
+      }
+    }
+    built++;
+  }
+  EXPECT_EQ(ImageFingerprint(rec.base), base);
+  return built;
+}
+
+TEST(CrashStateSharingTest, BuildingEveryPlanOfATornNvmStoreLeavesTheBaseUnchanged) {
+  StackConfig cfg;
+  cfg.num_queues = 2;
+  cfg.enable_ccnvme = false;
+  cfg.fs.journal = JournalKind::kNvlog;
+  cfg.nvm.size_bytes = 1 << 20;
+  CrashRecording rec = RecordNamed(cfg, "nvlog_overwrite_churn");
+  GiveBasePagesUnderEveryStore(rec);
+  size_t shared = 0;
+  EXPECT_GT(BuildEveryPlanOfEachTornStore(
+                rec, [](const BioEvent& ev) { return ev.op == BioOp::kNvmWrite; }, &shared),
+            0u)
+      << "no cut tears an NVM store";
+  EXPECT_GT(shared, 0u) << "states copied pages no event wrote";
+}
+
+TEST(CrashStateSharingTest, BuildingEveryPlanOfATornPsqStoreLeavesTheBaseUnchanged) {
+  CrashRecording rec = RecordNamed(MqfsConfig(), "create_delete");
+  GiveBasePagesUnderEveryStore(rec);
+  size_t shared = 0;
+  EXPECT_GT(BuildEveryPlanOfEachTornStore(rec,
+                                          [](const BioEvent& ev) {
+                                            return ev.op == BioOp::kPmrWrite &&
+                                                   (ev.flags & kBioPmrWc) != 0;
+                                          },
+                                          &shared),
+            0u)
+      << "no cut tears a P-SQ store";
+  EXPECT_GT(shared, 0u) << "states copied pages no event wrote";
+}
+
+// KV Stores stage sub-page values in PMR staging frames with WC stores, so
+// a cut before the next fence tears them.
+TEST(CrashStateSharingTest, BuildingEveryPlanOfATornStagingFrameStoreLeavesTheBaseUnchanged) {
+  StackConfig cfg;
+  cfg.num_queues = 2;
+  cfg.enable_ccnvme = false;
+  cfg.kv.enabled = true;
+  cfg.kv.dir_slots = 32;
+  cfg.kv.shadow_slots = 4;
+  cfg.kv.flash_pages = 32;
+  cfg.kv.pages_per_block = 8;
+  cfg.kv.total_lpns = 32;
+  cfg.kv.map_cache_segments = 1;
+  cfg.kv.gc_free_blocks_low = 2;
+  cfg.kv.max_value_bytes = 8 * 4096;
+  CrashRecording rec = RecordNamed(cfg, "kv_packed_churn");
+  const KvPmrLayout layout =
+      KvPmrLayout::From(cfg.kv.dir_slots, cfg.kv.shadow_slots, cfg.kv.total_lpns,
+                        cfg.kv.map_entries_per_segment, rec.base.pmr().size());
+  GiveBasePagesUnderEveryStore(rec);
+  size_t shared = 0;
+  EXPECT_GT(BuildEveryPlanOfEachTornStore(
+                rec,
+                [&](const BioEvent& ev) {
+                  return ev.op == BioOp::kPmrWrite && ev.lba >= layout.frame_off &&
+                         ev.lba < layout.dir_off;
+                },
+                &shared),
+            0u)
+      << "no cut tears a staging-frame store";
+  EXPECT_GT(shared, 0u) << "states copied pages no event wrote";
 }
 
 }  // namespace

@@ -6,9 +6,17 @@
 #include <gtest/gtest.h>
 
 #include "src/harness/image_file.h"
+#include "src/nvm/nvlog_format.h"
 
 namespace ccnvme {
 namespace {
+
+// A page image's bytes, absent pages as zeros.
+Buffer Bytes(const PageImage& image) {
+  Buffer bytes(image.size());
+  image.Read(0, bytes);
+  return bytes;
+}
 
 std::string TempPath(const char* name) {
   return std::string("/tmp/ccnvme_test_") + name + ".img";
@@ -27,7 +35,7 @@ TEST(ImageFileTest, SaveLoadRoundTrip) {
   CrashImage image;
   image.media()[7] = MediaBlock(Buffer(kFsBlockSize, 0xAB));
   image.media()[100] = MediaBlock(Buffer(kFsBlockSize, 0xCD));
-  image.pmr() = Buffer(2 * 1024 * 1024, 0x11);
+  image.pmr() = PageImage(Buffer(2 * 1024 * 1024, 0x11));
   const std::string path = TempPath("roundtrip");
   ASSERT_TRUE(SaveImage(image, path).ok());
   auto loaded = LoadImage(path);
@@ -35,14 +43,14 @@ TEST(ImageFileTest, SaveLoadRoundTrip) {
   EXPECT_EQ(loaded->media().size(), 2u);
   EXPECT_EQ(loaded->media()[7], image.media()[7]);
   EXPECT_EQ(loaded->media()[100], image.media()[100]);
-  EXPECT_EQ(loaded->pmr(), image.pmr());
+  EXPECT_EQ(Bytes(loaded->pmr()), Bytes(image.pmr()));
   std::remove(path.c_str());
 }
 
 TEST(ImageFileTest, CorruptionDetected) {
   CrashImage image;
   image.media()[1] = MediaBlock(Buffer(kFsBlockSize, 0x77));
-  image.pmr() = Buffer(1024, 0);
+  image.pmr() = PageImage(1024);
   const std::string path = TempPath("corrupt");
   ASSERT_TRUE(SaveImage(image, path).ok());
   // Flip a byte in the middle.
@@ -94,6 +102,8 @@ TEST(ImageFileTest, CrashImageArchiveWorkflow) {
   std::remove(path.c_str());
 }
 
+uint64_t PagesFnv(const PageImage& image, uint64_t h) { return Fnv1a(Bytes(image), h); }
+
 // FNV-1a over every media block (index and bytes) and the PMR of each
 // device, then the NVM image.
 uint64_t ImageFingerprint(const CrashImage& image) {
@@ -104,9 +114,9 @@ uint64_t ImageFingerprint(const CrashImage& image) {
       PutU64(key, 0, block);
       h = Fnv1a(data, Fnv1a(key, h));
     }
-    h = Fnv1a(dev.pmr, h);
+    h = PagesFnv(dev.pmr, h);
   }
-  return Fnv1a(image.nvm, h);
+  return PagesFnv(image.nvm, h);
 }
 
 void WriteAndFsync(StorageStack& stack, const std::string& path, uint8_t fill) {
@@ -180,6 +190,206 @@ TEST(CrashImageSharingTest, BootedStackLeavesItsImageUnchanged) {
     EXPECT_EQ(out, Buffer(2 * kFsBlockSize, 0x1A));
     EXPECT_FALSE(again.fs().Lookup("/c").ok());
   });
+}
+
+StackConfig NvlogConfig() {
+  StackConfig cfg;
+  cfg.num_queues = 2;
+  cfg.enable_ccnvme = false;
+  cfg.fs.journal = JournalKind::kNvlog;
+  cfg.nvm.size_bytes = 1 << 20;
+  return cfg;
+}
+
+StackConfig KvConfig() {
+  StackConfig cfg;
+  cfg.num_queues = 1;
+  cfg.enable_ccnvme = false;
+  cfg.kv.enabled = true;
+  return cfg;
+}
+
+// Pages |a| holds that are not the same block in |b|.
+size_t PagesNotShared(const PageImage& a, const PageImage& b) {
+  size_t n = 0;
+  for (size_t p = 0; p < a.page_count(); ++p) {
+    n += a.page(p) && !a.SamePage(b, p) ? 1 : 0;
+  }
+  return n;
+}
+
+// The NVM tier's pages are shared like media blocks: a capture copies page
+// handles, the tier's next store to a captured page copies that page first,
+// and a store not yet fenced stays out of the capture.
+TEST(CrashImageSharingTest, CaptureSharesNvmPagesUntilTheTierStoresToThem) {
+  StorageStack stack(NvlogConfig());
+  ASSERT_TRUE(stack.MkfsAndMount().ok());
+  WriteAndFsync(stack, "/a", 0x1A);
+  const CrashImage image = stack.CaptureCrashImage();
+  const uint64_t captured = ImageFingerprint(image);
+  NvmDevice& nvm = *stack.nvm_device();
+  ASSERT_GT(image.nvm.pages_held(), 1u);
+  EXPECT_EQ(PagesNotShared(image.nvm, nvm.live_image()), 0u);
+
+  const size_t last_word = nvm.size() - kNvmWordSize;  // far past the log's tail
+  stack.Run([&] { nvm.StoreU64(last_word, 0x5EED); });
+  EXPECT_EQ(nvm.live_image().ReadU64(last_word), 0x5EEDu);
+  EXPECT_EQ(stack.CaptureCrashImage().nvm.ReadU64(last_word), 0u)
+      << "an unfenced store must stay out of the captured durable view";
+
+  WriteAndFsync(stack, "/a", 0x2A);
+  WriteAndFsync(stack, "/b", 0x2B);
+  EXPECT_EQ(ImageFingerprint(image), captured);
+  const size_t rewritten = PagesNotShared(image.nvm, nvm.live_image());
+  EXPECT_GT(rewritten, 0u);
+  EXPECT_LT(rewritten, image.nvm.pages_held()) << "untouched pages stay shared";
+}
+
+// The same for the PMR, whose P-SQ slots and doorbells the ccNVMe driver
+// stores to on every transaction.
+TEST(CrashImageSharingTest, CapturesSharePmrPagesUntilTheDriverStoresToThem) {
+  StorageStack stack(SmallConfig());
+  ASSERT_TRUE(stack.MkfsAndMount().ok());
+  for (int i = 0; i < 48; ++i) {  // fill more P-SQ pages than one fsync stores to
+    WriteAndFsync(stack, "/f" + std::to_string(i), 0x10);
+  }
+  const CrashImage image = stack.CaptureCrashImage();
+  const uint64_t captured = ImageFingerprint(image);
+  const PageImage& pmr = stack.controller().pmr().image();
+  ASSERT_GT(image.pmr().pages_held(), 2u);
+  EXPECT_EQ(PagesNotShared(image.pmr(), pmr), 0u);
+  WriteAndFsync(stack, "/a", 0x2A);
+  EXPECT_EQ(ImageFingerprint(image), captured);
+  const size_t rewritten = PagesNotShared(image.pmr(), pmr);
+  EXPECT_GT(rewritten, 0u);
+  EXPECT_LT(rewritten, image.pmr().pages_held()) << "untouched pages stay shared";
+}
+
+// NVLog recovery replays the undrained tail and advances the drain
+// frontier in the booted stack's tier; the image keeps its bytes, so a
+// second boot replays the same tail.
+TEST(CrashImageSharingTest, NvlogRecoveryLeavesItsImageUnchanged) {
+  StackConfig cfg = NvlogConfig();
+  cfg.fs.nvlog_drain_delay_ns = 1'000'000'000;  // nothing drains before the cut
+  CrashImage image;
+  {
+    StorageStack stack(cfg);
+    ASSERT_TRUE(stack.MkfsAndMount().ok());
+    stack.Run([&] {
+      auto ino = stack.fs().Create("/tail");
+      ASSERT_TRUE(ino.ok());
+      ASSERT_TRUE(stack.fs().Write(*ino, 0, Buffer(2 * kFsBlockSize, 0x6A)).ok());
+      ASSERT_TRUE(stack.fs().Fsync(*ino).ok());
+      image = stack.CaptureCrashImage();
+    });
+  }
+  const uint64_t captured = ImageFingerprint(image);
+  ASSERT_FALSE(ScanNvLogImage(image.nvm).tail.empty());
+  for (int boot = 0; boot < 2; ++boot) {
+    StorageStack booted(cfg, image);
+    ASSERT_TRUE(booted.MountExisting().ok());
+    EXPECT_TRUE(ScanNvLogImage(booted.nvm_device()->durable_image()).tail.empty());
+    EXPECT_FALSE(booted.nvm_device()->live_image().SamePage(image.nvm, 0))
+        << "recovery stored the drain frontier";
+    EXPECT_EQ(ImageFingerprint(image), captured) << "boot " << boot;
+    booted.Run([&] {
+      auto ino = booted.fs().Lookup("/tail");
+      ASSERT_TRUE(ino.ok());
+      Buffer out(2 * kFsBlockSize);
+      ASSERT_TRUE(booted.fs().Read(*ino, 0, out).ok());
+      EXPECT_EQ(out, Buffer(2 * kFsBlockSize, 0x6A));
+    });
+  }
+}
+
+// A booted ccNVMe driver scans the P-SQ window out of the PMR and then
+// resets each queue's doorbell and head words: stores into pages of the
+// booted controller's own, never into the image's.
+TEST(CrashImageSharingTest, CcNvmeWindowResetLeavesItsImageUnchanged) {
+  const StackConfig cfg = SmallConfig();
+  CrashImage image;
+  {
+    StorageStack stack(cfg);
+    ASSERT_TRUE(stack.MkfsAndMount().ok());
+    WriteAndFsync(stack, "/a", 0x1A);
+    image = stack.CaptureCrashImage();
+  }
+  const uint64_t captured = ImageFingerprint(image);
+  StorageStack booted(cfg, image);
+  EXPECT_GT(PagesNotShared(booted.controller().pmr().image(), image.pmr()), 0u)
+      << "the doorbell and head reset stored nothing";
+  EXPECT_EQ(ImageFingerprint(image), captured);
+  ASSERT_TRUE(booted.MountExisting().ok());
+  WriteAndFsync(booted, "/a", 0x3A);
+  EXPECT_EQ(ImageFingerprint(image), captured);
+}
+
+// Saving writes the PMR and NVM bytes in full; loading keeps only the pages
+// that are not all zero. Saving the loaded image gives the same file, also
+// after a stack booted from it has recovered and stored.
+TEST(ImageFileTest, NvlogAndKvImagesRoundTripByteIdenticalAndLoadSparse) {
+  auto read_file = [](const std::string& path) {
+    Buffer bytes;
+    std::FILE* f = std::fopen(path.c_str(), "rb");
+    CCNVME_CHECK(f != nullptr) << path;
+    uint8_t chunk[4096];
+    for (size_t n; (n = std::fread(chunk, 1, sizeof(chunk), f)) > 0;) {
+      bytes.insert(bytes.end(), chunk, chunk + n);
+    }
+    std::fclose(f);
+    return bytes;
+  };
+  const StackConfig nvlog_cfg = NvlogConfig();
+  const StackConfig kv_cfg = KvConfig();
+  CrashImage nvlog;
+  {
+    StorageStack stack(nvlog_cfg);
+    ASSERT_TRUE(stack.MkfsAndMount().ok());
+    WriteAndFsync(stack, "/a", 0x1A);
+    nvlog = stack.CaptureCrashImage();
+  }
+  CrashImage kv;
+  {
+    StorageStack stack(kv_cfg);
+    ASSERT_TRUE(stack.KvFormat().ok());
+    stack.Run([&] {
+      ASSERT_TRUE(stack.kv_driver()->Store(0, "packed", std::string(1000, 'p')).ok());
+      ASSERT_TRUE(stack.kv_driver()->Store(0, "paged", std::string(8192, 'q')).ok());
+    });
+    kv = stack.CaptureCrashImage();
+  }
+  for (const CrashImage* image : {&nvlog, &kv}) {
+    const bool is_kv = image == &kv;
+    const std::string path = TempPath("sparse");
+    const std::string again = TempPath("sparse_again");
+    ASSERT_TRUE(SaveImage(*image, path).ok());
+    Result<CrashImage> loaded = LoadImage(path);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    EXPECT_EQ(ImageFingerprint(*loaded), ImageFingerprint(*image));
+    for (const PageImage* pages : {&loaded->nvm, &loaded->pmr()}) {
+      EXPECT_LE(pages->pages_held(), pages->page_count() / 2) << "loaded dense";
+    }
+    EXPECT_LE(loaded->pmr().pages_held(), image->pmr().pages_held());
+    EXPECT_LE(loaded->nvm.pages_held(), image->nvm.pages_held());
+    {
+      StorageStack booted(is_kv ? kv_cfg : nvlog_cfg, *loaded);
+      if (is_kv) {
+        ASSERT_TRUE(booted.KvAttach().ok());
+        booted.Run([&] {
+          ASSERT_TRUE(booted.kv_driver()->Store(0, "packed", std::string(900, 'r')).ok());
+        });
+      } else {
+        ASSERT_TRUE(booted.MountExisting().ok());
+        WriteAndFsync(booted, "/a", 0x2A);
+      }
+    }
+    ASSERT_TRUE(SaveImage(*loaded, again).ok());
+    EXPECT_EQ(read_file(again), read_file(path));
+    std::remove(path.c_str());
+    std::remove(again.c_str());
+  }
+  EXPECT_GT(nvlog.nvm.pages_held(), 0u);
+  EXPECT_TRUE(kv.nvm.empty());
 }
 
 TEST(ImageFileTest, BitmapCountsMatchTreeWalk) {

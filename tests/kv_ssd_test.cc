@@ -442,7 +442,10 @@ Status AttachCorruptedPackedImage(
       KvPmrLayout::From(cfg.kv.dir_slots, cfg.kv.shadow_slots, cfg.kv.total_lpns,
                         cfg.kv.map_entries_per_segment, image.pmr().size());
   // The first key in an empty directory lands on its home slot.
-  corrupt(layout, static_cast<uint32_t>(Fnv1a(Bytes(key)) % cfg.kv.dir_slots), image.pmr());
+  Buffer pmr(image.pmr().size());
+  image.pmr().Read(0, pmr);
+  corrupt(layout, static_cast<uint32_t>(Fnv1a(Bytes(key)) % cfg.kv.dir_slots), pmr);
+  image.pmr() = PageImage(pmr);
   StorageStack stack(cfg, image);
   const Status attach = stack.KvAttach();
   if (!attach.ok()) {
@@ -456,6 +459,48 @@ Status AttachCorruptedPackedImage(
     }
   });
   return consistent;
+}
+
+// A stack booted from a KV image attaches and stores into PMR pages and
+// media blocks of its own: the image keeps its bytes, so it can boot again.
+TEST(KvImageSharingTest, AttachAndStoresLeaveTheImageUnchanged) {
+  const StackConfig cfg = KvConfig();
+  CrashImage image;
+  {
+    StorageStack stack(cfg);
+    ASSERT_TRUE(stack.KvFormat().ok());
+    stack.Run([&] {
+      ASSERT_TRUE(stack.kv_driver()->Store(0, "packed", std::string(1000, 'p')).ok());
+      ASSERT_TRUE(stack.kv_driver()->Store(0, "paged", std::string(8192, 'q')).ok());
+    });
+    image = stack.CaptureCrashImage();
+  }
+  auto pmr_bytes = [](const PageImage& pmr) {
+    Buffer bytes(pmr.size());
+    pmr.Read(0, bytes);
+    return bytes;
+  };
+  const Buffer captured = pmr_bytes(image.pmr());
+  for (int boot = 0; boot < 2; ++boot) {
+    StorageStack booted(cfg, image);
+    ASSERT_TRUE(booted.KvAttach().ok());
+    booted.Run([&] {
+      ASSERT_TRUE(booted.kv_driver()->Store(0, "packed", std::string(900, 'r')).ok());
+      ASSERT_TRUE(booted.kv_driver()->Store(0, "new", std::string(700, 's')).ok());
+      ASSERT_TRUE(booted.kv_driver()->Delete(0, "paged").ok());
+    });
+    EXPECT_NE(pmr_bytes(booted.controller().pmr().image()), captured);
+    EXPECT_TRUE(pmr_bytes(image.pmr()) == captured) << "boot " << boot;
+  }
+  StorageStack again(cfg, image);
+  ASSERT_TRUE(again.KvAttach().ok());
+  again.Run([&] {
+    const Result<Buffer> packed = again.kv_driver()->Retrieve(0, "packed");
+    ASSERT_TRUE(packed.ok());
+    EXPECT_EQ(AsString(*packed), std::string(1000, 'p'));
+    EXPECT_TRUE(again.kv_driver()->Retrieve(0, "paged").ok());
+    EXPECT_FALSE(again.kv_driver()->Retrieve(0, "new").ok());
+  });
 }
 
 // A packed entry whose offset plus length runs past its page is reported,

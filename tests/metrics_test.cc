@@ -361,8 +361,7 @@ CrashImage CaptureImageWithOpenWindow(const StackConfig& cfg) {
   while (done == 0) {
     stack.sim().RunFor(1000);
     CrashImage image = stack.CaptureCrashImage();
-    Pmr pmr(image.devices[0].pmr.size());
-    pmr.Write(0, image.devices[0].pmr);
+    const Pmr pmr(image.devices[0].pmr);
     if (!CcNvmeDriver::ScanUnfinished(pmr, cfg.num_queues, cfg.queue_depth).empty()) {
       return image;
     }

@@ -33,10 +33,11 @@ NvmConfig SmallNvm(size_t size = 64 * 1024) {
   return cfg;
 }
 
-// The live view as a Buffer, for whole-image comparisons.
-Buffer LiveCopy(const NvmDevice& nvm) {
-  const std::span<const uint8_t> live = nvm.live_image();
-  return Buffer(live.begin(), live.end());
+// A page image's bytes as a Buffer, for whole-image comparisons.
+Buffer Bytes(const PageImage& image) {
+  Buffer bytes(image.size());
+  image.Read(0, bytes);
+  return bytes;
 }
 
 // --- NVM device model: live vs durable views ------------------------------
@@ -45,8 +46,60 @@ TEST(NvmDeviceTest, FreshDeviceIsZeroed) {
   Simulator sim;
   const NvmConfig cfg = SmallNvm(1 << 20);
   NvmDevice nvm(&sim, cfg);
-  EXPECT_EQ(LiveCopy(nvm), Buffer(cfg.size_bytes, 0));
-  EXPECT_EQ(nvm.durable_image(), Buffer(cfg.size_bytes, 0));
+  EXPECT_EQ(Bytes(nvm.live_image()), Buffer(cfg.size_bytes, 0));
+  EXPECT_EQ(Bytes(nvm.durable_image()), Buffer(cfg.size_bytes, 0));
+}
+
+TEST(NvmDeviceTest, FreshTierHoldsNoPagesUntilItsFirstStore) {
+  Simulator sim;
+  NvmDevice nvm(&sim, SmallNvm(64 << 20));
+  EXPECT_EQ(nvm.live_image().pages_held(), 0u);
+  EXPECT_EQ(nvm.durable_image().pages_held(), 0u);
+  sim.Spawn("t", [&] {
+    EXPECT_EQ(nvm.LoadU64(40 << 20), 0u);
+    EXPECT_EQ(nvm.live_image().pages_held(), 0u) << "a load allocates nothing";
+    nvm.StoreU64(40 << 20, 0x77);
+    EXPECT_EQ(nvm.live_image().pages_held(), 1u);
+    EXPECT_EQ(nvm.durable_image().pages_held(), 0u);
+    nvm.FlushFence();
+    EXPECT_EQ(nvm.durable_image().pages_held(), 1u);
+    // The fence shared the page, so the next store copies it.
+    nvm.StoreU64(40 << 20, 0x99);
+    EXPECT_EQ(nvm.durable_image().ReadU64(40 << 20), 0x77u);
+    EXPECT_EQ(nvm.live_image().pages_held(), 1u);
+  });
+  sim.Run();
+}
+
+// The durable view shares every page with the live view except those
+// stored to since the last fence, and a captured durable view keeps its
+// bytes while the tier stores over them: the first store to a shared page
+// copies it.
+TEST(NvmDeviceTest, DurableViewSharesPagesUntilTheTierStoresToThem) {
+  Simulator sim;
+  NvmDevice nvm(&sim, SmallNvm());
+  constexpr size_t kPage = PageImage::kPageSize;
+  sim.Spawn("t", [&] {
+    nvm.Store(0, Buffer(3 * kPage, 0x11));
+    nvm.FlushFence();
+    const PageImage captured = nvm.durable_image();
+    for (size_t p = 0; p < 3; ++p) {
+      EXPECT_TRUE(captured.SamePage(nvm.live_image(), p)) << "page " << p;
+    }
+    nvm.Store(kPage + 8, Buffer(16, 0x22));  // unfenced
+    EXPECT_FALSE(nvm.live_image().SamePage(captured, 1));
+    EXPECT_TRUE(nvm.durable_image().SamePage(captured, 1))
+        << "an unfenced store stays out of the durable view";
+    EXPECT_EQ(Bytes(captured), Bytes(nvm.durable_image()));
+    EXPECT_TRUE(nvm.live_image().SamePage(captured, 0));
+    EXPECT_TRUE(nvm.live_image().SamePage(captured, 2));
+    nvm.FlushFence();
+    EXPECT_TRUE(nvm.durable_image().SamePage(nvm.live_image(), 1));
+    Buffer want(nvm.size(), 0);
+    std::fill(want.begin(), want.begin() + 3 * kPage, 0x11);
+    EXPECT_EQ(Bytes(captured), want) << "the capture keeps the bytes it had";
+  });
+  sim.Run();
 }
 
 TEST(NvmDeviceTest, StoreIsLiveImmediatelyDurableOnlyAfterFence) {
@@ -59,12 +112,13 @@ TEST(NvmDeviceTest, StoreIsLiveImmediatelyDurableOnlyAfterFence) {
     nvm.Load(10, out);
     EXPECT_EQ(out, data) << "loads must see the store immediately";
     EXPECT_TRUE(nvm.has_pending_stores());
-    EXPECT_EQ(nvm.durable_image()[10], 0u) << "unfenced store must not be durable";
+    EXPECT_EQ(Bytes(nvm.durable_image())[10], 0u) << "unfenced store must not be durable";
     EXPECT_EQ(nvm.FlushFence(), 1u);
     EXPECT_FALSE(nvm.has_pending_stores());
-    EXPECT_EQ(nvm.durable_image()[10], 0xAB);
-    EXPECT_EQ(nvm.durable_image()[109], 0xAB);
-    EXPECT_EQ(nvm.durable_image()[110], 0u);
+    const Buffer durable = Bytes(nvm.durable_image());
+    EXPECT_EQ(durable[10], 0xAB);
+    EXPECT_EQ(durable[109], 0xAB);
+    EXPECT_EQ(durable[110], 0u);
   });
   sim.Run();
   EXPECT_GT(nvm.stores(), 0u);
@@ -78,7 +132,7 @@ TEST(NvmDeviceTest, StoreU64LoadU64RoundTrip) {
     nvm.StoreU64(8, 0x1122334455667788ull);
     EXPECT_EQ(nvm.LoadU64(8), 0x1122334455667788ull);
     nvm.FlushFence();
-    EXPECT_EQ(GetU64(nvm.durable_image(), 8), 0x1122334455667788ull);
+    EXPECT_EQ(nvm.durable_image().ReadU64(8), 0x1122334455667788ull);
   });
   sim.Run();
 }
@@ -88,9 +142,9 @@ TEST(NvmDeviceTest, BootFromImagePreservesBytes) {
   Buffer image(SmallNvm().size_bytes, 0);
   PutU64(image, 0, kNvLogMagic);
   image[100] = 0x5A;
-  NvmDevice nvm(&sim, SmallNvm(), image);
-  EXPECT_EQ(nvm.durable_image(), image) << "a surviving image is durable by definition";
-  EXPECT_EQ(LiveCopy(nvm), image);
+  NvmDevice nvm(&sim, SmallNvm(), PageImage(image));
+  EXPECT_EQ(Bytes(nvm.durable_image()), image) << "a surviving image is durable by definition";
+  EXPECT_EQ(Bytes(nvm.live_image()), image);
   EXPECT_FALSE(nvm.has_pending_stores());
 }
 
@@ -120,11 +174,11 @@ TEST(NvmDeviceTest, RandomizedFlushFenceOrderingMatchesModel) {
           nvm.Store(off, data);
           std::copy(data.begin(), data.end(), model_live.begin() + off);
         }
-        EXPECT_EQ(nvm.durable_image(), model_durable) << "seed " << seed << " step " << i;
+        EXPECT_EQ(Bytes(nvm.durable_image()), model_durable) << "seed " << seed << " step " << i;
       }
-      EXPECT_EQ(LiveCopy(nvm), model_live);
+      EXPECT_EQ(Bytes(nvm.live_image()), model_live);
       nvm.FlushFence();
-      EXPECT_EQ(nvm.durable_image(), model_live);
+      EXPECT_EQ(Bytes(nvm.durable_image()), model_live);
     });
     sim.Run();
   }
@@ -133,9 +187,10 @@ TEST(NvmDeviceTest, RandomizedFlushFenceOrderingMatchesModel) {
 // --- Torn-store word masks ------------------------------------------------
 
 TEST(NvmTornStoreTest, AppliesOnlySelectedWords) {
-  Buffer image(64, 0);
+  PageImage pages(64);
   Buffer data(24, 0xFF);
-  NvmApplyTornWords(image, 8, data, 0b101);  // words 0 and 2 survive
+  NvmApplyTornWords(pages, 8, data, 0b101);  // words 0 and 2 survive
+  const Buffer image = Bytes(pages);
   for (size_t i = 0; i < image.size(); ++i) {
     const bool survived = (i >= 8 && i < 16) || (i >= 24 && i < 32);
     EXPECT_EQ(image[i], survived ? 0xFF : 0) << "byte " << i;
@@ -143,23 +198,25 @@ TEST(NvmTornStoreTest, AppliesOnlySelectedWords) {
 }
 
 TEST(NvmTornStoreTest, ClipsPartialTailWord) {
-  Buffer image(32, 0);
+  PageImage pages(32);
   Buffer data(12, 0xEE);  // word 1 covers only bytes [8, 12)
-  NvmApplyTornWords(image, 0, data, 0b10);
+  NvmApplyTornWords(pages, 0, data, 0b10);
+  const Buffer image = Bytes(pages);
   for (size_t i = 0; i < image.size(); ++i) {
     EXPECT_EQ(image[i], (i >= 8 && i < 12) ? 0xEE : 0) << "byte " << i;
   }
 }
 
 TEST(NvmTornStoreTest, FullMaskEqualsPlainStore) {
-  Buffer torn(64, 0), plain(64, 0);
+  PageImage torn(64);
+  Buffer plain(64, 0);
   Buffer data(40);
   for (size_t i = 0; i < data.size(); ++i) {
     data[i] = static_cast<uint8_t>(i + 1);
   }
   NvmApplyTornWords(torn, 16, data, ~0ull);
   std::copy(data.begin(), data.end(), plain.begin() + 16);
-  EXPECT_EQ(torn, plain);
+  EXPECT_EQ(Bytes(torn), plain);
 }
 
 // TornMask over NVM items is deterministic and never trivial: same inputs
@@ -230,7 +287,7 @@ TEST(NvLogFormatTest, ScanWalksConsecutiveEntries) {
   Buffer image = FormattedImage();
   size_t off = PlaceEntry(image, 0, 1, 100, MakeBlocks({40, 41}, 0xA1));
   off = PlaceEntry(image, off, 2, 101, MakeBlocks({77}, 0xB2));
-  const NvLogScan scan = ScanNvLogImage(image);
+  const NvLogScan scan = ScanNvLogImage(PageImage(image));
   ASSERT_TRUE(scan.ctrl.valid);
   ASSERT_EQ(scan.tail.size(), 2u);
   EXPECT_EQ(scan.tail[0].seq, 1u);
@@ -244,7 +301,7 @@ TEST(NvLogFormatTest, ScanWalksConsecutiveEntries) {
   // scan; nothing past it.
   EXPECT_EQ(scan.scanned_bytes, kNvLogCtrlBytes + off + 32);
   // Payload extraction returns the exact logged bytes.
-  const Buffer payload = ReadNvLogPayload(image, scan.tail[0], 1);
+  const Buffer payload = ReadNvLogPayload(PageImage(image), scan.tail[0], 1);
   EXPECT_EQ(payload, Buffer(kFsBlockSize, 0xA1));
 }
 
@@ -254,7 +311,7 @@ TEST(NvLogFormatTest, ScanOfAFullRingReadsAtMostTheImage) {
   Buffer image = FormattedImage(kNvLogCtrlBytes + 2 * NvLogEntrySize(1) + 16);
   const size_t off = PlaceEntry(image, 0, 1, 100, MakeBlocks({40}, 0xA1));
   PlaceEntry(image, off, 2, 101, MakeBlocks({41}, 0xB2));
-  const NvLogScan scan = ScanNvLogImage(image);
+  const NvLogScan scan = ScanNvLogImage(PageImage(image));
   ASSERT_EQ(scan.tail.size(), 2u);
   EXPECT_EQ(scan.stop_reason, "end of log (no entry magic)");
   EXPECT_EQ(scan.scanned_bytes, image.size());
@@ -266,7 +323,7 @@ TEST(NvLogFormatTest, ScanStopsAtCorruptPayload) {
   PlaceEntry(image, off, 2, 101, MakeBlocks({41}, 0xB2));
   // Flip one payload byte of entry 2 (header stays checksum-clean).
   image[kNvLogCtrlBytes + off + NvLogHeaderSize(1) + 17] ^= 0xFF;
-  const NvLogScan scan = ScanNvLogImage(image);
+  const NvLogScan scan = ScanNvLogImage(PageImage(image));
   ASSERT_EQ(scan.tail.size(), 1u);
   EXPECT_EQ(scan.tail[0].seq, 1u);
   EXPECT_EQ(scan.stop_reason, "payload checksum mismatch");
@@ -276,7 +333,7 @@ TEST(NvLogFormatTest, ScanStopsAtSequenceBreak) {
   Buffer image = FormattedImage();
   const size_t off = PlaceEntry(image, 0, 1, 100, MakeBlocks({40}, 0xA1));
   PlaceEntry(image, off, 3, 101, MakeBlocks({41}, 0xB2));  // gap: 2 missing
-  const NvLogScan scan = ScanNvLogImage(image);
+  const NvLogScan scan = ScanNvLogImage(PageImage(image));
   ASSERT_EQ(scan.tail.size(), 1u);
   EXPECT_EQ(scan.stop_reason, "sequence break (stale entry)");
 }
@@ -289,15 +346,14 @@ TEST(NvLogFormatTest, ScanRespectsDrainFrontier) {
   // Drain frontier past entry 1: only entry 2 is undrained.
   PutU64(image, kNvLogHeadWordOffset,
          PackNvLogHead(1, static_cast<uint32_t>(second)));
-  const NvLogScan scan = ScanNvLogImage(image);
+  const NvLogScan scan = ScanNvLogImage(PageImage(image));
   EXPECT_EQ(scan.ctrl.head_seq, 1u);
   ASSERT_EQ(scan.tail.size(), 1u);
   EXPECT_EQ(scan.tail[0].seq, 2u);
 }
 
 TEST(NvLogFormatTest, BadMagicMeansNoLog) {
-  Buffer image(4096, 0);
-  const NvLogScan scan = ScanNvLogImage(image);
+  const NvLogScan scan = ScanNvLogImage(PageImage(4096));
   EXPECT_FALSE(scan.ctrl.valid);
   EXPECT_TRUE(scan.tail.empty());
 }
@@ -531,7 +587,7 @@ void RunEightAppendersAgainstFourDrainers(uint64_t load_line_ns) {
       return;
     }
     checked++;
-    const Buffer durable = stack.nvm_device()->durable_image();
+    const PageImage& durable = stack.nvm_device()->durable_image();
     const NvLogScan scan = ScanNvLogImage(durable);
     uint64_t seq = 0;
     for (const NvLogEntryInfo& e : scan.tail) {
@@ -606,13 +662,13 @@ TEST(NvmImageTest, CrashImageAndFileRoundTripCarryNvm) {
   });
   const CrashImage image = stack.CaptureCrashImage();
   ASSERT_EQ(image.nvm.size(), stack.nvm_device()->size());
-  EXPECT_EQ(GetU64(image.nvm, 0), kNvLogMagic);
+  EXPECT_EQ(image.nvm.ReadU64(0), kNvLogMagic);
 
   const std::string path = "nvm_test_image.ccim";
   ASSERT_TRUE(SaveImage(image, path).ok());
   Result<CrashImage> loaded = LoadImage(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded->nvm, image.nvm);
+  EXPECT_EQ(Bytes(loaded->nvm), Bytes(image.nvm));
   std::remove(path.c_str());
 }
 

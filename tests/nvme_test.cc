@@ -295,6 +295,25 @@ TEST(PmrTest, PersistsAndReadsBack) {
   EXPECT_EQ(pmr.ReadU32(200), 0xABCD1234u);
 }
 
+// The region is a sparse page table: nothing is held until the first
+// store, and a read of a page never stored to returns zeros without
+// allocating it. A copy of the pages keeps its bytes when the region
+// stores to a page they share.
+TEST(PmrTest, FreshRegionHoldsNoPagesUntilItsFirstStore) {
+  Pmr pmr;
+  EXPECT_EQ(pmr.image().pages_held(), 0u);
+  Buffer out(64, 0xFF);
+  pmr.Read(pmr.size() - out.size(), out);
+  EXPECT_EQ(out, Buffer(64, 0));
+  EXPECT_EQ(pmr.image().pages_held(), 0u);
+  pmr.WriteU32(1024 * 1024 + 8, 7);
+  EXPECT_EQ(pmr.image().pages_held(), 1u);
+  const PageImage captured = pmr.image();
+  pmr.WriteU32(1024 * 1024 + 8, 9);
+  EXPECT_EQ(pmr.ReadU32(1024 * 1024 + 8), 9u);
+  EXPECT_EQ(Pmr(captured).ReadU32(1024 * 1024 + 8), 7u);
+}
+
 TEST(WcBufferTest, StoresCoalesceIntoOneMmio) {
   Simulator sim;
   PcieLink link(&sim, PcieConfig{});

@@ -92,15 +92,19 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "cannot load image: %s\n", image.status().ToString().c_str());
     return 1;
   }
-  const Buffer& pmr = image->pmr();
+  const PageImage& pmr = image->pmr();
   if (pmr.size() < kKvSuperblockBytes) {
     std::fprintf(stderr, "image has no PMR (or one too small for a KV superblock)\n");
     return 1;
   }
 
   // --- superblock (self-describing) ----------------------------------------
-  const size_t sb_off = pmr.size() - kKvSuperblockBytes;
-  std::span<const uint8_t> sb(pmr.data() + sb_off, kKvSuperblockBytes);
+  auto read_pmr = [&](size_t offset, size_t len) {
+    Buffer bytes(len);
+    pmr.Read(offset, bytes);
+    return bytes;
+  };
+  const Buffer sb = read_pmr(pmr.size() - kKvSuperblockBytes, kKvSuperblockBytes);
   if (GetU32(sb, 0) != kKvSsdMagic || GetU32(sb, 4) != kKvSsdVersion) {
     std::fprintf(stderr, "no KV superblock on this PMR (not a kv.enabled image?)\n");
     return 1;
@@ -155,7 +159,7 @@ int main(int argc, char** argv) {
   // media store is 4 KB-blocked and the FTL writes page-aligned).
   std::vector<uint64_t> gtd(layout.num_segments);
   for (uint32_t s = 0; s < layout.num_segments; ++s) {
-    gtd[s] = GetU64(pmr, layout.gtd_off + static_cast<size_t>(s) * 8);
+    gtd[s] = pmr.ReadU64(layout.gtd_off + static_cast<size_t>(s) * 8);
   }
   const MediaStore::BlockMap& media = image->media();
   std::vector<std::vector<uint64_t>> l2p(
@@ -185,15 +189,15 @@ int main(int argc, char** argv) {
   std::vector<ShadowRec> shadows;
   uint32_t shadow_torn = 0;
   for (uint32_t s = 0; s < shadow_slots; ++s) {
-    std::span<const uint8_t> rec(
-        pmr.data() + layout.shadow_off + static_cast<size_t>(s) * kKvShadowBytes,
-        kKvShadowBytes);
+    const Buffer rec =
+        read_pmr(layout.shadow_off + static_cast<size_t>(s) * kKvShadowBytes, kKvShadowBytes);
     const uint64_t seq = GetU64(rec, 0);
     if (seq == 0) {
       continue;  // never armed
     }
     const bool crc_ok =
-        GetU32(rec, 28) == static_cast<uint32_t>(Fnv1a(rec.subspan(0, 28)) & 0xFFFFFFFF);
+        GetU32(rec, 28) ==
+        static_cast<uint32_t>(Fnv1a(std::span<const uint8_t>(rec).first(28)) & 0xFFFFFFFF);
     if (!crc_ok) {
       shadow_torn++;
       continue;
@@ -238,7 +242,7 @@ int main(int argc, char** argv) {
   };
   std::array<uint64_t, kKvFrames> headers{};
   for (uint32_t f = 0; f < kKvFrames; ++f) {
-    headers[f] = GetU64(pmr, layout.FrameHeaderOff(f));
+    headers[f] = pmr.ReadU64(layout.FrameHeaderOff(f));
   }
   const std::array<KvSsd::RecoveredFrame, kKvFrames> recovered = KvSsd::RecoverFrames(
       headers, total_lpns, [&](uint64_t lpn) { return mapped(lpn) != kFtlUnmapped; },
@@ -273,9 +277,8 @@ int main(int argc, char** argv) {
     }
   }
   for (uint32_t s = 0; s < dir_slots; ++s) {
-    std::span<const uint8_t> raw(
-        pmr.data() + layout.dir_off + static_cast<size_t>(s) * kKvDirSlotBytes,
-        kKvDirSlotBytes);
+    const Buffer raw =
+        read_pmr(layout.dir_off + static_cast<size_t>(s) * kKvDirSlotBytes, kKvDirSlotBytes);
     const uint64_t meta = GetU64(raw, 24);
     if ((meta & KvSsd::kMetaUsed) == 0) {
       continue;

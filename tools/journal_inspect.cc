@@ -301,8 +301,7 @@ int main(int argc, char** argv) {
     if (image->devices[d].pmr.empty()) {
       continue;
     }
-    Pmr pmr(image->devices[d].pmr.size());
-    pmr.Write(0, image->devices[d].pmr);
+    const Pmr pmr(image->devices[d].pmr);
     for (const auto& req : CcNvmeDriver::ScanUnfinished(pmr, queues, queue_depth)) {
       ++total;
       if (metrics != nullptr) {
