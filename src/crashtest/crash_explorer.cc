@@ -38,17 +38,17 @@ void ExploreBoundary(const CrashRecording& rec, size_t crash_index,
 BoundaryPlans PlansForBoundary(const CrashRecording& rec, size_t crash_index,
                                const ExplorerOptions& options) {
   const std::vector<UncertainItem> items = CollectUncertain(rec, crash_index);
-  const uint64_t radix = kChoiceTornBase + options.torn_variants;
+  const uint64_t radix = kChoiceTornBase + kTornVariants;
 
   // Size of the full choice space, with overflow guard: once the running
   // product exceeds the budget the exact value no longer matters.
   uint64_t total = 1;
-  for (size_t i = 0; i < items.size() && total <= options.max_states_per_boundary; ++i) {
+  for (size_t i = 0; i < items.size() && total <= kMaxStatesPerBoundary; ++i) {
     total *= radix;
   }
 
   BoundaryPlans out;
-  if (total <= options.max_states_per_boundary) {
+  if (total <= kMaxStatesPerBoundary) {
     out.exhaustive = true;
     out.plans.reserve(total);
     for (uint64_t code = 0; code < total; ++code) {
@@ -75,7 +75,7 @@ BoundaryPlans PlansForBoundary(const CrashRecording& rec, size_t crash_index,
   corner.choices.assign(items.size(), kChoicePresent);
   out.plans.push_back(std::move(corner));
   Rng rng(options.seed ^ (0x9e3779b97f4a7c15ull * (crash_index + 1)));
-  while (out.plans.size() < std::max<size_t>(options.samples_per_boundary, 2)) {
+  while (out.plans.size() < kSamplesPerBoundary) {
     CrashPlan plan;
     plan.crash_index = crash_index;
     plan.choices.resize(items.size());
@@ -130,7 +130,7 @@ ExplorerReport ExploreRecording(const CrashRecording& rec, const ExplorerOptions
     }
     for (ExplorerFailure& f : slot.failures) {
       ++report.total_failures;
-      if (report.failures.size() >= options.max_failures) {
+      if (report.failures.size() >= kMaxReportedFailures) {
         continue;
       }
       if (options.emit_artifacts) {

@@ -4,10 +4,11 @@
 // consistency boundary of a recorded workload — the indices after each
 // durable completion, flush submission and doorbell ring, plus the stream's
 // two ends — and, per boundary, enumerates the choice space over the
-// uncertain in-flight items: absent / present / torn variants. Boundaries
-// whose choice space fits under |max_states_per_boundary| are enumerated
-// exhaustively (mixed-radix counting); larger ones fall back to seeded
-// sampling that always includes the all-absent and all-present corners.
+// uncertain in-flight items: absent / present / kTornVariants torn
+// variants. Boundaries whose choice space fits under
+// kMaxStatesPerBoundary are enumerated exhaustively (mixed-radix
+// counting); larger ones fall back to kSamplesPerBoundary seeded samples
+// that always include the all-absent and all-present corners.
 //
 // Work is distributed across a pool of worker threads, one boundary at a
 // time (each crash state boots its own independent StorageStack). Results
@@ -26,16 +27,14 @@
 
 namespace ccnvme {
 
+inline constexpr uint8_t kTornVariants = 2;          // choice radix = 2 + this
+inline constexpr size_t kMaxStatesPerBoundary = 64;  // enumerated up to this many
+inline constexpr size_t kSamplesPerBoundary = 24;    // beyond it, incl. the corners
+inline constexpr size_t kMaxReportedFailures = 10;   // kept in a report; all are counted
+
 struct ExplorerOptions {
   // Seed for torn-write masks and for sampling over-budget boundaries.
   uint64_t seed = 1;
-  // Torn variants tried per uncertain item (choice radix = 2 + this).
-  uint8_t torn_variants = 2;
-  // A boundary whose full choice space has at most this many states is
-  // enumerated exhaustively; beyond it, seeded sampling kicks in.
-  size_t max_states_per_boundary = 64;
-  // States sampled per over-budget boundary (includes the two corners).
-  size_t samples_per_boundary = 24;
   // Worker threads. 1 = serial reference execution.
   size_t threads = 1;
   // When set, a replay artifact is written for each reported failure.
@@ -43,8 +42,6 @@ struct ExplorerOptions {
   std::string artifact_dir = ".";
   // Registry name of the workload (required for artifacts).
   std::string workload_name;
-  // Failures kept in the report (all failures are still counted).
-  size_t max_failures = 10;
 };
 
 struct ExplorerFailure {
@@ -59,7 +56,7 @@ struct ExplorerReport {
   size_t boundaries_exhaustive = 0;
   size_t boundaries_sampled = 0;
   size_t total_failures = 0;                // uncapped
-  std::vector<ExplorerFailure> failures;    // first max_failures, in order
+  std::vector<ExplorerFailure> failures;    // first kMaxReportedFailures, in order
 
   bool AllPassed() const { return total_failures == 0; }
   // Deterministic multi-line description; byte-identical across runs with

@@ -11,35 +11,6 @@
 namespace ccnvme {
 namespace {
 
-const char* JournalKindName(JournalKind k) {
-  switch (k) {
-    case JournalKind::kNone:
-      return "none";
-    case JournalKind::kClassic:
-      return "classic";
-    case JournalKind::kHorae:
-      return "horae";
-    case JournalKind::kCcNvmeJbd2:
-      return "ccnvme_jbd2";
-    case JournalKind::kMultiQueue:
-      return "multi_queue";
-    case JournalKind::kNvlog:
-      return "nvlog";
-  }
-  return "?";
-}
-
-Result<JournalKind> ParseJournalKind(const std::string& s) {
-  for (JournalKind k : {JournalKind::kNone, JournalKind::kClassic, JournalKind::kHorae,
-                        JournalKind::kCcNvmeJbd2, JournalKind::kMultiQueue,
-                        JournalKind::kNvlog}) {
-    if (s == JournalKindName(k)) {
-      return k;
-    }
-  }
-  return InvalidArgument("unknown journal kind: " + s);
-}
-
 Result<SsdConfig> SsdByName(const std::string& name) {
   for (const SsdConfig& c :
        {SsdConfig::Intel750(), SsdConfig::Optane905P(), SsdConfig::OptaneP5800X()}) {
@@ -149,7 +120,6 @@ std::string ReplayArtifact::ToJson() const {
   num("journal_blocks", c.fs.journal_blocks);
   flag("data_journaling", c.fs.data_journaling);
   flag("metadata_shadow_paging", c.fs.metadata_shadow_paging);
-  flag("selective_revocation", c.fs.selective_revocation);
   flag("test_skip_psq_window_scan", c.fs.test_skip_psq_window_scan);
   flag("test_skip_cross_core_order", c.fs.test_skip_cross_core_order);
   flag("test_skip_nvlog_fence", c.fs.test_skip_nvlog_fence);
@@ -227,8 +197,6 @@ Result<ReplayArtifact> ReplayArtifact::FromJson(const std::string& json) {
   CCNVME_RETURN_IF_ERROR(Read(root, "data_journaling", kRequired, &c.fs.data_journaling));
   CCNVME_RETURN_IF_ERROR(
       Read(root, "metadata_shadow_paging", kRequired, &c.fs.metadata_shadow_paging));
-  CCNVME_RETURN_IF_ERROR(
-      Read(root, "selective_revocation", kRequired, &c.fs.selective_revocation));
   CCNVME_RETURN_IF_ERROR(
       Read(root, "test_skip_psq_window_scan", kRequired, &c.fs.test_skip_psq_window_scan));
   // Optional (older artifacts predate cross-core fsync aggregation).

@@ -130,6 +130,7 @@ Status ExtFs::Mkfs(Simulator* sim, BlockLayer* blk, uint64_t total_blocks,
   sb.journal_areas = options.journal_areas;
   sb.journal_blocks = options.journal_blocks;
   sb.dirty_mount = 0;
+  sb.journal = options.journal;
   Buffer sbbuf(kFsBlockSize, 0);
   sb.Serialize(sbbuf);
   CCNVME_RETURN_IF_ERROR(blk->WriteSync(0, sbbuf, kBioPreflush | kBioFua));
@@ -141,6 +142,11 @@ Status ExtFs::Mount() {
   Buffer sbbuf;
   CCNVME_RETURN_IF_ERROR(blk_->ReadSync(0, 1, &sbbuf));
   CCNVME_ASSIGN_OR_RETURN(Superblock sb, Superblock::Parse(sbbuf));
+  if (sb.journal != options_.journal) {
+    return InvalidArgument(std::string("image is formatted for the ") +
+                           JournalKindName(sb.journal) + " journal, not " +
+                           JournalKindName(options_.journal));
+  }
   layout_ = sb.ToLayout();
   alloc_ = std::make_unique<Allocator>(&cache_, layout_);
 
@@ -160,7 +166,6 @@ Status ExtFs::Mount() {
     case JournalKind::kMultiQueue: {
       MqJournalOptions mopts;
       mopts.shadow_paging = options_.metadata_shadow_paging;
-      mopts.selective_revocation = options_.selective_revocation;
       mopts.test_skip_psq_window_scan = options_.test_skip_psq_window_scan;
       journal_ = std::make_unique<MqJournal>(sim_, blk_, &cache_, layout_, costs_, this, mopts);
       break;
@@ -984,14 +989,12 @@ Status ExtFs::SyncInternal(InodeNum ino, SyncMode mode) {
 }
 
 Status ExtFs::Fsync(InodeNum ino) {
-  if (!options_.cross_core_fsync_aggregation) {
-    return SyncInternal(ino, SyncMode::kFsync);
-  }
   // Cross-core group commit, per inode: register an epoch, then either wait
   // for a leader whose commit covers it or become the leader and commit for
-  // everyone registered so far. Correctness lean: a leader computes its
-  // coverage high-water mark BEFORE SyncInternal captures the dirty sets, so
-  // every registered caller's completed writes are inside the commit.
+  // everyone registered so far (free when uncontended). Correctness lean: a
+  // leader computes its coverage high-water mark BEFORE SyncInternal
+  // captures the dirty sets, so every registered caller's completed writes
+  // are inside the commit.
   CCNVME_ASSIGN_OR_RETURN(InodePtr inode, GetInode(ino));
   // The request window opens BEFORE the gate: a follower's entire latency is
   // the park behind the committing leader, and that wait.fsync_leader edge

@@ -34,29 +34,23 @@
 
 namespace ccnvme {
 
-enum class JournalKind { kNone, kClassic, kHorae, kCcNvmeJbd2, kMultiQueue, kNvlog };
-
 struct ExtFsOptions {
   JournalKind journal = JournalKind::kClassic;
   uint32_t journal_areas = 1;       // kMultiQueue: one per hardware queue
   uint64_t journal_blocks = 16384;  // 64 MB total, split across areas
   bool data_journaling = false;
-  // MQFS knobs (§5.3, §5.4); ignored by the other journals.
+  // MQFS knob (§5.3); ignored by the other journals.
   bool metadata_shadow_paging = true;
-  bool selective_revocation = true;
   // TEST ONLY: recovery ignores the driver's P-SQ window and trusts every
   // scanned descriptor without validating its per-block content checksums.
   // This is the paper's recovery contract broken on purpose — the crash
   // explorer must catch it (replaying half-persisted transactions).
   bool test_skip_psq_window_scan = false;
-  // Cross-core fsync aggregation: concurrent fsyncs of one inode elect a
-  // leader whose single journal commit covers every caller registered at
-  // election time (group commit across cores). Free when uncontended.
-  bool cross_core_fsync_aggregation = true;
-  // TEST ONLY: breaks the aggregation contract on purpose — a follower that
-  // finds a leader in flight returns immediately, claiming durability the
-  // leader's commit may not include. The fs.fsync_cross_core_order monitor
-  // and the multi-core crash exploration must both catch it.
+  // TEST ONLY: breaks Fsync's cross-core group commit on purpose — a
+  // follower that finds a leader in flight returns immediately, claiming
+  // durability the leader's commit may not include. The
+  // fs.fsync_cross_core_order monitor and the multi-core crash exploration
+  // must both catch it.
   bool test_skip_cross_core_order = false;
   // NVLog knobs (kNvlog only): drain batch size, the absorb window the
   // background drainer waits before checkpointing, and the size of the

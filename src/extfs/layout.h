@@ -8,11 +8,13 @@
 //   then                 data area
 //
 // The layout is a pure function of (total_blocks, journal config), so the
-// superblock only stores those inputs plus integrity fields.
+// superblock only stores those inputs, the journal it was formatted for and
+// integrity fields.
 #ifndef SRC_EXTFS_LAYOUT_H_
 #define SRC_EXTFS_LAYOUT_H_
 
 #include <cstdint>
+#include <string>
 
 #include "src/common/bytes.h"
 #include "src/common/status.h"
@@ -25,6 +27,13 @@ inline constexpr uint32_t kMaxInodes = 32768;
 inline constexpr uint64_t kInodeTableBlocks = 2048;
 // Block group size used to pick the radix tree for a metadata block (§5.2).
 inline constexpr uint64_t kBlocksPerGroup = 8192;
+
+// The journal a file system is formatted for (see extfs.h for what each
+// one models). The values are stable: the superblock records them.
+enum class JournalKind { kNone, kClassic, kHorae, kCcNvmeJbd2, kMultiQueue, kNvlog };
+// "none", "classic", "horae", "ccnvme_jbd2", "multi_queue", "nvlog".
+const char* JournalKindName(JournalKind kind);
+Result<JournalKind> ParseJournalKind(const std::string& name);
 
 struct FsLayout {
   uint64_t total_blocks = 0;
@@ -61,6 +70,9 @@ struct Superblock {
   uint64_t journal_blocks = 0;
   // Set while mounted; a crash leaves it set, triggering journal recovery.
   uint32_t dirty_mount = 0;
+  // The journal ExtFs::Mkfs formatted the image for. Stored plus one, so a
+  // superblock written before the field existed reads 0 and is rejected.
+  JournalKind journal = JournalKind::kClassic;
 
   void Serialize(std::span<uint8_t> out) const;
   static Result<Superblock> Parse(std::span<const uint8_t> in);

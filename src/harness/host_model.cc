@@ -88,10 +88,7 @@ void HostModel::ContextLoop(uint16_t core, uint32_t context) {
 
     if (last != idx) {
       if (last != SIZE_MAX) {
-        c.switches++;
-        if (config_.context_switch_ns > 0) {
-          Simulator::Sleep(config_.context_switch_ns);
-        }
+        c.switches++;  // counted only: scheduling costs no virtual time
       }
       last = idx;
     }

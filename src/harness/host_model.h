@@ -46,9 +46,6 @@ struct HostModelConfig {
   // (0 = num_cores * contexts_per_core). Lets the legacy "N threads on M
   // queues" workloads map exactly onto the core model.
   uint32_t total_contexts = 0;
-  // CPU cost charged when a context switches to a different client.
-  // 0 keeps scheduling free of virtual time (the pre-host-model behavior).
-  uint64_t context_switch_ns = 0;
 };
 
 class HostModel {

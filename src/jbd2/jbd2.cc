@@ -74,14 +74,12 @@ Jbd2Journal::Jbd2Journal(Simulator* sim, BlockLayer* blk, BufferCache* cache,
       costs_(costs),
       fs_(fs),
       options_(options),
-      area_start_(layout.area_start(0)),
-      area_blocks_(layout.blocks_per_area() * layout.journal_areas),
-      free_blocks_(area_blocks_ - 1),
+      area_(JournalAreasOf(JournalKind::kClassic, layout).front()),
+      free_blocks_(area_.blocks - 1),
       mu_(sim),
       commit_cv_(sim),
       ckpt_mu_(sim),
       stopped_(sim) {
-  // Classic journaling uses one compound journal: all areas fused.
   sim_->Spawn("kjournald", [this] { CommitLoop(); });
 }
 
@@ -254,21 +252,7 @@ Status Jbd2Journal::CommitOne(const std::shared_ptr<TxState>& tx) {
     }
     auto handle = blk_->CommitTx(tx->tx_id, jd_lba, &desc_buf);
     blk_->WaitTxDurable(handle);
-    free_blocks_ -= tx->metadata.size() + 1;
-
-    CheckpointTx cp;
-    cp.tx_id = tx->tx_id;
-    cp.blocks_used = tx->metadata.size() + 1;
-    cp.end_offset = head_off_;
-    for (const BlockBufPtr& buf : tx->metadata) {
-      cp.writes.emplace_back(buf->block_no, buf->data);
-      buf->jstate = JournalState::kClean;
-      buf->dirty = false;
-      buf->EndWriteback();
-    }
-    checkpoint_list_.push_back(std::move(cp));
-    commits_++;
-    return OkStatus();
+    return Committed(tx, tx->metadata.size() + 1);
   }
 
   std::vector<NvmeDriver::RequestHandle> handles;
@@ -315,12 +299,15 @@ Status Jbd2Journal::CommitOne(const std::shared_ptr<TxState>& tx) {
     handles.clear();
   }
   head_off_ = NextOff(head_off_);
-  free_blocks_ -= needed;
+  return Committed(tx, needed);
+}
 
+Status Jbd2Journal::Committed(const std::shared_ptr<TxState>& tx, uint64_t blocks_used) {
+  free_blocks_ -= blocks_used;
   // Hand frozen copies to the checkpoint list, then release the pages.
   CheckpointTx cp;
   cp.tx_id = tx->tx_id;
-  cp.blocks_used = needed;
+  cp.blocks_used = blocks_used;
   cp.end_offset = head_off_;
   for (const BlockBufPtr& buf : tx->metadata) {
     cp.writes.emplace_back(buf->block_no, buf->data);
@@ -340,13 +327,12 @@ Status Jbd2Journal::CheckpointUntilFree(uint64_t needed) {
     return OkStatus();
   }
   bool advanced = false;
-  while (free_blocks_ < needed + area_blocks_ / 4 && !checkpoint_list_.empty()) {
+  while (free_blocks_ < needed + area_.blocks / 4 && !checkpoint_list_.empty()) {
     CheckpointTx cp = std::move(checkpoint_list_.front());
     checkpoint_list_.pop_front();
     std::vector<NvmeDriver::RequestHandle> handles;
     for (const auto& [home, content] : cp.writes) {
-      auto it = revoked_.find(home);
-      if (it != revoked_.end() && it->second >= cp.tx_id) {
+      if (Revoked(revoked_, home, cp.tx_id)) {
         continue;  // block was freed/reused after this copy was journaled
       }
       handles.push_back(blk_->SubmitWrite(home, &content, 0));
@@ -374,26 +360,14 @@ Status Jbd2Journal::CheckpointUntilFree(uint64_t needed) {
 Status Jbd2Journal::WriteAreaSuper() {
   Buffer buf(kFsBlockSize, 0);
   asb_.Serialize(buf);
-  return blk_->WriteSync(area_start_, buf, kBioFua);
+  return blk_->WriteSync(area_.start, buf, kBioFua);
 }
 
 Status Jbd2Journal::Recover() {
   ScopedSpan span(sim_->tracer(), TracePoint::kJournalRecover);
-  Buffer raw;
-  CCNVME_RETURN_IF_ERROR(blk_->ReadSync(area_start_, 1, &raw));
-  CCNVME_ASSIGN_OR_RETURN(AreaSuperblock sb, AreaSuperblock::Parse(raw));
-
-  struct ReplayTx {
-    DescriptorBlock desc;
-    std::vector<BlockNo> journal_lbas;
-  };
-  std::vector<ReplayTx> txs;
-  uint64_t pos = sb.start_offset;
-  uint64_t prev_txid = sb.cleared_txid;
-
   // Over ccNVMe the driver's recovered P-SQ window separates completed
   // transactions (trusted as-is, §4.4) from in-doubt ones that must pass
-  // the descriptor's per-block content checksums.
+  // the descriptor's per-block content checksums; there is no commit record.
   const bool have_window = options_.over_ccnvme && blk_->has_ccnvme();
   std::set<uint64_t> in_doubt;
   if (have_window) {
@@ -401,81 +375,25 @@ Status Jbd2Journal::Recover() {
       in_doubt.insert(req.tx_id);
     }
   }
-
-  for (;;) {
-    Buffer block;
-    CCNVME_RETURN_IF_ERROR(blk_->ReadSync(AreaLba(pos), 1, &block));
-    auto desc = DescriptorBlock::Parse(block);
-    if (!desc.ok() || desc->tx_id <= prev_txid) {
-      break;  // end of valid log
-    }
-    ReplayTx rt;
-    rt.desc = std::move(*desc);
-    const bool must_validate = !have_window || in_doubt.count(rt.desc.tx_id) != 0;
-    uint64_t p = NextOff(pos);
-    bool valid = true;
-    for (const JournalEntry& entry : rt.desc.entries) {
-      if (must_validate) {
-        Buffer content;
-        CCNVME_RETURN_IF_ERROR(blk_->ReadSync(AreaLba(p), 1, &content));
-        if (Fnv1a(content) != entry.content_checksum) {
-          valid = false;
-          break;
-        }
-      }
-      rt.journal_lbas.push_back(AreaLba(p));
-      p = NextOff(p);
-    }
-    if (!valid) {
-      break;
-    }
-    if (options_.over_ccnvme) {
-      // The descriptor's per-block checksums (validated above) seal the
-      // transaction; there is no commit record.
-      prev_txid = rt.desc.tx_id;
-      pos = p;
-      txs.push_back(std::move(rt));
-    } else {
-      // The commit record seals the transaction.
-      Buffer commit_raw;
-      CCNVME_RETURN_IF_ERROR(blk_->ReadSync(AreaLba(p), 1, &commit_raw));
-      auto commit = CommitBlock::Parse(commit_raw);
-      if (!commit.ok() || commit->tx_id != rt.desc.tx_id) {
-        break;
-      }
-      prev_txid = rt.desc.tx_id;
-      pos = NextOff(p);
-      txs.push_back(std::move(rt));
-    }
-  }
-
-  // Revocations: a block revoked at tx R must not be replayed from tx < R.
-  std::map<BlockNo, uint64_t> revmap;
-  for (const ReplayTx& rt : txs) {
-    for (BlockNo lba : rt.desc.revoked) {
-      revmap[lba] = std::max(revmap[lba], rt.desc.tx_id);
-    }
-  }
-
-  for (const ReplayTx& rt : txs) {
-    for (size_t i = 0; i < rt.desc.entries.size(); ++i) {
-      const BlockNo home = rt.desc.entries[i].home_lba;
-      auto it = revmap.find(home);
-      if (it != revmap.end() && it->second >= rt.desc.tx_id) {
-        continue;
-      }
-      Buffer content;
-      CCNVME_RETURN_IF_ERROR(blk_->ReadSync(rt.journal_lbas[i], 1, &content));
-      CCNVME_RETURN_IF_ERROR(blk_->WriteSync(home, content));
-    }
-  }
+  const JournalBlockReader read = [this](BlockNo lba, Buffer* out) {
+    return blk_->ReadSync(lba, 1, out);
+  };
+  CCNVME_ASSIGN_OR_RETURN(
+      AreaScan scan,
+      ScanJournalArea(read, area_,
+                      options_.over_ccnvme ? JournalSeal::kDescriptorChecksums
+                                           : JournalSeal::kCommitRecord,
+                      have_window ? &in_doubt : nullptr));
+  CCNVME_RETURN_IF_ERROR(ReplayJournal({&scan, 1}, read, [this](BlockNo lba, const Buffer& data) {
+    return blk_->WriteSync(lba, data);
+  }));
   CCNVME_RETURN_IF_ERROR(blk_->FlushSync());
 
   // Reset the log.
-  asb_.start_offset = pos;
-  asb_.cleared_txid = prev_txid;
-  head_off_ = pos;
-  free_blocks_ = area_blocks_ - 1;
+  asb_.start_offset = scan.end_offset;
+  asb_.cleared_txid = scan.last_txid;
+  head_off_ = scan.end_offset;
+  free_blocks_ = area_.blocks - 1;
   return WriteAreaSuper();
 }
 
@@ -500,8 +418,7 @@ Status Jbd2Journal::Shutdown() {
       CheckpointTx cp = std::move(checkpoint_list_.front());
       checkpoint_list_.pop_front();
       for (const auto& [home, content] : cp.writes) {
-        auto it = revoked_.find(home);
-        if (it != revoked_.end() && it->second >= cp.tx_id) {
+        if (Revoked(revoked_, home, cp.tx_id)) {
           continue;
         }
         CCNVME_RETURN_IF_ERROR(blk_->WriteSync(home, content));

@@ -97,12 +97,15 @@ class Jbd2Journal : public Journal {
 
   void CommitLoop();
   Status CommitOne(const std::shared_ptr<TxState>& tx);
+  // |tx| is durable in the log, in |blocks_used| blocks: queue its frozen
+  // copies for checkpoint and release its pages.
+  Status Committed(const std::shared_ptr<TxState>& tx, uint64_t blocks_used);
   // Frees journal space by writing back the oldest checkpointable
   // transactions until |needed| blocks are available.
   Status CheckpointUntilFree(uint64_t needed);
   Status WriteAreaSuper();
-  uint64_t NextOff(uint64_t off) const { return off + 1 >= area_blocks_ ? 1 : off + 1; }
-  BlockNo AreaLba(uint64_t off) const { return area_start_ + off; }
+  uint64_t NextOff(uint64_t off) const { return off + 1 >= area_.blocks ? 1 : off + 1; }
+  BlockNo AreaLba(uint64_t off) const { return area_.start + off; }
 
   Simulator* sim_;
   BlockLayer* blk_;
@@ -111,8 +114,7 @@ class Jbd2Journal : public Journal {
   ExtFs* fs_;
   Jbd2Options options_;
 
-  BlockNo area_start_;
-  uint64_t area_blocks_;
+  JournalArea area_;  // one compound area: all the layout's areas fused
   uint64_t head_off_ = 1;
   uint64_t free_blocks_;
   AreaSuperblock asb_;
@@ -125,9 +127,7 @@ class Jbd2Journal : public Journal {
   bool stopping_ = false;     // StopActors: kjournald returns once idle
   SimCompletion stopped_;     // kjournald has returned
   std::vector<BlockNo> pending_revocations_;
-  // home block -> latest revoking tx id; checkpoint and recovery skip
-  // journal copies older than the revocation.
-  std::map<BlockNo, uint64_t> revoked_;
+  Revocations revoked_;
   std::deque<CheckpointTx> checkpoint_list_;
 
   uint64_t commits_ = 0;

@@ -20,10 +20,10 @@ MqJournal::MqJournal(Simulator* sim, BlockLayer* blk, BufferCache* cache,
       options_(options),
       ckpt_mu_(sim) {
   CCNVME_CHECK(blk->has_ccnvme()) << "MQFS requires the ccNVMe extension";
-  for (uint32_t a = 0; a < layout.journal_areas; ++a) {
+  for (const JournalArea& a : JournalAreasOf(JournalKind::kMultiQueue, layout)) {
     auto area = std::make_unique<Area>(sim);
-    area->start = layout.area_start(a);
-    area->blocks = layout.blocks_per_area();
+    area->start = a.start;
+    area->blocks = a.blocks;
     area->free = area->blocks - 1;
     areas_.push_back(std::move(area));
     trees_.push_back(std::make_unique<RadixTree<JhChain>>());
@@ -281,17 +281,17 @@ void MqJournal::FinishTx(const std::shared_ptr<TxRecord>& rec) {
 void MqJournal::RevokeBlock(BlockNo block) {
   const uint32_t area_idx =
       blk_->current_queue() % static_cast<uint32_t>(areas_.size());
-  if (options_.selective_revocation) {
+  {
+    // Selective revocation (§5.4).
     const size_t t = TreeIndex(block);
     SimLockGuard guard(*tree_mu_[t]);
     JhChain* chain = trees_[t]->Find(block);
     if (chain != nullptr) {
       for (const JhVersion& v : chain->versions) {
         if (v.state == JhState::kChp) {
-          // Case 1 (§5.4): a stale copy is being checkpointed right now.
-          // Cancel the revocation; the block's next write regresses to data
-          // journaling so a newer journaled version supersedes the stale
-          // in-place write.
+          // Case 1: a stale copy is being checkpointed right now. Cancel the
+          // revocation; the block's next write regresses to data journaling
+          // so a newer journaled version supersedes the stale in-place write.
           force_journal_.insert(block);
           revocations_cancelled_++;
           return;
@@ -348,11 +348,7 @@ Status MqJournal::Checkpoint(uint32_t needy, uint64_t needed) {
   // Collect every area's logged transactions up to the horizon; replaying
   // by horizon keeps "no journal copy older than an in-place write" true
   // across areas, which recovery's replay-by-TxID relies on.
-  struct PendingWrite {
-    uint64_t tx_id;
-    const Buffer* content;
-  };
-  std::map<BlockNo, PendingWrite> newest;
+  std::map<BlockNo, const LoggedWrite*> newest;
   std::vector<std::pair<Area*, std::vector<LoggedTx>>> popped;
   for (auto& area_ptr : areas_) {
     Area& area = *area_ptr;
@@ -368,12 +364,7 @@ Status MqJournal::Checkpoint(uint32_t needy, uint64_t needed) {
   for (auto& [area, txs] : popped) {
     (void)area;
     for (const LoggedTx& tx : txs) {
-      for (const LoggedWrite& w : tx.writes) {
-        auto it = newest.find(w.home);
-        if (it == newest.end() || it->second.tx_id < w.tx_id) {
-          newest[w.home] = PendingWrite{w.tx_id, &w.content};
-        }
-      }
+      KeepNewest(tx, &newest);
     }
   }
 
@@ -382,11 +373,8 @@ Status MqJournal::Checkpoint(uint32_t needy, uint64_t needed) {
   // block was revoked after this copy.
   std::vector<NvmeDriver::RequestHandle> handles;
   for (auto& [home, pw] : newest) {
-    {
-      auto rit = revoked_.find(home);
-      if (rit != revoked_.end() && rit->second >= pw.tx_id) {
-        continue;
-      }
+    if (Revoked(revoked_, home, pw->tx_id)) {
+      continue;
     }
     const size_t t = TreeIndex(home);
     bool superseded = false;
@@ -397,7 +385,7 @@ Status MqJournal::Checkpoint(uint32_t needy, uint64_t needed) {
         for (JhVersion& v : chain->versions) {
           if (v.tx_id > horizon) {
             superseded = true;
-          } else if (v.tx_id == pw.tx_id) {
+          } else if (v.tx_id == pw->tx_id) {
             v.state = JhState::kChp;  // being checkpointed (Figure 6)
           }
         }
@@ -406,7 +394,7 @@ Status MqJournal::Checkpoint(uint32_t needy, uint64_t needed) {
     if (superseded) {
       continue;
     }
-    handles.push_back(blk_->SubmitWrite(home, pw.content, 0));
+    handles.push_back(blk_->SubmitWrite(home, &pw->content, 0));
   }
   for (auto& h : handles) {
     CCNVME_RETURN_IF_ERROR(blk_->Wait(h));
@@ -447,6 +435,15 @@ Status MqJournal::Checkpoint(uint32_t needy, uint64_t needed) {
   return OkStatus();
 }
 
+void MqJournal::KeepNewest(const LoggedTx& tx, std::map<BlockNo, const LoggedWrite*>* newest) {
+  for (const LoggedWrite& w : tx.writes) {
+    const LoggedWrite*& kept = (*newest)[w.home];
+    if (kept == nullptr || kept->tx_id < w.tx_id) {
+      kept = &w;
+    }
+  }
+}
+
 Status MqJournal::WriteAreaSuper(Area& area) {
   Buffer buf(kFsBlockSize, 0);
   area.asb.Serialize(buf);
@@ -455,105 +452,44 @@ Status MqJournal::WriteAreaSuper(Area& area) {
 
 Status MqJournal::Recover() {
   ScopedSpan span(sim_->tracer(), TracePoint::kJournalRecover);
-  struct ReplayTx {
-    DescriptorBlock desc;
-    std::vector<BlockNo> journal_lbas;  // parallel to desc.entries
-  };
-  std::vector<ReplayTx> txs;
-
   // §4.4: the driver captured each queue's P-SQ window [P-SQ-head, P-SQDB)
   // at bring-up. Transactions NOT in the window completed before the crash
   // — the device guarantees their blocks reached media, so recovery trusts
   // them without re-hashing content. Only in-window ("in-doubt")
   // transactions are validated against the descriptor's per-block content
-  // checksums. Without a ccNVMe driver there is no window: validate all.
-  bool have_window = false;
-  std::set<uint64_t> in_doubt;
-  if (blk_->has_ccnvme()) {
-    have_window = true;
-    if (!options_.test_skip_psq_window_scan) {
-      for (const auto& req : blk_->RecoveredWindow()) {
-        in_doubt.insert(req.tx_id);
-      }
-    }
-    if (Metrics* m = sim_->metrics()) {
-      // Recovery must treat every transaction in the recovered P-SQ window
-      // as in-doubt; ignoring any of them trusts unvalidated blocks.
-      std::set<uint64_t> window_txs;
-      for (const auto& req : blk_->RecoveredWindow()) {
-        window_txs.insert(req.tx_id);
-      }
-      m->monitors().OnRecoveryWindowScan(window_txs.size(), in_doubt.size());
-    }
+  // checksums.
+  std::set<uint64_t> window;
+  for (const auto& req : blk_->RecoveredWindow()) {
+    window.insert(req.tx_id);
+  }
+  const std::set<uint64_t> in_doubt =
+      options_.test_skip_psq_window_scan ? std::set<uint64_t>{} : window;
+  if (Metrics* m = sim_->metrics()) {
+    // Recovery must treat every transaction in the recovered P-SQ window
+    // as in-doubt; ignoring any of them trusts unvalidated blocks.
+    m->monitors().OnRecoveryWindowScan(window.size(), in_doubt.size());
   }
 
+  const JournalBlockReader read = [this](BlockNo lba, Buffer* out) {
+    return blk_->ReadSync(lba, 1, out);
+  };
+  std::vector<AreaScan> scans;
   for (auto& area_ptr : areas_) {
     Area& area = *area_ptr;
-    Buffer raw;
-    CCNVME_RETURN_IF_ERROR(blk_->ReadSync(area.start, 1, &raw));
-    CCNVME_ASSIGN_OR_RETURN(area.asb, AreaSuperblock::Parse(raw));
-    uint64_t pos = area.asb.start_offset;
-    uint64_t prev = area.asb.cleared_txid;
-    for (;;) {
-      Buffer block;
-      CCNVME_RETURN_IF_ERROR(blk_->ReadSync(area.start + pos, 1, &block));
-      auto desc = DescriptorBlock::Parse(block);
-      if (!desc.ok() || desc->tx_id <= prev) {
-        break;
-      }
-      ReplayTx rt;
-      rt.desc = std::move(*desc);
-      const bool must_validate = !have_window || in_doubt.count(rt.desc.tx_id) != 0;
-      uint64_t p = NextOff(area, pos);
-      bool valid = true;
-      for (const JournalEntry& e : rt.desc.entries) {
-        if (must_validate) {
-          Buffer content;
-          CCNVME_RETURN_IF_ERROR(blk_->ReadSync(area.start + p, 1, &content));
-          if (Fnv1a(content) != e.content_checksum) {
-            valid = false;  // transaction never fully reached media: discard
-            break;
-          }
-        }
-        rt.journal_lbas.push_back(area.start + p);
-        p = NextOff(area, p);
-      }
-      if (!valid) {
-        break;
-      }
-      prev = rt.desc.tx_id;
-      pos = p;
-      txs.push_back(std::move(rt));
-    }
-    area.asb.start_offset = pos;
-    area.asb.cleared_txid = prev;
-    area.head = pos;
+    CCNVME_ASSIGN_OR_RETURN(
+        AreaScan scan, ScanJournalArea(read, {area.start, area.blocks},
+                                       JournalSeal::kDescriptorChecksums, &in_doubt));
+    area.asb.start_offset = scan.end_offset;
+    area.asb.cleared_txid = scan.last_txid;
+    area.head = scan.end_offset;
     area.free = area.blocks - 1;
+    scans.push_back(std::move(scan));
   }
-
   // Global order across queues comes from the transaction IDs (§4.4):
-  // link all areas' transactions and replay sequentially (§5.5).
-  std::sort(txs.begin(), txs.end(),
-            [](const ReplayTx& a, const ReplayTx& b) { return a.desc.tx_id < b.desc.tx_id; });
-
-  std::map<BlockNo, uint64_t> revmap;
-  for (const ReplayTx& rt : txs) {
-    for (BlockNo lba : rt.desc.revoked) {
-      revmap[lba] = std::max(revmap[lba], rt.desc.tx_id);
-    }
-  }
-  for (const ReplayTx& rt : txs) {
-    for (size_t i = 0; i < rt.desc.entries.size(); ++i) {
-      const BlockNo home = rt.desc.entries[i].home_lba;
-      auto it = revmap.find(home);
-      if (it != revmap.end() && it->second >= rt.desc.tx_id) {
-        continue;
-      }
-      Buffer content;
-      CCNVME_RETURN_IF_ERROR(blk_->ReadSync(rt.journal_lbas[i], 1, &content));
-      CCNVME_RETURN_IF_ERROR(blk_->WriteSync(home, content));
-    }
-  }
+  // all areas' transactions replay in one sequence (§5.5).
+  CCNVME_RETURN_IF_ERROR(ReplayJournal(scans, read, [this](BlockNo lba, const Buffer& data) {
+    return blk_->WriteSync(lba, data);
+  }));
   CCNVME_RETURN_IF_ERROR(blk_->FlushSync());
   for (auto& area_ptr : areas_) {
     CCNVME_RETURN_IF_ERROR(WriteAreaSuper(*area_ptr));
@@ -573,23 +509,16 @@ Status MqJournal::Shutdown() {
   }
   SimLockGuard guard(ckpt_mu_);
   std::vector<NvmeDriver::RequestHandle> handles;
-  std::map<BlockNo, std::pair<uint64_t, const Buffer*>> newest;
+  std::map<BlockNo, const LoggedWrite*> newest;
   for (auto& area_ptr : areas_) {
     for (const LoggedTx& tx : area_ptr->ckpt) {
-      for (const LoggedWrite& w : tx.writes) {
-        auto it = newest.find(w.home);
-        if (it == newest.end() || it->second.first < w.tx_id) {
-          newest[w.home] = {w.tx_id, &w.content};
-        }
-      }
+      KeepNewest(tx, &newest);
     }
   }
-  for (auto& [home, v] : newest) {
-    auto rit = revoked_.find(home);
-    if (rit != revoked_.end() && rit->second >= v.first) {
-      continue;
+  for (auto& [home, w] : newest) {
+    if (!Revoked(revoked_, home, w->tx_id)) {
+      handles.push_back(blk_->SubmitWrite(home, &w->content, 0));
     }
-    handles.push_back(blk_->SubmitWrite(home, v.second, 0));
   }
   for (auto& h : handles) {
     CCNVME_RETURN_IF_ERROR(blk_->Wait(h));

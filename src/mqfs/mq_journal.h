@@ -42,8 +42,7 @@ namespace ccnvme {
 class ExtFs;
 
 struct MqJournalOptions {
-  bool shadow_paging = true;         // §5.3
-  bool selective_revocation = true;  // §5.4 (false = naive JR, incorrect)
+  bool shadow_paging = true;  // §5.3
   // TEST ONLY: skip the P-SQ window scan during recovery (see ExtFsOptions).
   bool test_skip_psq_window_scan = false;
 };
@@ -144,6 +143,8 @@ class MqJournal : public Journal {
   // Horizon-ordered global checkpoint (§5.2): frees space in |needy| by
   // writing back every area's versions up to a tx-id horizon.
   Status Checkpoint(uint32_t needy, uint64_t needed);
+  // Keeps in |newest| the newest logged version of each of |tx|'s blocks.
+  static void KeepNewest(const LoggedTx& tx, std::map<BlockNo, const LoggedWrite*>* newest);
   Status WriteAreaSuper(Area& area);
   uint64_t NextOff(const Area& area, uint64_t off) const {
     return off + 1 >= area.blocks ? 1 : off + 1;
@@ -161,8 +162,7 @@ class MqJournal : public Journal {
   std::vector<std::unique_ptr<SimMutex>> tree_mu_;
   SimMutex ckpt_mu_;
 
-  // Accepted revocations: home -> revoking tx id (skip older copies).
-  std::map<BlockNo, uint64_t> revoked_;
+  Revocations revoked_;  // accepted revocations
   // §5.4 case 1: blocks whose next data write must be journaled.
   std::set<BlockNo> force_journal_;
   // Revocations to embed in the next descriptor, per area.

@@ -1,6 +1,7 @@
 #include "src/nvme/kv_ssd.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "src/common/logging.h"
 #include "src/metrics/metrics.h"
@@ -16,9 +17,7 @@ constexpr size_t kPmrWcChunkBytes = 64 * kMmioWordSize;
 uint64_t PmrLines(size_t bytes) { return (bytes + kPmrLineBytes - 1) / kPmrLineBytes; }
 }  // namespace
 
-KvPmrLayout KvPmrLayout::From(uint32_t dir_slots, uint32_t shadow_slots,
-                              uint64_t total_lpns, uint32_t map_entries_per_segment,
-                              size_t pmr_size) {
+KvPmrLayout KvSuperblock::Layout(size_t pmr_size) const {
   KvPmrLayout l;
   l.num_segments = static_cast<uint32_t>(
       (total_lpns + map_entries_per_segment - 1) / map_entries_per_segment);
@@ -28,6 +27,161 @@ KvPmrLayout KvPmrLayout::From(uint32_t dir_slots, uint32_t shadow_slots,
   l.dir_off = l.shadow_off - static_cast<size_t>(dir_slots) * kKvDirSlotBytes;
   l.frame_off = l.dir_off - kKvFrames * (kKvFrameHeaderBytes + kKvFrameBytes);
   return l;
+}
+
+// --- on-PMR records --------------------------------------------------------
+
+KvSuperblock KvSuperblock::ForConfig(const KvSsdConfig& config) {
+  KvSuperblock sb;
+  sb.dir_slots = config.dir_slots;
+  sb.shadow_slots = config.shadow_slots;
+  sb.flash_pages = config.flash_pages;
+  sb.total_lpns = config.total_lpns;
+  sb.pages_per_block = config.pages_per_block;
+  sb.map_entries_per_segment = config.map_entries_per_segment;
+  sb.map_cache_segments = config.map_cache_segments;
+  sb.gc_free_blocks_low = config.gc_free_blocks_low;
+  return sb;
+}
+
+uint64_t KvSuperblock::GeometryHash() const {
+  Buffer geo(48);
+  PutU64(geo, 0, dir_slots);
+  PutU64(geo, 8, shadow_slots);
+  PutU64(geo, 16, flash_pages);
+  PutU64(geo, 24, total_lpns);
+  PutU64(geo, 32, pages_per_block);
+  PutU64(geo, 40, map_entries_per_segment);
+  return Fnv1a(geo);
+}
+
+namespace {
+// Where the superblock stores each field. Bytes 16..24 hold the geometry
+// hash; 96..128 are unused.
+constexpr std::pair<size_t, uint64_t KvSuperblock::*> kSbWords[] = {
+    {KvSuperblock::kCheckpointSeqOffset, &KvSuperblock::checkpoint_seq},
+    {KvSuperblock::kStatsOffset, &KvSuperblock::host_pages},
+    {KvSuperblock::kStatsOffset + 8, &KvSuperblock::media_pages},
+    {KvSuperblock::kStatsOffset + 16, &KvSuperblock::gc_runs},
+    {KvSuperblock::kStatsOffset + 24, &KvSuperblock::gc_migrated_pages},
+    {64, &KvSuperblock::flash_pages},
+    {72, &KvSuperblock::total_lpns}};
+constexpr std::pair<size_t, uint32_t KvSuperblock::*> kSbHalfWords[] = {
+    {56, &KvSuperblock::dir_slots},       {60, &KvSuperblock::shadow_slots},
+    {80, &KvSuperblock::pages_per_block}, {84, &KvSuperblock::map_entries_per_segment},
+    {88, &KvSuperblock::map_cache_segments}, {92, &KvSuperblock::gc_free_blocks_low}};
+}  // namespace
+
+void KvSuperblock::Serialize(std::span<uint8_t> out) const {
+  CCNVME_CHECK_EQ(out.size(), kKvSuperblockBytes);
+  std::fill(out.begin(), out.end(), 0);
+  PutU32(out, 0, kKvSsdMagic);
+  PutU32(out, 4, kKvSsdVersion);
+  PutU64(out, 16, GeometryHash());
+  for (const auto& [offset, field] : kSbWords) {
+    PutU64(out, offset, this->*field);
+  }
+  for (const auto& [offset, field] : kSbHalfWords) {
+    PutU32(out, offset, this->*field);
+  }
+}
+
+Result<KvSuperblock> KvSuperblock::Parse(std::span<const uint8_t> in) {
+  if (in.size() < kKvSuperblockBytes || GetU32(in, 0) != kKvSsdMagic ||
+      GetU32(in, 4) != kKvSsdVersion) {
+    return Corruption("no KV superblock (device not formatted as a KV-SSD?)");
+  }
+  KvSuperblock sb;
+  for (const auto& [offset, field] : kSbWords) {
+    sb.*field = GetU64(in, offset);
+  }
+  for (const auto& [offset, field] : kSbHalfWords) {
+    sb.*field = GetU32(in, offset);
+  }
+  if (sb.GeometryHash() != GetU64(in, 16)) {
+    return Corruption("superblock geometry hash mismatch (torn superblock?)");
+  }
+  // Beyond the hash: a geometry no KV-SSD (and no FTL) can have.
+  if (sb.dir_slots == 0 || sb.shadow_slots < 2 || sb.total_lpns > (1ull << 26) ||
+      sb.pages_per_block == 0 ||
+      sb.flash_pages % sb.pages_per_block != 0 ||
+      sb.flash_pages / sb.pages_per_block <= sb.gc_free_blocks_low + 1ull ||
+      sb.map_entries_per_segment * 8ull != kPageBytes || sb.map_cache_segments == 0) {
+    return Corruption("superblock geometry no KV-SSD can have");
+  }
+  return sb;
+}
+
+void KvShadowEntry::Serialize(std::span<uint8_t> out) const {
+  CCNVME_CHECK_EQ(out.size(), kKvShadowBytes);
+  PutU64(out, 0, seq);
+  PutU64(out, 8, lpn);
+  PutU32(out, 16, npages);
+  PutU32(out, 20, ppn);
+  PutU32(out, 24, slot);
+  PutU32(out, 28, static_cast<uint32_t>(Fnv1a(out.first(28)) & 0xFFFFFFFF));
+}
+
+Result<KvShadowEntry> KvShadowEntry::Parse(std::span<const uint8_t> in) {
+  if (in.size() < kKvShadowBytes ||
+      GetU32(in, 28) != static_cast<uint32_t>(Fnv1a(in.first(28)) & 0xFFFFFFFF)) {
+    return Corruption("shadow entry checksum mismatch");
+  }
+  KvShadowEntry sh;
+  sh.seq = GetU64(in, 0);
+  sh.lpn = GetU64(in, 8);
+  sh.npages = GetU32(in, 16);
+  sh.ppn = GetU32(in, 20);
+  sh.slot = GetU32(in, 24);
+  return sh;
+}
+
+KvShadowChain ReplayShadowChain(const PageImage& pmr, const KvPmrLayout& layout,
+                                const KvSuperblock& sb, Ftl& ftl) {
+  KvShadowChain chain;
+  Buffer raw(kKvShadowBytes);
+  for (uint32_t s = 0; s < sb.shadow_slots; ++s) {
+    pmr.Read(layout.ShadowOff(s), raw);
+    const Result<KvShadowEntry> sh = KvShadowEntry::Parse(raw);
+    if (!sh.ok()) {
+      chain.torn += GetU64(raw, 0) != 0 ? 1 : 0;
+      continue;
+    }
+    if (sh->seq > sb.checkpoint_seq && sh->seq <= sb.checkpoint_seq + sb.shadow_slots) {
+      chain.entries.push_back({s, *sh});
+    }
+  }
+  std::sort(chain.entries.begin(), chain.entries.end(),
+            [](const KvShadowChain::Entry& a, const KvShadowChain::Entry& b) {
+              return a.shadow.seq < b.shadow.seq;
+            });
+  chain.last_seq = sb.checkpoint_seq;
+  for (const KvShadowChain::Entry& e : chain.entries) {
+    const KvShadowEntry& sh = e.shadow;
+    if (sh.seq != chain.last_seq + 1) {
+      break;
+    }
+    for (uint32_t i = 0; i < sh.npages && sh.lpn + i < sb.total_lpns; ++i) {
+      ftl.MapSetForReplay(sh.lpn + i, sh.ppn == kKvShadowUnmapped ? kFtlUnmapped : sh.ppn + i);
+    }
+    chain.last_seq = sh.seq;
+    chain.replayed++;
+  }
+  return chain;
+}
+
+void KvDirEntry::Serialize(std::span<uint8_t> out) const {
+  CCNVME_CHECK_EQ(out.size(), kKvDirSlotBytes);
+  std::fill(out.begin(), out.end(), 0);
+  std::copy(key.begin(), key.end(), out.begin());
+  PutU64(out, kMetaOffset, meta);
+}
+
+KvDirEntry KvDirEntry::Parse(std::span<const uint8_t> in) {
+  KvDirEntry e;
+  std::copy(in.begin(), in.begin() + kKvMaxKeyLen, e.key.begin());
+  e.meta = GetU64(in, kMetaOffset);
+  return e;
 }
 
 KvSsd::KvSsd(Simulator* sim, SsdModel* ssd, Pmr* pmr, const KvSsdConfig& config)
@@ -43,9 +197,7 @@ KvSsd::KvSsd(Simulator* sim, SsdModel* ssd, Pmr* pmr, const KvSsdConfig& config)
   CCNVME_CHECK(config_.max_value_bytes < (1u << 20)) << "meta word packs 20 length bits";
   CCNVME_CHECK(config_.max_value_bytes <= config_.pages_per_block * kPageBytes)
       << "a value must fit one erase block (contiguous run)";
-  layout_ = KvPmrLayout::From(config_.dir_slots, config_.shadow_slots,
-                              config_.total_lpns, config_.map_entries_per_segment,
-                              pmr_->size());
+  layout_ = KvSuperblock::ForConfig(config_).Layout(pmr_->size());
   // The ccNVMe P-SQ area grows from the bottom of the PMR; keep clear of it.
   CCNVME_CHECK(layout_.frame_off >= 64 * 1024)
       << "KV metadata would overrun the PMR (shrink dir_slots or the geometry)";
@@ -64,25 +216,98 @@ uint64_t KvSsd::PackMeta(uint64_t lpn, uint32_t value_len, uint32_t key_len,
 }
 
 std::array<KvSsd::RecoveredFrame, kKvFrames> KvSsd::RecoverFrames(
-    const std::array<uint64_t, kKvFrames>& headers, uint64_t total_lpns,
-    const std::function<bool(uint64_t)>& mapped, std::vector<std::string>* errors) {
+    const PageImage& pmr, const KvPmrLayout& layout, Ftl& ftl, std::vector<std::string>* errors) {
   std::array<RecoveredFrame, kKvFrames> frames{};
   for (uint32_t f = 0; f < kKvFrames; ++f) {
-    if ((headers[f] & kFrameUsed) == 0) {
+    const uint64_t header = pmr.ReadU64(layout.FrameHeaderOff(f));
+    if ((header & kFrameUsed) == 0) {
       continue;
     }
-    const uint64_t lpn = FrameLpn(headers[f]);
+    const uint64_t lpn = FrameLpn(header);
     const bool staged_twice = std::any_of(frames.begin(), frames.begin() + f, [&](const auto& g) {
       return g.fate == FrameFate::kStaged && g.lpn == lpn;
     });
-    if (lpn >= total_lpns || staged_twice) {
+    if (lpn >= ftl.config().total_lpns || staged_twice) {
       errors->push_back("staging frame " + std::to_string(f) + " names lpn " +
                         std::to_string(lpn) + " (beyond the logical space or staged twice)");
       continue;
     }
-    frames[f] = {mapped(lpn) ? FrameFate::kFlushed : FrameFate::kStaged, lpn};
+    frames[f] = {ftl.MapLookup(lpn) != kFtlUnmapped ? FrameFate::kFlushed : FrameFate::kStaged,
+                 lpn};
   }
   return frames;
+}
+
+KvSsd::Directory KvSsd::WalkDirectory(const PageImage& pmr, const KvPmrLayout& layout,
+                                      const KvSuperblock& sb, uint32_t max_value_bytes,
+                                      const std::array<RecoveredFrame, kKvFrames>& frames,
+                                      Ftl& ftl, std::vector<std::string>* errors) {
+  Directory dir;
+  dir.entries.resize(sb.dir_slots);
+  dir.claimed.assign(sb.total_lpns, 0);
+  for (uint32_t f = 0; f < kKvFrames; ++f) {
+    if (frames[f].fate == FrameFate::kStaged) {
+      dir.packed_refs[frames[f].lpn] = 1;
+    }
+  }
+  Buffer raw(kKvDirSlotBytes);
+  for (uint32_t s = 0; s < sb.dir_slots; ++s) {
+    pmr.Read(layout.DirSlotOff(s), raw);
+    KvDirEntry& e = dir.entries[s] = KvDirEntry::Parse(raw);
+    if ((e.meta & kMetaTomb) != 0) {
+      dir.tombstones++;
+      continue;
+    }
+    if (!MetaLive(e.meta)) {
+      continue;
+    }
+    const uint32_t key_len = MetaKeyLen(e.meta);
+    const uint64_t lpn = MetaLpn(e.meta);
+    const uint32_t npages = MetaPages(e.meta);
+    if (key_len < 1 || key_len > kKvMaxKeyLen || MetaValueLen(e.meta) > max_value_bytes ||
+        lpn + npages > sb.total_lpns) {
+      errors->push_back("directory slot " + std::to_string(s) + " has out-of-range fields");
+      e.meta = kMetaTomb;  // dead: no command may read or release its LPNs
+      continue;
+    }
+    dir.live_keys++;
+    dir.live_value_bytes += MetaValueLen(e.meta);
+    if (MetaPacked(e.meta)) {
+      // An entry running past its page is still counted below, so deleting
+      // or overwriting it releases the shared page like any other.
+      const uint32_t end = PackedEnd(e.meta);
+      if (end > kKvFrameBytes) {
+        errors->push_back("directory slot " + std::to_string(s) +
+                          " holds a packed entry that runs past its page (ends at byte " +
+                          std::to_string(end) + ")");
+      }
+      dir.claimed[lpn] = 1;
+      for (uint32_t f = 0; f < kKvFrames; ++f) {
+        if (frames[f].fate == FrameFate::kStaged && frames[f].lpn == lpn) {
+          dir.frame_fill[f] = std::max(dir.frame_fill[f], PackedBytes(end));
+          dir.frame_values[f]++;
+        }
+      }
+      if (dir.packed_refs[lpn]++ > 0) {
+        continue;  // a shared page already claimed, or a staged LPN
+      }
+    }
+    for (uint32_t i = 0; i < npages; ++i) {
+      dir.claimed[lpn + i] = 1;
+      const uint64_t ppn = ftl.MapLookup(lpn + i);
+      if (ppn == kFtlUnmapped || ppn >= sb.flash_pages) {
+        errors->push_back("directory slot " + std::to_string(s) + " covers unmapped lpn " +
+                          std::to_string(lpn + i) +
+                          " (committed meta word without a durable shadow map-entry)");
+        continue;
+      }
+      if (!ftl.MarkLive(lpn + i, ppn)) {
+        errors->push_back("physical page " + std::to_string(ppn) +
+                          " claimed by two live mappings");
+      }
+    }
+  }
+  return dir;
 }
 
 // --- recorded PMR traffic --------------------------------------------------
@@ -134,14 +359,10 @@ void KvSsd::PmrFence() {
 void KvSsd::PersistGtd(uint32_t seg, uint64_t ppn) {
   Buffer word(8);
   PutU64(word, 0, ppn);
-  PmrStoreUncached(layout_.gtd_off + static_cast<size_t>(seg) * 8, word);
+  PmrStoreUncached(layout_.GtdOff(seg), word);
 }
 
-uint64_t KvSsd::LoadGtd(uint32_t seg) {
-  Buffer word(8);
-  pmr_->Read(layout_.gtd_off + static_cast<size_t>(seg) * 8, word);
-  return GetU64(word, 0);
-}
+uint64_t KvSsd::LoadGtd(uint32_t seg) { return pmr_->image().ReadU64(layout_.GtdOff(seg)); }
 
 bool KvSsd::FlashWrite(uint64_t ppn, const Buffer& data) {
   CCNVME_CHECK(data.size() == kPageBytes);
@@ -184,46 +405,17 @@ void KvSsd::OnMapCheckpointed() {
   checkpoint_seq_ = last_seq_;
   Buffer word(8);
   PutU64(word, 0, checkpoint_seq_);
-  PmrStoreUncached(layout_.sb_off + 8, word);
+  PmrStoreUncached(layout_.sb_off + KvSuperblock::kCheckpointSeqOffset, word);
   // Stats mirror for offline tools; not correctness-critical.
   Buffer stats(32);
   PutU64(stats, 0, ftl_ == nullptr ? 0 : ftl_->host_pages_written());
   PutU64(stats, 8, ftl_ == nullptr ? 0 : ftl_->media_pages_written());
   PutU64(stats, 16, ftl_ == nullptr ? 0 : ftl_->gc_runs());
   PutU64(stats, 24, ftl_ == nullptr ? 0 : ftl_->gc_migrated_pages());
-  pmr_->Write(layout_.sb_off + 24, stats);
+  pmr_->Write(layout_.sb_off + KvSuperblock::kStatsOffset, stats);
 }
 
 // --- format / attach -------------------------------------------------------
-
-uint64_t KvSsd::GeometryHash() const {
-  Buffer geo(48);
-  PutU64(geo, 0, config_.dir_slots);
-  PutU64(geo, 8, config_.shadow_slots);
-  PutU64(geo, 16, config_.flash_pages);
-  PutU64(geo, 24, config_.total_lpns);
-  PutU64(geo, 32, config_.pages_per_block);
-  PutU64(geo, 40, config_.map_entries_per_segment);
-  return Fnv1a(geo);
-}
-
-void KvSsd::WriteSuperblock() {
-  Buffer sb(kKvSuperblockBytes, 0);
-  PutU32(sb, 0, kKvSsdMagic);
-  PutU32(sb, 4, kKvSsdVersion);
-  PutU64(sb, 8, checkpoint_seq_);
-  PutU64(sb, 16, GeometryHash());
-  // 24..56: stats (host/media/gc_runs/gc_migrated), zero at format.
-  PutU32(sb, 56, config_.dir_slots);
-  PutU32(sb, 60, config_.shadow_slots);
-  PutU64(sb, 64, config_.flash_pages);
-  PutU64(sb, 72, config_.total_lpns);
-  PutU32(sb, 80, config_.pages_per_block);
-  PutU32(sb, 84, config_.map_entries_per_segment);
-  PutU32(sb, 88, config_.map_cache_segments);
-  PutU32(sb, 92, config_.gc_free_blocks_low);
-  pmr_->Write(layout_.sb_off, sb);
-}
 
 Status KvSsd::Format() {
   SimLockGuard lock(mu_);
@@ -237,13 +429,15 @@ Status KvSsd::Format() {
   checkpoint_seq_ = 0;
   last_seq_ = 0;
   live_keys_ = 0;
-  WriteSuperblock();
-  dir_.assign(config_.dir_slots, DirEnt{});
+  Buffer sb(kKvSuperblockBytes);
+  KvSuperblock::ForConfig(config_).Serialize(sb);
+  pmr_->Write(layout_.sb_off, sb);
+  dir_.assign(config_.dir_slots, KvDirEntry{});
   frames_ = {};
   open_ = -1;
   packed_refs_.clear();
   attach_errors_.clear();
-  ftl_ = std::make_unique<Ftl>(sim_, this, config_.ToFtlConfig());
+  ftl_ = std::make_unique<Ftl>(sim_, this, KvSuperblock::ForConfig(config_).ToFtlConfig());
   attached_ = true;
   return OkStatus();
 }
@@ -251,149 +445,53 @@ Status KvSsd::Format() {
 Status KvSsd::Attach() {
   SimLockGuard lock(mu_);
   ScopedSpan span(sim_->tracer(), TracePoint::kFtlRecover);
-  Buffer sb(kKvSuperblockBytes);
-  pmr_->Read(layout_.sb_off, sb);
-  if (GetU32(sb, 0) != kKvSsdMagic || GetU32(sb, 4) != kKvSsdVersion) {
-    return IoError("kv-ssd: no superblock (device not formatted?)");
+  Buffer raw(kKvSuperblockBytes);
+  pmr_->Read(layout_.sb_off, raw);
+  const Result<KvSuperblock> sb = KvSuperblock::Parse(raw);
+  if (!sb.ok()) {
+    return IoError("kv-ssd: " + sb.status().message());
   }
-  if (GetU64(sb, 16) != GeometryHash()) {
+  if (sb->GeometryHash() != KvSuperblock::ForConfig(config_).GeometryHash()) {
     return IoError("kv-ssd: superblock geometry does not match the config");
   }
-  checkpoint_seq_ = GetU64(sb, 8);
-  last_seq_ = checkpoint_seq_;
+  checkpoint_seq_ = sb->checkpoint_seq;
   attach_errors_.clear();
-  live_keys_ = 0;
-  ftl_ = std::make_unique<Ftl>(sim_, this, config_.ToFtlConfig());
+  ftl_ = std::make_unique<Ftl>(sim_, this, KvSuperblock::ForConfig(config_).ToFtlConfig());
   ftl_->BeginAttach();
   ftl_->AttachLoadGtd();
 
-  // Shadow replay: crc-clean entries with consecutive sequence numbers
-  // starting right above the checkpoint. A gap means the later entries
-  // never armed before the crash; their commits cannot have happened
-  // either (the commit fence orders arm before commit), so stop there.
-  std::vector<Shadow> cands;
-  for (uint32_t s = 0; s < config_.shadow_slots; ++s) {
-    Buffer rec(kKvShadowBytes);
-    pmr_->Read(layout_.shadow_off + static_cast<size_t>(s) * kKvShadowBytes, rec);
-    const uint64_t seq = GetU64(rec, 0);
-    if (seq <= checkpoint_seq_ || seq > checkpoint_seq_ + config_.shadow_slots) {
-      continue;
-    }
-    if (GetU32(rec, 28) != ShadowCrc(std::span<const uint8_t>(rec.data(), 28))) {
-      continue;
-    }
-    Shadow sh;
-    sh.seq = seq;
-    sh.lpn = GetU64(rec, 8);
-    sh.npages = GetU32(rec, 16);
-    sh.ppn = GetU32(rec, 20);
-    sh.slot = GetU32(rec, 24);
-    cands.push_back(sh);
-  }
-  std::sort(cands.begin(), cands.end(),
-            [](const Shadow& a, const Shadow& b) { return a.seq < b.seq; });
-  for (const Shadow& sh : cands) {
-    if (sh.seq != last_seq_ + 1) {
-      break;
-    }
-    for (uint32_t i = 0; i < sh.npages; ++i) {
-      ftl_->MapSetForReplay(sh.lpn + i,
-                            sh.ppn == kKvShadowUnmapped ? kFtlUnmapped : sh.ppn + i);
-    }
-    last_seq_ = sh.seq;
-  }
+  last_seq_ = ReplayShadowChain(pmr_->image(), layout_, *sb, *ftl_).last_seq;
 
   // Staging frames. One whose LPN the map now has was flushed before the
   // cut (its shadow is durable, its header clear was not): its header is
   // cleared so no later frame can share the LPN with it.
-  std::array<uint64_t, kKvFrames> headers{};
-  for (uint32_t f = 0; f < kKvFrames; ++f) {
-    Buffer word(8);
-    pmr_->Read(layout_.FrameHeaderOff(f), word);
-    headers[f] = GetU64(word, 0);
-  }
-  std::vector<std::string> frame_errors;
-  const std::array<RecoveredFrame, kKvFrames> recovered = RecoverFrames(
-      headers, config_.total_lpns,
-      [&](uint64_t lpn) { return ftl_->MapLookup(lpn) != kFtlUnmapped; }, &frame_errors);
-  for (const std::string& error : frame_errors) {
-    attach_errors_.push_back("kv-ssd: " + error);
-  }
+  std::vector<std::string> errors;
+  const std::array<RecoveredFrame, kKvFrames> recovered =
+      RecoverFrames(pmr_->image(), layout_, *ftl_, &errors);
   frames_ = {};
   open_ = -1;
-  packed_refs_.clear();
   for (uint32_t f = 0; f < kKvFrames; ++f) {
     const uint64_t lpn = recovered[f].lpn;
     if (recovered[f].fate == FrameFate::kFlushed) {
       PmrStoreUncached(layout_.FrameHeaderOff(f), Buffer(8, 0));
     } else if (recovered[f].fate == FrameFate::kStaged) {
       frames_[f] = Frame{FrameState::kSealed, lpn, 0};
-      packed_refs_[lpn] = 1;
       ftl_->ClaimLpn(lpn);
     }
   }
 
   // Directory walk: mirror the slots into RAM and rebuild physical-page
-  // liveness. Every LPN a live entry covers must be mapped — an unmapped
-  // one means the commit word landed without its shadow (the injected-bug
-  // signature) or the image is corrupt — unless a frame stages it. Values
-  // packed into one page share its LPN, which is counted (and marked live)
-  // once.
-  dir_.assign(config_.dir_slots, DirEnt{});
-  std::vector<uint8_t> claimed(config_.total_lpns, 0);
-  for (uint32_t s = 0; s < config_.dir_slots; ++s) {
-    Buffer raw(kKvDirSlotBytes);
-    pmr_->Read(layout_.dir_off + static_cast<size_t>(s) * kKvDirSlotBytes, raw);
-    DirEnt& e = dir_[s];
-    std::copy(raw.begin(), raw.begin() + kKvMaxKeyLen, e.key.begin());
-    e.meta = GetU64(raw, 24);
-    if (!MetaLive(e.meta)) {
-      continue;
-    }
-    const uint32_t key_len = MetaKeyLen(e.meta);
-    const uint64_t lpn = MetaLpn(e.meta);
-    const uint32_t npages = MetaPages(e.meta);
-    if (key_len < 1 || key_len > kKvMaxKeyLen ||
-        MetaValueLen(e.meta) > config_.max_value_bytes ||
-        lpn + npages > config_.total_lpns) {
-      attach_errors_.push_back("kv-ssd: directory slot " + std::to_string(s) +
-                               " has out-of-range fields");
-      e.meta = kMetaTomb;  // dead in RAM: no command may read or release its LPNs
-      continue;
-    }
-    live_keys_++;
-    if (MetaPacked(e.meta)) {
-      // An entry running past its page is still counted below, so deleting
-      // or overwriting it releases the shared page like any other.
-      const uint32_t end = PackedEnd(e.meta);
-      if (end > kKvFrameBytes) {
-        attach_errors_.push_back("kv-ssd: packed entry in slot " + std::to_string(s) +
-                                 " runs past its page (ends at byte " + std::to_string(end) +
-                                 ")");
-      }
-      claimed[lpn] = 1;
-      if (const int f = StagedFrame(lpn); f >= 0) {
-        frames_[f].fill = std::max(frames_[f].fill, PackedBytes(end));
-      }
-      if (packed_refs_[lpn]++ > 0) {
-        continue;  // a shared page already marked live, or a staged LPN
-      }
-    }
-    for (uint32_t i = 0; i < npages; ++i) {
-      claimed[lpn + i] = 1;
-      const uint64_t ppn = ftl_->MapLookup(lpn + i);
-      if (ppn == kFtlUnmapped || ppn >= config_.flash_pages) {
-        attach_errors_.push_back(
-            "kv-ssd: directory entry in slot " + std::to_string(s) +
-            " covers unmapped lpn " + std::to_string(lpn + i) +
-            " (committed meta word without a durable shadow map-entry)");
-        continue;
-      }
-      if (!ftl_->MarkLive(lpn + i, ppn)) {
-        attach_errors_.push_back("kv-ssd: physical page " + std::to_string(ppn) +
-                                 " claimed by two live mappings");
-      }
-    }
+  // liveness.
+  Directory dir = WalkDirectory(pmr_->image(), layout_, *sb, config_.max_value_bytes, recovered,
+                                *ftl_, &errors);
+  for (const std::string& error : errors) {
+    attach_errors_.push_back("kv-ssd: " + error);
+  }
+  dir_ = std::move(dir.entries);
+  live_keys_ = dir.live_keys;
+  packed_refs_ = std::move(dir.packed_refs);
+  for (uint32_t f = 0; f < kKvFrames; ++f) {
+    frames_[f].fill = dir.frame_fill[f];
   }
 
   // Orphan sweep: drop mappings no live entry claims — the residue of
@@ -401,7 +499,7 @@ Status KvSsd::Attach() {
   // store, or staged entries that rode a mid-store map checkpoint). Their
   // data pages stay unclaimed and fall back to the free/stale pools below.
   for (uint64_t lpn = 0; lpn < config_.total_lpns; ++lpn) {
-    if (claimed[lpn] == 0) {
+    if (dir.claimed[lpn] == 0) {
       ftl_->MapClearUnclaimed(lpn);
     }
   }
@@ -438,10 +536,6 @@ Status KvSsd::CheckConsistency() {
   return OkStatus();
 }
 
-uint32_t KvSsd::ShadowCrc(std::span<const uint8_t> rec28) {
-  return static_cast<uint32_t>(Fnv1a(rec28) & 0xFFFFFFFF);
-}
-
 void KvSsd::PublishFtlMetrics() {
   Metrics* m = sim_->metrics();
   if (m == nullptr || ftl_ == nullptr) {
@@ -472,7 +566,7 @@ void KvSsd::PublishFtlMetrics() {
 
 // --- directory probing -----------------------------------------------------
 
-bool KvSsd::KeyMatches(const DirEnt& e, std::span<const uint8_t> key) const {
+bool KvSsd::KeyMatches(const KvDirEntry& e, std::span<const uint8_t> key) const {
   if (MetaKeyLen(e.meta) != key.size()) {
     return false;
   }
@@ -485,7 +579,7 @@ void KvSsd::Probe(std::span<const uint8_t> key, int* found, int* insert) const {
   const uint32_t h = static_cast<uint32_t>(Fnv1a(key) % config_.dir_slots);
   for (uint32_t i = 0; i < config_.dir_slots; ++i) {
     const uint32_t s = (h + i) % config_.dir_slots;
-    const DirEnt& e = dir_[s];
+    const KvDirEntry& e = dir_[s];
     if (e.meta == 0) {
       if (*insert < 0) {
         *insert = static_cast<int>(s);
@@ -550,15 +644,17 @@ uint64_t KvSsd::NextShadowSeq() {
 
 void KvSsd::StoreShadow(uint64_t seq, uint64_t lpn, uint32_t npages, uint64_t ppn,
                         uint32_t slot) {
-  Buffer rec(kKvShadowBytes, 0);
-  PutU64(rec, 0, seq);
-  PutU64(rec, 8, lpn);
-  PutU32(rec, 16, npages);
-  PutU32(rec, 20, static_cast<uint32_t>(ppn));
-  PutU32(rec, 24, slot);
-  PutU32(rec, 28, ShadowCrc(std::span<const uint8_t>(rec.data(), 28)));
-  PmrStoreWc(layout_.shadow_off + static_cast<size_t>(seq % config_.shadow_slots) * kKvShadowBytes,
-             rec);
+  Buffer rec(kKvShadowBytes);
+  KvShadowEntry{seq, lpn, npages, static_cast<uint32_t>(ppn), slot}.Serialize(rec);
+  PmrStoreWc(layout_.ShadowOff(static_cast<uint32_t>(seq % config_.shadow_slots)), rec);
+}
+
+void KvSsd::StoreKey(uint32_t slot, bool found, std::span<const uint8_t> key) {
+  std::array<uint8_t, kKvMaxKeyLen> padded{};
+  std::copy(key.begin(), key.end(), padded.begin());
+  if (!found || dir_[slot].key != padded) {
+    PmrStoreWc(layout_.DirSlotOff(slot), padded);
+  }
 }
 
 void KvSsd::WaitForFtl(uint64_t ready_at) {
@@ -645,21 +741,14 @@ uint16_t KvSsd::ExecStore(std::span<const uint8_t> key, std::span<const uint8_t>
   const uint64_t seq = NextShadowSeq();
 
   // 3. ARM: key bytes (first insert into this slot) + shadow, then fence.
-  std::array<uint8_t, kKvMaxKeyLen> padded{};
-  std::copy(key.begin(), key.end(), padded.begin());
-  const bool need_key_write = found < 0 || dir_[slot].key != padded;
+  // The injected bug keeps the key bytes (they ride the commit fence) but
+  // skips the shadow map-entry and its fence.
+  StoreKey(static_cast<uint32_t>(slot), found >= 0, key);
   bool shadow_armed = false;
   if (!config_.test_skip_ftl_shadow_commit) {
-    if (need_key_write) {
-      PmrStoreWc(layout_.dir_off + static_cast<size_t>(slot) * kKvDirSlotBytes, padded);
-    }
     StoreShadow(seq, lpn, npages, ppn, static_cast<uint32_t>(slot));
     PmrFence();  // ARM: shadow + key bytes durable from here on
     shadow_armed = true;
-  } else if (need_key_write) {
-    // Injected bug: the key bytes still go in (they ride the commit
-    // fence), but the shadow map-entry and its fence are skipped.
-    PmrStoreWc(layout_.dir_off + static_cast<size_t>(slot) * kKvDirSlotBytes, padded);
   }
 
   // 4. COMMIT.
@@ -722,7 +811,7 @@ void KvSsd::Commit(uint32_t slot, bool found, std::span<const uint8_t> key, uint
   const uint64_t old_meta = found ? dir_[slot].meta : 0;
   Buffer word(8);
   PutU64(word, 0, meta);
-  PmrStoreWc(layout_.dir_off + static_cast<size_t>(slot) * kKvDirSlotBytes + 24, word);
+  PmrStoreWc(layout_.DirSlotOff(slot) + KvDirEntry::kMetaOffset, word);
   if (Metrics* m = sim_->metrics()) {
     m->monitors().OnKvCommit(Fnv1a(key), data_durable, shadow_armed);
   }
@@ -819,11 +908,7 @@ uint16_t KvSsd::StorePacked(std::span<const uint8_t> key, std::span<const uint8_
     DropPackedRef(lpn);
     status = kKvStatusCapacity;  // directory filled up meanwhile
   } else {
-    std::array<uint8_t, kKvMaxKeyLen> padded{};
-    std::copy(key.begin(), key.end(), padded.begin());
-    if (found < 0 || dir_[slot].key != padded) {
-      PmrStoreWc(layout_.dir_off + static_cast<size_t>(slot) * kKvDirSlotBytes, padded);
-    }
+    StoreKey(static_cast<uint32_t>(slot), found >= 0, key);
     if (!config_.test_skip_ftl_shadow_commit) {
       PmrFence();
     }
@@ -959,7 +1044,7 @@ uint16_t KvSsd::ExecDelete(std::span<const uint8_t> key) {
   // stores are, and need no shadow (recovery never maps a tombstone).
   Buffer word(8);
   PutU64(word, 0, kMetaTomb);
-  PmrStoreWc(layout_.dir_off + static_cast<size_t>(found) * kKvDirSlotBytes + 24, word);
+  PmrStoreWc(layout_.DirSlotOff(static_cast<uint32_t>(found)) + KvDirEntry::kMetaOffset, word);
   PmrFence();
   dir_[found].meta = kMetaTomb;
   live_keys_--;
@@ -989,7 +1074,7 @@ uint16_t KvSsd::ExecList(uint32_t start_slot, uint32_t max_keys, Buffer* out,
   uint32_t count = 0;
   uint32_t s = start_slot;
   for (; s < config_.dir_slots && count < max_keys; ++s) {
-    const DirEnt& e = dir_[s];
+    const KvDirEntry& e = dir_[s];
     if (!MetaLive(e.meta)) {
       continue;
     }

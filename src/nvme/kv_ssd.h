@@ -136,22 +136,11 @@ struct KvSsdConfig {
   // shadow map-entry. Breaks map+data atomicity; must be caught by the
   // ftl.map_data_atomicity monitor AND the crash explorer.
   bool test_skip_ftl_shadow_commit = false;
-
-  FtlConfig ToFtlConfig() const {
-    FtlConfig f;
-    f.flash_pages = flash_pages;
-    f.pages_per_block = pages_per_block;
-    f.total_lpns = total_lpns;
-    f.map_entries_per_segment = map_entries_per_segment;
-    f.map_cache_segments = map_cache_segments;
-    f.gc_free_blocks_low = gc_free_blocks_low;
-    return f;
-  }
 };
 
 // PMR layout of the KV metadata, top-down from the end of the region.
-// Self-describing: the superblock records the geometry, so tools can parse
-// a crash image without the run's StackConfig.
+// Self-describing: KvSuperblock::Layout derives it from the geometry the
+// superblock records, so tools parse a crash image without a StackConfig.
 struct KvPmrLayout {
   size_t sb_off = 0;
   size_t gtd_off = 0;
@@ -160,16 +149,107 @@ struct KvPmrLayout {
   size_t frame_off = 0;  // the staging frames, below the directory
   uint32_t num_segments = 0;
 
+  size_t GtdOff(uint32_t segment) const { return gtd_off + static_cast<size_t>(segment) * 8; }
+  size_t ShadowOff(uint32_t ring_slot) const {
+    return shadow_off + static_cast<size_t>(ring_slot) * kKvShadowBytes;
+  }
+  size_t DirSlotOff(uint32_t slot) const {
+    return dir_off + static_cast<size_t>(slot) * kKvDirSlotBytes;
+  }
   size_t FrameHeaderOff(uint32_t frame) const {
     return frame_off + frame * (kKvFrameHeaderBytes + kKvFrameBytes);
   }
   size_t FrameDataOff(uint32_t frame) const {
     return FrameHeaderOff(frame) + kKvFrameHeaderBytes;
   }
+};
 
-  static KvPmrLayout From(uint32_t dir_slots, uint32_t shadow_slots,
-                          uint64_t total_lpns, uint32_t map_entries_per_segment,
-                          size_t pmr_size);
+// The KV superblock, the last kKvSuperblockBytes of the PMR.
+struct KvSuperblock {
+  uint64_t checkpoint_seq = 0;  // shadows up to it are in the flash map
+  // Stats mirror, refreshed at every map checkpoint (offline tools only).
+  uint64_t host_pages = 0;
+  uint64_t media_pages = 0;
+  uint64_t gc_runs = 0;
+  uint64_t gc_migrated_pages = 0;
+  // The geometry: KvSsdConfig's fields of the same names.
+  uint32_t dir_slots = 0;
+  uint32_t shadow_slots = 0;
+  uint64_t flash_pages = 0;
+  uint64_t total_lpns = 0;
+  uint32_t pages_per_block = 0;
+  uint32_t map_entries_per_segment = 0;
+  uint32_t map_cache_segments = 0;
+  uint32_t gc_free_blocks_low = 0;
+
+  // What a running device rewrites in place: the checkpoint word, and the
+  // stats mirror's four words.
+  static constexpr size_t kCheckpointSeqOffset = 8;
+  static constexpr size_t kStatsOffset = 24;
+
+  static KvSuperblock ForConfig(const KvSsdConfig& config);  // checkpoint, stats 0
+  // Of the fields that place the metadata and the flash pages; stored.
+  uint64_t GeometryHash() const;
+  // The longest value the geometry admits: one erase block, since a value's
+  // pages are one contiguous run. KvSsdConfig::max_value_bytes may be lower.
+  uint32_t MaxValueBytes() const { return pages_per_block * static_cast<uint32_t>(kKvFrameBytes); }
+  FtlConfig ToFtlConfig() const {
+    return {flash_pages,           pages_per_block,    total_lpns,
+            map_entries_per_segment, map_cache_segments, gc_free_blocks_low};
+  }
+  KvPmrLayout Layout(size_t pmr_size) const;
+
+  void Serialize(std::span<uint8_t> out) const;
+  // Corruption unless the magic and version match, the stored hash covers
+  // the stored geometry (a torn or foreign superblock) and the geometry is
+  // one a KV-SSD can have.
+  static Result<KvSuperblock> Parse(std::span<const uint8_t> in);
+};
+
+// One shadow map-entry of the PMR ring: LPNs [lpn, lpn + npages) map to PPNs
+// [ppn, ppn + npages) (ppn kKvShadowUnmapped: are unmapped), armed for
+// directory slot |slot| (kKvShadowNoSlot: by a staging frame).
+struct KvShadowEntry {
+  uint64_t seq = 0;
+  uint64_t lpn = 0;
+  uint32_t npages = 0;
+  uint32_t ppn = 0;
+  uint32_t slot = 0;
+
+  void Serialize(std::span<uint8_t> out) const;  // kKvShadowBytes, checksummed
+  // Corruption on a checksum mismatch: a torn store, or a slot never armed.
+  static Result<KvShadowEntry> Parse(std::span<const uint8_t> in);
+};
+
+// The shadow ring as recovery reads it: the checksum-clean entries whose
+// sequence number lies in (checkpoint_seq, checkpoint_seq + ring], by
+// sequence number. The consecutive run right above the checkpoint replays:
+// a gap means the later entries never armed before the crash, so their
+// commits cannot have happened either (the commit fence orders arm first).
+struct KvShadowChain {
+  struct Entry {
+    uint32_t ring_slot = 0;
+    KvShadowEntry shadow;
+  };
+  std::vector<Entry> entries;
+  size_t replayed = 0;    // the replayed prefix of |entries|
+  uint64_t last_seq = 0;  // of the last replayed entry, else checkpoint_seq
+  uint32_t torn = 0;      // armed slots (seq != 0) whose checksum fails
+};
+// Reads |pmr|'s ring and replays the chain into |ftl|'s map.
+KvShadowChain ReplayShadowChain(const PageImage& pmr, const KvPmrLayout& layout,
+                                const KvSuperblock& sb, Ftl& ftl);
+
+// One directory slot: the key bytes, then at kMetaOffset the meta word
+// (see KvSsd::PackMeta) whose store commits a Store.
+struct KvDirEntry {
+  std::array<uint8_t, kKvMaxKeyLen> key{};
+  uint64_t meta = 0;
+
+  static constexpr size_t kMetaOffset = 24;
+
+  void Serialize(std::span<uint8_t> out) const;  // kKvDirSlotBytes
+  static KvDirEntry Parse(std::span<const uint8_t> in);
 };
 
 class KvSsd : public FtlEnv {
@@ -261,36 +341,50 @@ class KvSsd : public FtlEnv {
   // values, 0 when it is free.
   static constexpr uint64_t kFrameUsed = 1ull << 63;
   static uint64_t FrameLpn(uint64_t header) { return header & ~kFrameUsed; }
-  // Recovery's reading of the frames' header words (shared with
+  // Recovery's reading of the frames' header words in |pmr| (shared with
   // tools/ftl_inspect). A frame is free, stages its LPN, or was flushed
-  // before the cut: |mapped(lpn)| says the replayed map has the LPN, and
-  // the mapped page beats the staged copy. A header naming an LPN beyond
-  // the logical space, or one an earlier frame stages, is reported into
-  // |errors| and the frame counts as free.
+  // before the cut: |ftl|'s replayed map has the LPN, and the mapped page
+  // beats the staged copy. A header naming an LPN beyond the logical space,
+  // or one an earlier frame stages, is reported into |errors| and the frame
+  // counts as free.
   enum class FrameFate : uint8_t { kFree, kStaged, kFlushed };
   struct RecoveredFrame {
     FrameFate fate = FrameFate::kFree;
     uint64_t lpn = 0;
   };
-  static std::array<RecoveredFrame, kKvFrames> RecoverFrames(
-      const std::array<uint64_t, kKvFrames>& headers, uint64_t total_lpns,
-      const std::function<bool(uint64_t)>& mapped, std::vector<std::string>* errors);
+  static std::array<RecoveredFrame, kKvFrames> RecoverFrames(const PageImage& pmr,
+                                                             const KvPmrLayout& layout, Ftl& ftl,
+                                                             std::vector<std::string>* errors);
+
+  // Recovery's directory walk (shared with tools/ftl_inspect), in slot
+  // order against the recovered |frames| and |ftl|'s replayed map. A live
+  // entry with a key length outside [1, kKvMaxKeyLen], a value longer than
+  // |max_value_bytes| or LPNs beyond the logical space is reported into
+  // |errors| and tombstoned. Every other one claims its LPNs and marks the
+  // pages they map to live: a packed page once, none for a value a frame
+  // still stages. An entry covering an unmapped LPN is reported: its commit
+  // word landed without its shadow (the test_skip_ftl_shadow_commit
+  // signature).
+  struct Directory {
+    std::vector<KvDirEntry> entries;  // every slot, out-of-range entries tombstoned
+    uint64_t live_keys = 0;
+    uint64_t tombstones = 0;
+    uint64_t live_value_bytes = 0;
+    std::vector<uint8_t> claimed;  // per LPN: a live entry covers it
+    // Per packed LPN: its live entries, plus one while a frame stages it.
+    std::map<uint64_t, uint32_t> packed_refs;
+    std::array<uint32_t, kKvFrames> frame_fill{};    // bytes a staged frame's values use
+    std::array<uint32_t, kKvFrames> frame_values{};  // live values a staged frame holds
+  };
+  static Directory WalkDirectory(const PageImage& pmr, const KvPmrLayout& layout,
+                                 const KvSuperblock& sb, uint32_t max_value_bytes,
+                                 const std::array<RecoveredFrame, kKvFrames>& frames, Ftl& ftl,
+                                 std::vector<std::string>* errors);
 
   KvSsd(const KvSsd&) = delete;
   KvSsd& operator=(const KvSsd&) = delete;
 
  private:
-  struct DirEnt {
-    std::array<uint8_t, kKvMaxKeyLen> key{};
-    uint64_t meta = 0;
-  };
-  struct Shadow {
-    uint64_t seq = 0;
-    uint64_t lpn = 0;
-    uint32_t npages = 0;
-    uint32_t ppn = 0;
-    uint32_t slot = 0;
-  };
   // RAM view of a staging frame. kSealed: full, waiting for a Store to
   // flush it (a failed flush, or both frames staged at attach); kFlushing:
   // a Store is flushing it.
@@ -305,7 +399,7 @@ class KvSsd : public FtlEnv {
   // Probing. |found| gets the live slot of |key| or -1; |insert| the first
   // reusable (tombstone/empty) slot in the chain or -1 (table full).
   void Probe(std::span<const uint8_t> key, int* found, int* insert) const;
-  bool KeyMatches(const DirEnt& e, std::span<const uint8_t> key) const;
+  bool KeyMatches(const KvDirEntry& e, std::span<const uint8_t> key) const;
   void ReleaseValue(uint64_t meta);
   // Drops one reference to a packed LPN; the last one unmaps and frees it.
   void DropPackedRef(uint64_t lpn);
@@ -321,6 +415,8 @@ class KvSsd : public FtlEnv {
   uint64_t NextShadowSeq();
   void StoreShadow(uint64_t seq, uint64_t lpn, uint32_t npages, uint64_t ppn,
                    uint32_t slot);
+  // WC-stores |key| into |slot| unless the slot already holds it (|found|).
+  void StoreKey(uint32_t slot, bool found, std::span<const uint8_t> key);
   // COMMIT: stores |meta| into |slot| (the atomicity point), fences, and
   // retires the value the slot held.
   void Commit(uint32_t slot, bool found, std::span<const uint8_t> key, uint64_t meta,
@@ -356,9 +452,6 @@ class KvSsd : public FtlEnv {
   void PmrStoreUncached(size_t offset, std::span<const uint8_t> data);
   void PmrFence();
 
-  uint64_t GeometryHash() const;
-  void WriteSuperblock();  // direct (unrecorded); Format only
-  static uint32_t ShadowCrc(std::span<const uint8_t> rec28);
 
   Simulator* sim_;
   SsdModel* ssd_;
@@ -373,7 +466,7 @@ class KvSsd : public FtlEnv {
   uint32_t pin_waiters_ = 0;  // Stores waiting for a pin to drop
   SimCondVar frame_cv_;       // a frame flush ended
   std::unique_ptr<Ftl> ftl_;
-  std::vector<DirEnt> dir_;
+  std::vector<KvDirEntry> dir_;
   std::array<Frame, kKvFrames> frames_{};
   int open_ = -1;  // the open frame, or -1 (both free)
   // Live directory entries naming each packed LPN, plus one while a frame

@@ -7,6 +7,11 @@
 namespace ccnvme {
 namespace {
 
+// Bounded buffers for not-yet-finalized requests and transactions; the
+// oldest entries are evicted deterministically when exceeded.
+constexpr size_t kMaxPendingRequests = 1 << 16;
+constexpr size_t kMaxPendingTxs = 4096;
+
 struct Interval {
   uint64_t begin = 0;
   uint64_t end = 0;
@@ -102,11 +107,7 @@ BlameKey CriticalPathProfiler::RequestProfile::DominantKey() const {
   return best;
 }
 
-CriticalPathProfiler::CriticalPathProfiler(ProfilerOptions options)
-    : options_(options) {
-  CCNVME_CHECK_GT(options_.max_pending_requests, 0u);
-  CCNVME_CHECK_GT(options_.max_pending_txs, 0u);
-}
+CriticalPathProfiler::CriticalPathProfiler(ProfilerOptions options) : options_(options) {}
 
 void CriticalPathProfiler::Attach(Tracer* tracer) {
   CCNVME_CHECK(tracer != nullptr);
@@ -141,12 +142,12 @@ void CriticalPathProfiler::OnTraceEvent(const TraceEvent& ev) {
 }
 
 void CriticalPathProfiler::EvictIfNeeded() {
-  while (pending_.size() > options_.max_pending_requests && !pending_order_.empty()) {
+  while (pending_.size() > kMaxPendingRequests && !pending_order_.empty()) {
     const uint64_t req = pending_order_.front();
     pending_order_.pop_front();
     pending_.erase(req);
   }
-  while (tx_events_.size() > options_.max_pending_txs && !tx_order_.empty()) {
+  while (tx_events_.size() > kMaxPendingTxs && !tx_order_.empty()) {
     const uint64_t tx = tx_order_.front();
     tx_order_.pop_front();
     tx_events_.erase(tx);

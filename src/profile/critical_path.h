@@ -74,10 +74,6 @@ struct BlameKey {
 struct ProfilerOptions {
   // Span point that delimits one request (profile window = this span).
   TracePoint root = TracePoint::kSyncTotal;
-  // Bounded buffers for not-yet-finalized requests / transactions; oldest
-  // entries are evicted deterministically when exceeded.
-  size_t max_pending_requests = 1 << 16;
-  size_t max_pending_txs = 4096;
 };
 
 class CriticalPathProfiler : public TraceSink {

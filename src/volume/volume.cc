@@ -42,13 +42,15 @@ std::vector<uint16_t> Volume::TargetLegs(const Extent& extent) const {
   return {extent.device};
 }
 
-std::vector<Volume::Extent> Volume::MapExtents(uint64_t lba, uint32_t num_blocks) const {
+std::vector<Volume::Extent> Volume::MapExtents(const VolumeConfig& config,
+                                               uint16_t num_devices, uint16_t primary,
+                                               uint64_t lba, uint32_t num_blocks) {
   CCNVME_CHECK_GT(num_blocks, 0u);
-  if (config_.kind == VolumeKind::kMirror || members_.size() == 1) {
-    return {Extent{PrimaryLeg(), lba, num_blocks, 0}};
+  if (config.kind == VolumeKind::kMirror || num_devices == 1) {
+    return {Extent{primary, lba, num_blocks, 0}};
   }
-  const uint64_t chunk = config_.chunk_blocks;
-  const uint64_t n = members_.size();
+  const uint64_t chunk = config.chunk_blocks;
+  const uint64_t n = num_devices;
   std::vector<Extent> out;
   uint64_t cur = lba;
   uint32_t remaining = num_blocks;

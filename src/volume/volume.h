@@ -100,7 +100,13 @@ class Volume {
   // Stripe: the per-device extents of [lba, lba + num_blocks). Mirror: one
   // extent on the primary (lowest live) leg; write paths fan it out to all
   // live legs themselves. One member: one identity-mapped extent.
-  std::vector<Extent> MapExtents(uint64_t lba, uint32_t num_blocks) const;
+  std::vector<Extent> MapExtents(uint64_t lba, uint32_t num_blocks) const {
+    return MapExtents(config_, num_devices(), PrimaryLeg(), lba, num_blocks);
+  }
+  // The same map for a volume of |num_devices| members whose primary leg is
+  // |primary|, without a volume (tools read disk images through it).
+  static std::vector<Extent> MapExtents(const VolumeConfig& config, uint16_t num_devices,
+                                        uint16_t primary, uint64_t lba, uint32_t num_blocks);
 
   // --- Ordinary (non-transactional) path ---------------------------------
 

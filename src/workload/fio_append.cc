@@ -9,6 +9,10 @@
 
 namespace ccnvme {
 
+// Appends restart from offset 0 once a file reaches this size (keeps the
+// simulated files within the inode's mapping capacity).
+constexpr uint64_t kMaxFileBytes = 4ull << 20;
+
 FioResult RunFioAppend(StorageStack& stack, const FioOptions& options) {
   FioResult result;
   const uint64_t start_ns = stack.sim().now();
@@ -21,7 +25,6 @@ FioResult RunFioAppend(StorageStack& stack, const FioOptions& options) {
           : static_cast<uint16_t>(std::min<int>(options.num_threads,
                                                 stack.config().num_queues));
   hm_cfg.total_contexts = static_cast<uint32_t>(options.num_threads);
-  hm_cfg.context_switch_ns = options.context_switch_ns;
   HostModel host(&stack, hm_cfg);
 
   const uint32_t num_clients = options.num_clients != 0
@@ -71,7 +74,7 @@ FioResult RunFioAppend(StorageStack& stack, const FioOptions& options) {
           result.latency_ns.Add(stack.sim().now() - op_start);
           result.ops++;
           st.offset += options.write_size;
-          if (st.offset + options.write_size > options.max_file_bytes) {
+          if (st.offset + options.write_size > kMaxFileBytes) {
             st.offset = 0;
           }
           return true;

@@ -21,9 +21,6 @@ struct FioOptions {
   uint32_t write_size = 4096;
   SyncMode sync_mode = SyncMode::kFsync;
   uint64_t duration_ns = 30'000'000;  // 30 ms of simulated time
-  // Restart appends from offset 0 once a file reaches this size (keeps the
-  // simulated files within the inode's mapping capacity).
-  uint64_t max_file_bytes = 4ull << 20;
   // --- host model (src/harness/host_model.h) ------------------------------
   // Simulated host cores; every context of core c submits on hardware queue
   // c % num_queues. 0 = min(num_threads, num_queues), the legacy mapping.
@@ -31,8 +28,6 @@ struct FioOptions {
   // Concurrent clients multiplexed over the contexts (each appends to its
   // own file). 0 = num_threads, i.e. no multiplexing.
   uint32_t num_clients = 0;
-  // CPU charge when a context switches between clients (0 = free, legacy).
-  uint64_t context_switch_ns = 0;
 };
 
 struct FioResult {

@@ -458,9 +458,7 @@ TEST(CrashStateSharingTest, BuildingEveryPlanOfATornStagingFrameStoreLeavesTheBa
   cfg.kv.gc_free_blocks_low = 2;
   cfg.kv.max_value_bytes = 8 * 4096;
   CrashRecording rec = RecordNamed(cfg, "kv_packed_churn");
-  const KvPmrLayout layout =
-      KvPmrLayout::From(cfg.kv.dir_slots, cfg.kv.shadow_slots, cfg.kv.total_lpns,
-                        cfg.kv.map_entries_per_segment, rec.base.pmr().size());
+  const KvPmrLayout layout = KvSuperblock::ForConfig(cfg.kv).Layout(rec.base.pmr().size());
   GiveBasePagesUnderEveryStore(rec);
   size_t shared = 0;
   EXPECT_GT(BuildEveryPlanOfEachTornStore(

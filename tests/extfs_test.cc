@@ -550,6 +550,52 @@ TEST(MqfsTest, ShadowPagingImprovesSharedMetadataConcurrency) {
       << "shadow paging should reduce page-conflict serialization";
 }
 
+// --- The superblock names its journal ---------------------------------------
+
+TEST(SuperblockTest, RecordsTheJournalKind) {
+  for (JournalKind kind : {JournalKind::kNone, JournalKind::kClassic, JournalKind::kHorae,
+                           JournalKind::kCcNvmeJbd2, JournalKind::kMultiQueue,
+                           JournalKind::kNvlog}) {
+    Superblock sb;
+    sb.total_blocks = 65536;
+    sb.journal = kind;
+    Buffer raw(kFsBlockSize);
+    sb.Serialize(raw);
+    auto back = Superblock::Parse(raw);
+    ASSERT_TRUE(back.ok()) << JournalKindName(kind);
+    EXPECT_EQ(back->journal, kind);
+  }
+}
+
+// A superblock written before the field existed (its bytes 36..39 zero)
+// is refused, not mounted under a guessed journal.
+TEST(SuperblockTest, RefusesASuperblockThatNamesNoJournal) {
+  Superblock sb;
+  sb.total_blocks = 65536;
+  Buffer raw(kFsBlockSize);
+  sb.Serialize(raw);
+  PutU32(raw, 36, 0);
+  PutU64(raw, 64, Fnv1a(std::span<const uint8_t>(raw).first(64)));
+  auto back = Superblock::Parse(raw);
+  ASSERT_FALSE(back.ok());
+  EXPECT_NE(back.status().message().find("no journal kind"), std::string::npos)
+      << back.status().message();
+}
+
+TEST(SuperblockTest, MountRefusesAnImageFormattedForAnotherJournal) {
+  StorageStack stack(ConfigFor(JournalKind::kMultiQueue));
+  ASSERT_TRUE(stack.MkfsAndMount().ok());
+  ASSERT_TRUE(stack.Unmount().ok());
+  const CrashImage image = stack.CaptureCrashImage();
+  StorageStack classic(ConfigFor(JournalKind::kClassic), image);
+  const Status st = classic.MountExisting();
+  ASSERT_FALSE(st.ok());
+  EXPECT_NE(st.message().find("formatted for the multi_queue journal"), std::string::npos)
+      << st.message();
+  StorageStack mqfs(ConfigFor(JournalKind::kMultiQueue), image);
+  EXPECT_TRUE(mqfs.MountExisting().ok());
+}
+
 TEST(RadixTreeTest, InsertFindErase) {
   RadixTree<int> tree;
   EXPECT_EQ(tree.Find(42), nullptr);

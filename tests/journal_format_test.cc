@@ -1,7 +1,10 @@
 // Journal record format tests: serialization round trips, checksum
 // enforcement (a torn or stale record must never parse), capacity limits,
-// and the superblock fields recovery depends on.
+// the superblock fields recovery depends on, and the one area scan and
+// replay every journal's recovery runs.
 #include <gtest/gtest.h>
+
+#include <map>
 
 #include "src/jbd2/journal_format.h"
 
@@ -90,30 +93,181 @@ TEST(AreaSuperblockTest, RoundTrip) {
   EXPECT_EQ(back->cleared_txid, 999u);
 }
 
-TEST(PeekRecordTypeTest, IdentifiesAllTypes) {
-  Buffer raw(kFsBlockSize, 0);
-  DescriptorBlock d;
-  d.tx_id = 1;
-  d.Serialize(raw);
-  auto t = PeekRecordType(raw);
-  ASSERT_TRUE(t.ok());
-  EXPECT_EQ(*t, JournalRecordType::kDescriptor);
+// --- The shared area scan and replay -----------------------------------------
 
-  CommitBlock c;
-  c.tx_id = 1;
-  c.Serialize(raw);
-  t = PeekRecordType(raw);
-  ASSERT_TRUE(t.ok());
-  EXPECT_EQ(*t, JournalRecordType::kCommit);
+// A journal area in memory: its blocks by LBA (absent ones read as zeros),
+// and a count of the reads a scan makes.
+struct FakeArea {
+  static constexpr uint64_t kBlocks = 16;
+  BlockNo start;
+  std::map<BlockNo, Buffer> blocks;
+  size_t reads = 0;
 
-  AreaSuperblock sb;
-  sb.Serialize(raw);
-  t = PeekRecordType(raw);
-  ASSERT_TRUE(t.ok());
-  EXPECT_EQ(*t, JournalRecordType::kAreaSuper);
+  explicit FakeArea(uint64_t cleared_txid = 0, BlockNo area_start = 100) : start(area_start) {
+    AreaSuperblock sb;
+    sb.cleared_txid = cleared_txid;
+    sb.Serialize(Block(start));
+  }
+  Buffer& Block(BlockNo lba) {
+    Buffer& b = blocks[lba];
+    b.resize(kFsBlockSize, 0);
+    return b;
+  }
+  JournalArea area() const { return {start, kBlocks}; }
+  JournalBlockReader Reader() {
+    return [this](BlockNo lba, Buffer* out) {
+      ++reads;
+      auto it = blocks.find(lba);
+      *out = it == blocks.end() ? Buffer(kFsBlockSize, 0) : it->second;
+      return OkStatus();
+    };
+  }
+  // Logs a transaction of |homes| at area offset |offset|: its descriptor,
+  // one block per home filled with |fill| + i, then (|commit|) a commit
+  // record. Returns the offset after it.
+  uint64_t Log(uint64_t offset, uint64_t tx_id, const std::vector<BlockNo>& homes,
+               uint8_t fill, bool commit, std::vector<BlockNo> revoked = {}) {
+    DescriptorBlock d;
+    d.tx_id = tx_id;
+    d.revoked = std::move(revoked);
+    for (size_t i = 0; i < homes.size(); ++i) {
+      Buffer content(kFsBlockSize, static_cast<uint8_t>(fill + i));
+      d.entries.push_back(JournalEntry{homes[i], Fnv1a(content)});
+      Block(start + offset + 1 + i) = content;
+    }
+    d.Serialize(Block(start + offset));
+    uint64_t next = offset + 1 + homes.size();
+    if (commit) {
+      CommitBlock c;
+      c.tx_id = tx_id;
+      c.Serialize(Block(start + next));
+      ++next;
+    }
+    return next;
+  }
+};
 
-  Buffer junk(kFsBlockSize, 0x5A);
-  EXPECT_FALSE(PeekRecordType(junk).ok());
+TEST(ScanJournalAreaTest, ClassicTransactionIsSealedByItsCommitRecord) {
+  FakeArea disk;
+  const uint64_t end = disk.Log(1, 5, {700, 701}, 0x10, /*commit=*/true);
+  auto scan = ScanJournalArea(disk.Reader(), disk.area(), JournalSeal::kCommitRecord, nullptr);
+  ASSERT_TRUE(scan.ok());
+  ASSERT_EQ(scan->txs.size(), 1u);
+  EXPECT_TRUE(scan->txs[0].checked);
+  EXPECT_EQ(scan->txs[0].journal_lbas, (std::vector<BlockNo>{102, 103}));
+  EXPECT_EQ(scan->txs[0].commit_lba, 104u);
+  EXPECT_EQ(scan->end_offset, end);
+  EXPECT_EQ(scan->last_txid, 5u);
+  EXPECT_EQ(scan->stop, ScanStop::kNoDescriptor);
+  EXPECT_FALSE(scan->refused.has_value());
+}
+
+TEST(ScanJournalAreaTest, ClassicTransactionWithoutItsCommitRecordIsRefused) {
+  for (const bool other_tx : {false, true}) {
+    FakeArea disk;
+    disk.Log(1, 5, {700, 701}, 0x10, /*commit=*/true);
+    if (other_tx) {
+      CommitBlock c;
+      c.tx_id = 6;
+      c.Serialize(disk.Block(104));
+    } else {
+      disk.Block(104).assign(kFsBlockSize, 0);  // zeroed commit record
+    }
+    auto scan =
+        ScanJournalArea(disk.Reader(), disk.area(), JournalSeal::kCommitRecord, nullptr);
+    ASSERT_TRUE(scan.ok());
+    EXPECT_TRUE(scan->txs.empty());
+    EXPECT_EQ(scan->stop, ScanStop::kNoCommitRecord);
+    ASSERT_TRUE(scan->refused.has_value());
+    EXPECT_EQ(scan->refused->desc.tx_id, 5u);
+    EXPECT_EQ(scan->end_offset, 1u);
+    EXPECT_EQ(scan->last_txid, 0u);
+  }
+}
+
+TEST(ScanJournalAreaTest, TxIdAtOrBelowClearedTxidEndsTheScan) {
+  FakeArea disk(/*cleared_txid=*/7);
+  disk.Log(1, 7, {700}, 0x10, /*commit=*/false);
+  auto scan = ScanJournalArea(disk.Reader(), disk.area(), JournalSeal::kDescriptorChecksums,
+                              nullptr);
+  ASSERT_TRUE(scan.ok());
+  EXPECT_TRUE(scan->txs.empty());
+  EXPECT_EQ(scan->stop, ScanStop::kStaleTxId);
+  EXPECT_EQ(scan->end_offset, 1u);
+  EXPECT_EQ(scan->last_txid, 7u);
+
+  // A descriptor no newer than the previous transaction ends it too.
+  FakeArea wrapped(/*cleared_txid=*/2);
+  const uint64_t next = wrapped.Log(1, 9, {700}, 0x10, /*commit=*/false);
+  wrapped.Log(next, 8, {701}, 0x20, /*commit=*/false);
+  scan = ScanJournalArea(wrapped.Reader(), wrapped.area(), JournalSeal::kDescriptorChecksums,
+                         nullptr);
+  ASSERT_TRUE(scan.ok());
+  ASSERT_EQ(scan->txs.size(), 1u);
+  EXPECT_EQ(scan->stop, ScanStop::kStaleTxId);
+  EXPECT_EQ(scan->end_offset, next);
+  EXPECT_EQ(scan->last_txid, 9u);
+}
+
+TEST(ScanJournalAreaTest, InDoubtTransactionWithABadBlockEndsTheScan) {
+  FakeArea disk;
+  disk.Log(1, 5, {700, 701, 702}, 0x10, /*commit=*/false);
+  disk.Block(103)[17] ^= 0xFF;  // the second journaled block never fully landed
+  const std::set<uint64_t> in_doubt = {5};
+  auto scan = ScanJournalArea(disk.Reader(), disk.area(), JournalSeal::kDescriptorChecksums,
+                              &in_doubt);
+  ASSERT_TRUE(scan.ok());
+  EXPECT_TRUE(scan->txs.empty());
+  EXPECT_EQ(scan->stop, ScanStop::kChecksumMismatch);
+  ASSERT_TRUE(scan->refused.has_value());
+  EXPECT_EQ(scan->bad_entry, 1u);
+  EXPECT_EQ(scan->end_offset, 1u);
+  // Superblock, descriptor, and the blocks up to the bad one.
+  EXPECT_EQ(disk.reads, 4u);
+}
+
+TEST(ScanJournalAreaTest, TransactionOutsideTheWindowIsTrustedUnread) {
+  FakeArea disk;
+  const uint64_t end = disk.Log(1, 5, {700, 701, 702}, 0x10, /*commit=*/false);
+  disk.Block(103)[17] ^= 0xFF;
+  const std::set<uint64_t> window = {9};  // another queue's transaction
+  auto scan = ScanJournalArea(disk.Reader(), disk.area(), JournalSeal::kDescriptorChecksums,
+                              &window);
+  ASSERT_TRUE(scan.ok());
+  ASSERT_EQ(scan->txs.size(), 1u);
+  EXPECT_FALSE(scan->txs[0].checked);
+  EXPECT_EQ(scan->end_offset, end);
+  // Superblock, descriptor, and the block after the transaction: none of
+  // its three journaled blocks.
+  EXPECT_EQ(disk.reads, 3u);
+}
+
+TEST(ReplayJournalTest, ReplaysByTxIdAcrossAreasAndHonoursRevocations) {
+  FakeArea a(/*cleared_txid=*/0, /*start=*/100);
+  FakeArea b(/*cleared_txid=*/0, /*start=*/200);
+  // Area a: tx 3 writes 500; tx 6 revokes 501. Area b: tx 4 writes 500 and 501.
+  const uint64_t next = a.Log(1, 3, {500}, 0x30, /*commit=*/false);
+  a.Log(next, 6, {}, 0, /*commit=*/false, {501});
+  b.Log(1, 4, {500, 501}, 0x40, /*commit=*/false);
+  FakeArea disk;  // both areas on one device
+  disk.blocks = a.blocks;
+  disk.blocks.insert(b.blocks.begin(), b.blocks.end());
+  std::vector<AreaScan> scans;
+  for (const JournalArea& area : {a.area(), b.area()}) {
+    auto scan =
+        ScanJournalArea(disk.Reader(), area, JournalSeal::kDescriptorChecksums, nullptr);
+    ASSERT_TRUE(scan.ok());
+    scans.push_back(*scan);
+  }
+  std::vector<std::pair<BlockNo, uint8_t>> writes;
+  ASSERT_TRUE(ReplayJournal(scans, disk.Reader(),
+                            [&](BlockNo lba, const Buffer& data) {
+                              writes.emplace_back(lba, data[0]);
+                              return OkStatus();
+                            })
+                  .ok());
+  // tx 3 then tx 4 write 500 (the newest lands last); tx 6 revokes 501.
+  EXPECT_EQ(writes, (std::vector<std::pair<BlockNo, uint8_t>>{{500, 0x30}, {500, 0x40}}));
 }
 
 }  // namespace

@@ -438,9 +438,7 @@ Status AttachCorruptedPackedImage(
     });
     image = stack.CaptureCrashImage();
   }
-  const KvPmrLayout layout =
-      KvPmrLayout::From(cfg.kv.dir_slots, cfg.kv.shadow_slots, cfg.kv.total_lpns,
-                        cfg.kv.map_entries_per_segment, image.pmr().size());
+  const KvPmrLayout layout = KvSuperblock::ForConfig(cfg.kv).Layout(image.pmr().size());
   // The first key in an empty directory lands on its home slot.
   Buffer pmr(image.pmr().size());
   image.pmr().Read(0, pmr);
@@ -550,6 +548,144 @@ TEST(KvPackingTest, FrameHeaderBeyondTheLogicalSpaceIsReported) {
       });
   ASSERT_FALSE(st.ok());
   EXPECT_NE(st.message().find("staging frame 0 names lpn"), std::string::npos) << st.message();
+}
+
+// --- On-PMR record decoders ---------------------------------------------------
+
+TEST(KvRecordTest, SuperblockRoundTripsAndRefusesATornGeometry) {
+  KvSuperblock sb = KvSuperblock::ForConfig(SmallKvConfig().kv);
+  sb.checkpoint_seq = 77;
+  sb.host_pages = 5;
+  sb.media_pages = 9;
+  sb.gc_runs = 2;
+  sb.gc_migrated_pages = 3;
+  Buffer raw(kKvSuperblockBytes);
+  sb.Serialize(raw);
+  const Result<KvSuperblock> back = KvSuperblock::Parse(raw);
+  ASSERT_TRUE(back.ok()) << back.status().message();
+  EXPECT_EQ(back->checkpoint_seq, 77u);
+  EXPECT_EQ(back->host_pages, 5u);
+  EXPECT_EQ(back->media_pages, 9u);
+  EXPECT_EQ(back->gc_runs, 2u);
+  EXPECT_EQ(back->gc_migrated_pages, 3u);
+  EXPECT_EQ(back->dir_slots, 512u);
+  EXPECT_EQ(back->shadow_slots, 8u);
+  EXPECT_EQ(back->flash_pages, 1024u);
+  EXPECT_EQ(back->total_lpns, 768u);
+  EXPECT_EQ(back->pages_per_block, 8u);
+  EXPECT_EQ(back->map_entries_per_segment, 512u);
+  EXPECT_EQ(back->map_cache_segments, 1u);
+  EXPECT_EQ(back->gc_free_blocks_low, 3u);
+  EXPECT_EQ(back->GeometryHash(), sb.GeometryHash());
+  EXPECT_EQ(back->MaxValueBytes(), SmallKvConfig().kv.max_value_bytes);
+
+  // Any geometry byte torn away from the stored hash, or no superblock at
+  // all, is refused.
+  for (size_t at : {size_t{57}, size_t{65}, size_t{73}, size_t{81}}) {
+    Buffer torn = raw;
+    torn[at] ^= 0x01;
+    EXPECT_FALSE(KvSuperblock::Parse(torn).ok()) << "byte " << at;
+  }
+  EXPECT_FALSE(KvSuperblock::Parse(Buffer(kKvSuperblockBytes, 0)).ok());
+}
+
+TEST(KvRecordTest, ShadowEntryRoundTripsAndRefusesATornEntry) {
+  const KvShadowEntry sh{42, 300, 3, 901, 17};
+  Buffer raw(kKvShadowBytes);
+  sh.Serialize(raw);
+  const Result<KvShadowEntry> back = KvShadowEntry::Parse(raw);
+  ASSERT_TRUE(back.ok());
+  EXPECT_EQ(back->seq, 42u);
+  EXPECT_EQ(back->lpn, 300u);
+  EXPECT_EQ(back->npages, 3u);
+  EXPECT_EQ(back->ppn, 901u);
+  EXPECT_EQ(back->slot, 17u);
+  for (size_t at = 0; at < kKvShadowBytes; at += 5) {
+    Buffer torn = raw;
+    torn[at] ^= 0x10;
+    EXPECT_FALSE(KvShadowEntry::Parse(torn).ok()) << "byte " << at;
+  }
+  EXPECT_FALSE(KvShadowEntry::Parse(Buffer(kKvShadowBytes, 0)).ok());  // never armed
+}
+
+TEST(KvRecordTest, DirEntryRoundTrips) {
+  KvDirEntry e;
+  const std::string key = "round-trip";
+  std::copy(key.begin(), key.end(), e.key.begin());
+  e.meta = KvSsd::PackMeta(12, 1000, static_cast<uint32_t>(key.size()), 2048);
+  Buffer raw(kKvDirSlotBytes);
+  e.Serialize(raw);
+  const KvDirEntry back = KvDirEntry::Parse(raw);
+  EXPECT_EQ(back.key, e.key);
+  EXPECT_EQ(back.meta, e.meta);
+  EXPECT_EQ(KvSsd::MetaLpn(back.meta), 12u);
+  EXPECT_EQ(KvSsd::MetaValueLen(back.meta), 1000u);
+  EXPECT_EQ(KvSsd::MetaOffset(back.meta), 2048u);
+}
+
+// An FTL with no flash behind it: every map segment starts unmapped.
+class NoFlashEnv : public FtlEnv {
+ public:
+  void PersistGtd(uint32_t, uint64_t) override {}
+  uint64_t LoadGtd(uint32_t) override { return kFtlUnmapped; }
+  bool FlashWrite(uint64_t, const Buffer&) override { return false; }
+  bool FlashRead(uint64_t, Buffer*) override { return false; }
+  uint64_t EraseLatencyNs() const override { return 0; }
+  void OnMapCheckpointed() override {}
+};
+
+// The shadow chain replays the consecutive run right above the checkpoint:
+// a checksum-bad entry is skipped, and the replay stops at the sequence
+// gap it (or a missing entry) leaves.
+TEST(KvShadowChainTest, StopsAtASequenceGapAndSkipsATornEntry) {
+  const KvSsdConfig config = SmallKvConfig().kv;  // an 8-slot ring
+  KvSuperblock sb = KvSuperblock::ForConfig(config);
+  sb.checkpoint_seq = 10;
+  PageImage pmr(2 << 20);
+  const KvPmrLayout layout = sb.Layout(pmr.size());
+  auto arm = [&](uint64_t seq, uint64_t lpn) {
+    Buffer rec(kKvShadowBytes);
+    KvShadowEntry{seq, lpn, 1, static_cast<uint32_t>(lpn + 100), 0}.Serialize(rec);
+    pmr.Write(layout.ShadowOff(static_cast<uint32_t>(seq % sb.shadow_slots)), rec);
+  };
+  Simulator sim;
+  NoFlashEnv env;
+  auto replay = [&](std::vector<uint64_t>* mapped) {
+    Ftl ftl(&sim, &env, sb.ToFtlConfig());
+    ftl.BeginAttach();
+    ftl.AttachLoadGtd();
+    const KvShadowChain chain = ReplayShadowChain(pmr, layout, sb, ftl);
+    for (uint64_t lpn = 1; lpn <= 4; ++lpn) {
+      mapped->push_back(ftl.MapLookup(lpn));
+    }
+    return chain;
+  };
+  arm(9, 9);  // at or below the checkpoint: already in the flash map
+  arm(11, 1);
+  arm(12, 2);
+  arm(13, 3);
+  arm(14, 4);
+  // Seq 13's store tore: its checksum fails, so 14 is beyond a gap.
+  Buffer torn(kKvShadowBytes);
+  pmr.Read(layout.ShadowOff(13 % sb.shadow_slots), torn);
+  torn[9] ^= 0x01;
+  pmr.Write(layout.ShadowOff(13 % sb.shadow_slots), torn);
+  std::vector<uint64_t> mapped;
+  KvShadowChain chain = replay(&mapped);
+  EXPECT_EQ(mapped, (std::vector<uint64_t>{101, 102, kFtlUnmapped, kFtlUnmapped}));
+  EXPECT_EQ(chain.entries.size(), 3u);  // 11, 12 and 14
+  EXPECT_EQ(chain.replayed, 2u);
+  EXPECT_EQ(chain.last_seq, 12u);
+  EXPECT_EQ(chain.torn, 1u);
+
+  // Re-arming 13 closes the gap: the chain runs through 14.
+  arm(13, 3);
+  mapped.clear();
+  chain = replay(&mapped);
+  EXPECT_EQ(mapped, (std::vector<uint64_t>{101, 102, 103, 104}));
+  EXPECT_EQ(chain.replayed, 4u);
+  EXPECT_EQ(chain.last_seq, 14u);
+  EXPECT_EQ(chain.torn, 0u);
 }
 
 // --- Concurrent commands: background erases, metadata-only device lock ----
@@ -848,9 +984,7 @@ TEST(KvExplorerTest, PackedChurnAllBoundariesRecover) {
   Result<CrashWorkload> workload = FindCrashWorkload("kv_packed_churn");
   ASSERT_TRUE(workload.ok());
   const CrashRecording rec = RecordWorkload(cfg, *workload);
-  const KvPmrLayout layout =
-      KvPmrLayout::From(cfg.kv.dir_slots, cfg.kv.shadow_slots, cfg.kv.total_lpns,
-                        cfg.kv.map_entries_per_segment, rec.base.pmr().size());
+  const KvPmrLayout layout = KvSuperblock::ForConfig(cfg.kv).Layout(rec.base.pmr().size());
   int opened[kKvFrames] = {};
   bool staged[kKvFrames] = {};
   std::vector<const Buffer*> packed_pages;  // values are letters, map pages are not

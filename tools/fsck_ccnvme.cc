@@ -1,11 +1,13 @@
 // fsck_ccnvme: check a disk image for consistency.
 //
-//   fsck_ccnvme <image-path> [--journal-areas N] [--ls] [--save]
-//               [--mirror | --chunk N] [--json]
+//   fsck_ccnvme <image-path> [--ls] [--save] [--mirror | --chunk N] [--json]
+//               [--metrics[=path]]
 //
-// Mounts the image (running journal recovery if the previous mount was
-// dirty), walks the directory tree, validates inodes, link counts and
-// directory structure, and prints a summary. With --ls the full tree is
+// Mounts the image with the journal and geometry its superblock records
+// (running journal recovery if the previous mount was dirty; an NVLog
+// image boots with the NVM tier it carries), walks the directory tree,
+// validates inodes, link counts and directory structure, and prints a
+// summary. With --ls the full tree is
 // listed; with --save the recovered image is written back; with --json a
 // machine-readable report is printed instead of the prose. Multi-device
 // images mount through the volume layer: --mirror selects RAID-1, --chunk N
@@ -50,8 +52,7 @@ void ListTree(ExtFs& fs, const std::string& path, int depth) {
 
 int main(int argc, char** argv) {
   if (argc < 2) {
-    std::fprintf(stderr, "usage: %s <image-path> [--journal-areas N] [--ls] [--save]\n",
-                 argv[0]);
+    std::fprintf(stderr, "usage: %s <image-path> [--ls] [--save] [--json]\n", argv[0]);
     return 2;
   }
   const std::string path = argv[1];
@@ -62,7 +63,6 @@ int main(int argc, char** argv) {
   bool with_metrics = false;
   std::string metrics_path;
   uint32_t chunk = 64;
-  uint32_t areas = 1;
   for (int i = 2; i < argc; ++i) {
     if (std::strcmp(argv[i], "--ls") == 0) {
       ls = true;
@@ -79,8 +79,6 @@ int main(int argc, char** argv) {
       mirror = true;
     } else if (std::strcmp(argv[i], "--chunk") == 0 && i + 1 < argc) {
       chunk = static_cast<uint32_t>(std::strtoul(argv[++i], nullptr, 10));
-    } else if (std::strcmp(argv[i], "--journal-areas") == 0 && i + 1 < argc) {
-      areas = static_cast<uint32_t>(std::strtoul(argv[++i], nullptr, 10));
     }
   }
 
@@ -91,17 +89,14 @@ int main(int argc, char** argv) {
   }
 
   StackConfig cfg;
-  cfg.fs.journal = JournalKind::kMultiQueue;
-  cfg.fs.journal_areas = areas;
-  cfg.num_queues = static_cast<uint16_t>(areas);
   // Multi-device images mount through the volume layer with the geometry
   // given on the command line.
   cfg.num_devices = static_cast<uint16_t>(image->devices.size());
   cfg.volume.kind = mirror ? VolumeKind::kMirror : VolumeKind::kStripe;
   cfg.volume.chunk_blocks = chunk;
-  // Read layout parameters from the on-media superblock. The superblock is
-  // volume block 0: on a stripe that is chunk 0 of device 0; on a mirror,
-  // leg 0 holds a full copy.
+  // Everything else comes from the on-media superblock. It is volume block
+  // 0: on a stripe that is chunk 0 of device 0; on a mirror, leg 0 holds a
+  // full copy.
   {
     auto it = image->devices[0].media.find(0);
     if (it == image->devices[0].media.end()) {
@@ -114,9 +109,13 @@ int main(int argc, char** argv) {
       return 1;
     }
     cfg.fs_total_blocks = sb->total_blocks;
+    cfg.fs.journal = sb->journal;
     cfg.fs.journal_blocks = sb->journal_blocks;
     cfg.fs.journal_areas = sb->journal_areas;
     cfg.num_queues = static_cast<uint16_t>(std::max<uint32_t>(1, sb->journal_areas));
+    // NVLog stacks run without ccNVMe, as mkfs formats them; the stack
+    // takes the NVM tier, and its size, from the image.
+    cfg.enable_ccnvme = sb->journal != JournalKind::kNvlog;
     if (sb->dirty_mount != 0 && !emit_json) {
       std::printf("dirty mount flag set: journal recovery will run\n");
     }

@@ -4,12 +4,14 @@
 //   journal_inspect <image-path> [--queue-depth N] [--queues N]
 //                   [--mirror | --chunk N] [--json] [--metrics[=path]]
 //
-// For each journal area: the area superblock, then every record reachable
-// from its start offset, with per-block checksum validation — exactly what
-// recovery would see. For the PMR: each member device's per-queue
-// [P-SQ-head, P-SQDB) window. Multi-device images need the volume geometry
-// to resolve block addresses: --mirror reads through leg 0, --chunk N
-// applies RAID-0 chunked striping (default chunk 64 blocks).
+// For each journal area: the area superblock, then the transactions
+// recovery would replay and the one it would refuse, found by recovery's
+// own scan (src/jbd2/journal_format.h) under the sealing rule and with the
+// P-SQ windows recovery would use; then the home blocks recovery's own
+// replay would write, in order. For the PMR: each member device's
+// per-queue [P-SQ-head, P-SQDB) window. Multi-device images need the volume
+// geometry to resolve block addresses: --mirror reads through leg 0,
+// --chunk N applies RAID-0 chunked striping (default chunk 64 blocks).
 //
 // With --metrics[=path] a metrics snapshot (inspect.* counters plus monitor
 // violations) is written to |path| (stdout when omitted). The inspection
@@ -20,8 +22,10 @@
 #include <cstdio>
 #include <cstring>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "src/ccnvme/ccnvme_driver.h"
 #include "src/extfs/layout.h"
@@ -30,183 +34,124 @@
 #include "src/metrics/export.h"
 #include "src/metrics/metrics.h"
 #include "src/sim/simulator.h"
+#include "src/volume/volume.h"
 
 using namespace ccnvme;
 
 namespace {
 
-struct Geometry {
-  bool mirror = false;
-  uint64_t chunk = 64;
-};
+unsigned long long U(uint64_t v) { return static_cast<unsigned long long>(v); }
 
-// Resolves a volume block address to (device, device lba) per the geometry.
-std::pair<size_t, uint64_t> Resolve(const CrashImage& image, const Geometry& geo,
-                                    uint64_t lba) {
-  const size_t n = image.devices.size();
-  if (n == 1 || geo.mirror) {
-    return {0, lba};
+// One transaction, replayable or the one |refused_by| refused, as a JSON
+// record (and a sealed classic one's commit record) or as text lines.
+void ReportTx(const ScannedTx& tx, const JournalArea& area, JournalSeal seal,
+              const AreaScan* refused_by, std::ostringstream* json, bool* first_record) {
+  const bool valid = refused_by == nullptr;
+  const bool bad_block = !valid && refused_by->stop == ScanStop::kChecksumMismatch;
+  if (json != nullptr) {
+    *json << (*first_record ? "" : ",") << "\n      {\"pos\": " << tx.offset
+          << ", \"type\": \"descriptor\", \"tx\": " << tx.desc.tx_id
+          << ", \"valid\": " << (valid ? "true" : "false")
+          << ", \"checked\": " << (tx.checked ? "true" : "false");
+    if (!valid) {
+      *json << ", \"stop\": \"" << ScanStopName(refused_by->stop) << "\"";
+    }
+    if (bad_block) {
+      *json << ", \"bad_entry\": " << refused_by->bad_entry;
+    }
+    *json << ", \"entries\": [";
+    for (size_t i = 0; i < tx.desc.entries.size(); ++i) {
+      *json << (i == 0 ? "" : ", ") << "{\"home\": " << tx.desc.entries[i].home_lba
+            << ", \"journal\": " << tx.journal_lbas[i] << "}";
+    }
+    *json << "], \"revoked\": [";
+    for (size_t i = 0; i < tx.desc.revoked.size(); ++i) {
+      *json << (i == 0 ? "" : ", ") << tx.desc.revoked[i];
+    }
+    *json << "]}";
+    if (valid && seal == JournalSeal::kCommitRecord) {
+      *json << ",\n      {\"pos\": " << tx.commit_lba - area.start
+            << ", \"type\": \"commit\", \"tx\": " << tx.desc.tx_id << "}";
+    }
+    *first_record = false;
+    return;
   }
-  const uint64_t stripe = lba / geo.chunk;
-  return {stripe % n, (stripe / n) * geo.chunk + lba % geo.chunk};
+  std::printf("  [%5llu] descriptor tx=%llu entries=%zu revoked=%zu%s\n", U(tx.offset),
+              U(tx.desc.tx_id), tx.desc.entries.size(), tx.desc.revoked.size(),
+              tx.checked ? "" : " (completed: trusted unread)");
+  for (size_t i = 0; i < tx.desc.entries.size(); ++i) {
+    std::printf("           home=%-8llu journal=%llu%s\n", U(tx.desc.entries[i].home_lba),
+                U(tx.journal_lbas[i]),
+                bad_block && i == refused_by->bad_entry ? " CHECKSUM BAD" : "");
+  }
+  for (BlockNo r : tx.desc.revoked) {
+    std::printf("           revoked home=%llu\n", U(r));
+  }
+  if (!valid) {
+    std::printf("           transaction INVALID (%s) — recovery would stop here\n",
+                ScanStopName(refused_by->stop));
+  } else if (seal == JournalSeal::kCommitRecord) {
+    std::printf("  [%5llu] commit tx=%llu\n", U(tx.commit_lba - area.start),
+                U(tx.desc.tx_id));
+  }
 }
 
-MediaBlock ReadBlock(const CrashImage& image, const Geometry& geo, uint64_t lba) {
-  const auto [dev, dev_lba] = Resolve(image, geo, lba);
-  auto it = image.devices[dev].media.find(dev_lba);
-  if (it == image.devices[dev].media.end()) {
-    return MediaBlock(Buffer(kFsBlockSize, 0));
-  }
-  return it->second;
-}
-
-// Walks one journal area, appending either human-readable lines to stdout
-// or JSON record objects to |json|.
-void DumpArea(const CrashImage& image, const Geometry& geo, const FsLayout& layout,
-              uint32_t area, std::ostringstream* json, Metrics* m) {
-  const BlockNo start = layout.area_start(area);
-  const uint64_t blocks = layout.blocks_per_area();
-  auto asb = AreaSuperblock::Parse(ReadBlock(image, geo, start));
-  if (!asb.ok()) {
+// Reports one journal area as recovery's scan found it, appending either
+// human-readable lines to stdout or a JSON area object to |json|.
+void DumpArea(const JournalBlockReader& read, uint32_t index, const JournalArea& area,
+              JournalSeal seal, const Result<AreaScan>& scan, std::ostringstream* json,
+              Metrics* m) {
+  if (!scan.ok()) {
     if (json != nullptr) {
-      *json << "    {\"area\": " << area << ", \"error\": \"unreadable superblock\"}";
+      *json << "    {\"area\": " << index << ", \"error\": \"unreadable superblock\"}";
     } else {
-      std::printf("area %u: unreadable superblock (%s)\n", area,
-                  asb.status().ToString().c_str());
+      std::printf("area %u: unreadable superblock (%s)\n", index,
+                  scan.status().ToString().c_str());
     }
     return;
   }
   if (json != nullptr) {
-    *json << "    {\"area\": " << area << ", \"start_lba\": " << start
-          << ", \"blocks\": " << blocks << ", \"start_offset\": " << asb->start_offset
-          << ", \"cleared_txid\": " << asb->cleared_txid << ", \"records\": [";
+    *json << "    {\"area\": " << index << ", \"start_lba\": " << area.start
+          << ", \"blocks\": " << area.blocks << ", \"start_offset\": " << scan->asb.start_offset
+          << ", \"cleared_txid\": " << scan->asb.cleared_txid << ", \"records\": [";
   } else {
     std::printf("area %u @lba %llu (%llu blocks): start_offset=%llu cleared_txid=%llu\n",
-                area, static_cast<unsigned long long>(start),
-                static_cast<unsigned long long>(blocks),
-                static_cast<unsigned long long>(asb->start_offset),
-                static_cast<unsigned long long>(asb->cleared_txid));
+                index, U(area.start), U(area.blocks), U(scan->asb.start_offset),
+                U(scan->asb.cleared_txid));
   }
-
-  uint64_t pos = asb->start_offset;
-  uint64_t prev = asb->cleared_txid;
   bool first_record = true;
-  auto next = [&](uint64_t p) { return p + 1 >= blocks ? 1 : p + 1; };
-  for (;;) {
-    const MediaBlock raw = ReadBlock(image, geo, start + pos);
-    auto type = PeekRecordType(raw);
-    if (!type.ok()) {
-      if (json == nullptr) {
-        std::printf("  [%5llu] end of log (%s)\n", static_cast<unsigned long long>(pos),
-                    type.status().ToString().c_str());
-      }
-      break;
-    }
-    if (*type == JournalRecordType::kCommit) {
-      auto commit = CommitBlock::Parse(raw);
-      if (m != nullptr) {
-        m->registry().Add(m->registry().Counter("inspect.commit_records"), 1);
-      }
-      if (json != nullptr) {
-        *json << (first_record ? "" : ",") << "\n      {\"pos\": " << pos
-              << ", \"type\": \"commit\", \"tx\": " << commit->tx_id << "}";
-        first_record = false;
-      } else {
-        std::printf("  [%5llu] commit tx=%llu\n", static_cast<unsigned long long>(pos),
-                    static_cast<unsigned long long>(commit->tx_id));
-      }
-      pos = next(pos);
-      continue;
-    }
-    if (*type != JournalRecordType::kDescriptor) {
-      if (json == nullptr) {
-        std::printf("  [%5llu] unexpected record type\n",
-                    static_cast<unsigned long long>(pos));
-      }
-      break;
-    }
-    auto desc = DescriptorBlock::Parse(raw);
-    if (m != nullptr) {
-      m->registry().Add(m->registry().Counter("inspect.descriptor_records"), 1);
-    }
-    if (desc->tx_id <= prev) {
-      if (json == nullptr) {
-        std::printf("  [%5llu] stale descriptor tx=%llu (<= cleared) — end of log\n",
-                    static_cast<unsigned long long>(pos),
-                    static_cast<unsigned long long>(desc->tx_id));
-      }
-      break;
-    }
-    if (json == nullptr) {
-      std::printf("  [%5llu] descriptor tx=%llu entries=%zu revoked=%zu\n",
-                  static_cast<unsigned long long>(pos),
-                  static_cast<unsigned long long>(desc->tx_id), desc->entries.size(),
-                  desc->revoked.size());
-    }
-    uint64_t p = next(pos);
-    bool valid = true;
-    size_t bad_entries = 0;
-    std::ostringstream entries;
-    bool first_entry = true;
-    for (const JournalEntry& e : desc->entries) {
-      const MediaBlock content = ReadBlock(image, geo, start + p);
-      const bool ok = Fnv1a(content) == e.content_checksum;
-      if (!ok) {
-        ++bad_entries;
-      }
-      if (json != nullptr) {
-        entries << (first_entry ? "" : ", ") << "{\"home\": " << e.home_lba
-                << ", \"journal\": " << start + p << ", \"valid\": " << (ok ? "true" : "false")
-                << "}";
-        first_entry = false;
-      } else {
-        std::printf("           home=%-8llu journal=%-8llu %s\n",
-                    static_cast<unsigned long long>(e.home_lba),
-                    static_cast<unsigned long long>(start + p),
-                    ok ? "valid" : "CHECKSUM BAD");
-      }
-      valid = valid && ok;
-      p = next(p);
-    }
-    if (json != nullptr) {
-      *json << (first_record ? "" : ",") << "\n      {\"pos\": " << pos
-            << ", \"type\": \"descriptor\", \"tx\": " << desc->tx_id
-            << ", \"valid\": " << (valid ? "true" : "false") << ", \"entries\": ["
-            << entries.str() << "], \"revoked\": [";
-      for (size_t i = 0; i < desc->revoked.size(); ++i) {
-        *json << (i == 0 ? "" : ", ") << desc->revoked[i];
-      }
-      *json << "]}";
-      first_record = false;
-    } else {
-      for (BlockNo r : desc->revoked) {
-        std::printf("           revoked home=%llu\n", static_cast<unsigned long long>(r));
-      }
-    }
-    if (!valid) {
-      if (m != nullptr) {
-        m->registry().Add(m->registry().Counter("inspect.invalid_txs"), 1);
-        // Media-level commit-record invariant: if the record after a
-        // checksum-bad transaction body is that transaction's commit block,
-        // the commit reached media before its blocks did.
-        auto peek = PeekRecordType(ReadBlock(image, geo, start + p));
-        if (peek.ok() && *peek == JournalRecordType::kCommit) {
-          auto commit = CommitBlock::Parse(ReadBlock(image, geo, start + p));
-          if (commit.ok() && commit->tx_id == desc->tx_id) {
-            m->monitors().OnJournalCommitRecord(desc->tx_id, bad_entries);
-          }
-        }
-      }
-      if (json == nullptr) {
-        std::printf("           transaction INVALID — recovery would stop here\n");
-      }
-      break;
-    }
-    prev = desc->tx_id;
-    pos = p;
+  for (const ScannedTx& tx : scan->txs) {
+    ReportTx(tx, area, seal, nullptr, json, &first_record);
+  }
+  if (scan->refused.has_value()) {
+    ReportTx(*scan->refused, area, seal, &*scan, json, &first_record);
+  } else if (json == nullptr) {
+    std::printf("  [%5llu] end of log (%s)\n", U(scan->end_offset), ScanStopName(scan->stop));
   }
   if (json != nullptr) {
     *json << (first_record ? "" : "\n    ") << "]}";
+  }
+  if (m == nullptr) {
+    return;
+  }
+  MetricsRegistry& r = m->registry();
+  const size_t refused = scan->refused.has_value() ? 1 : 0;
+  r.Add(r.Counter("inspect.descriptor_records"), scan->txs.size() + refused);
+  r.Add(r.Counter("inspect.commit_records"),
+        seal == JournalSeal::kCommitRecord ? scan->txs.size() : 0);
+  r.Add(r.Counter("inspect.invalid_txs"), refused);
+  if (seal == JournalSeal::kCommitRecord && scan->stop == ScanStop::kChecksumMismatch) {
+    // Media-level commit-record invariant: if the record after a
+    // checksum-bad transaction body is that transaction's commit block,
+    // the commit reached media before its blocks did (every member from
+    // the first bad one on is not known to have landed).
+    Buffer raw;
+    (void)read(scan->refused->commit_lba, &raw);
+    auto commit = CommitBlock::Parse(raw);
+    if (commit.ok() && commit->tx_id == scan->refused->desc.tx_id) {
+      m->monitors().OnJournalCommitRecord(
+          commit->tx_id, scan->refused->desc.entries.size() - scan->bad_entry);
+    }
   }
 }
 
@@ -225,7 +170,7 @@ int main(int argc, char** argv) {
   bool emit_json = false;
   bool with_metrics = false;
   std::string metrics_path;
-  Geometry geo;
+  VolumeConfig volume;
   for (int i = 2; i < argc; ++i) {
     if (std::strncmp(argv[i], "--metrics", 9) == 0) {
       with_metrics = true;
@@ -237,9 +182,9 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--queues") == 0 && i + 1 < argc) {
       queues = static_cast<uint16_t>(std::strtoul(argv[++i], nullptr, 10));
     } else if (std::strcmp(argv[i], "--chunk") == 0 && i + 1 < argc) {
-      geo.chunk = std::strtoull(argv[++i], nullptr, 10);
+      volume.chunk_blocks = static_cast<uint32_t>(std::strtoul(argv[++i], nullptr, 10));
     } else if (std::strcmp(argv[i], "--mirror") == 0) {
-      geo.mirror = true;
+      volume.kind = VolumeKind::kMirror;
     } else if (std::strcmp(argv[i], "--json") == 0) {
       emit_json = true;
     }
@@ -250,81 +195,119 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "cannot load image: %s\n", image.status().ToString().c_str());
     return 1;
   }
-  const MediaBlock sb_raw = ReadBlock(*image, geo, 0);
+  // Volume blocks resolve through the volume's own stripe map (leg 0 of a
+  // mirror); a block the image never wrote reads as zeros.
+  const uint16_t num_devices = static_cast<uint16_t>(image->devices.size());
+  const JournalBlockReader read = [&](BlockNo lba, Buffer* out) {
+    const Volume::Extent e = Volume::MapExtents(volume, num_devices, 0, lba, 1).front();
+    const MediaStore::BlockMap& media = image->devices[e.device].media;
+    auto it = media.find(e.dev_lba);
+    if (it == media.end()) {
+      out->assign(kFsBlockSize, 0);
+    } else {
+      out->assign(it->second.data(), it->second.data() + it->second.size());
+    }
+    return OkStatus();
+  };
+  Buffer sb_raw;
+  (void)read(0, &sb_raw);
   auto sb = Superblock::Parse(sb_raw);
   if (!sb.ok()) {
     std::fprintf(stderr, "bad superblock: %s\n", sb.status().ToString().c_str());
     return 1;
   }
   const FsLayout layout = sb->ToLayout();
-  // Offline inspection has no running stack; metrics live on a standalone
-  // (never advanced) simulator, so every snapshot is stamped at t=0.
-  Simulator metrics_sim;
-  std::unique_ptr<Metrics> metrics;
-  if (with_metrics) {
-    metrics = std::make_unique<Metrics>(&metrics_sim);
-  }
-  std::ostringstream json;
-  if (emit_json) {
-    json << "{\n  \"total_blocks\": " << sb->total_blocks
-         << ",\n  \"journal_areas\": " << sb->journal_areas
-         << ",\n  \"dirty_mount\": " << (sb->dirty_mount != 0 ? "true" : "false")
-         << ",\n  \"num_devices\": " << image->devices.size() << ",\n  \"areas\": [\n";
-  } else {
-    std::printf("image: %llu blocks, %u journal area(s), dirty_mount=%u, %zu device(s)\n\n",
-                static_cast<unsigned long long>(sb->total_blocks), sb->journal_areas,
-                sb->dirty_mount, image->devices.size());
-  }
-  for (uint32_t a = 0; a < sb->journal_areas; ++a) {
-    DumpArea(*image, geo, layout, a, emit_json ? &json : nullptr, metrics.get());
-    if (emit_json) {
-      json << (a + 1 < sb->journal_areas ? ",\n" : "\n");
-    } else {
-      std::printf("\n");
-    }
-  }
+  const JournalSeal seal = SealOf(sb->journal);
+  const std::vector<JournalArea> areas = JournalAreasOf(sb->journal, layout);
 
   if (queues == 0) {
     queues = static_cast<uint16_t>(sb->journal_areas);
   }
   // Scan every member device's PMR: a transaction present in ANY member's
   // window is in doubt for the whole volume.
-  if (emit_json) {
-    json << "  ],\n  \"windows\": [";
-  } else {
-    std::printf("ccNVMe P-SQ unfinished windows (%u queue(s), depth %u):\n", queues,
-                queue_depth);
-  }
-  bool first_window = true;
-  size_t total = 0;
+  std::vector<std::pair<size_t, CcNvmeDriver::UnfinishedRequest>> window;
+  std::set<uint64_t> in_doubt;
   for (size_t d = 0; d < image->devices.size(); ++d) {
     if (image->devices[d].pmr.empty()) {
       continue;
     }
     const Pmr pmr(image->devices[d].pmr);
     for (const auto& req : CcNvmeDriver::ScanUnfinished(pmr, queues, queue_depth)) {
-      ++total;
-      if (metrics != nullptr) {
-        metrics->registry().Add(metrics->registry().Counter("inspect.window_entries"), 1);
-      }
-      if (emit_json) {
-        json << (first_window ? "" : ",") << "\n    {\"device\": " << d
-             << ", \"qid\": " << req.qid << ", \"tx\": " << req.tx_id
-             << ", \"lba\": " << req.slba << ", \"blocks\": " << req.num_blocks
-             << ", \"commit\": " << (req.is_commit ? "true" : "false") << "}";
-        first_window = false;
-      } else {
-        std::printf("  dev%zu q%u tx=%llu lba=%llu blocks=%u%s\n", d, req.qid,
-                    static_cast<unsigned long long>(req.tx_id),
-                    static_cast<unsigned long long>(req.slba), req.num_blocks,
-                    req.is_commit ? " [commit]" : "");
-      }
+      window.emplace_back(d, req);
+      in_doubt.insert(req.tx_id);
+    }
+  }
+
+  // Offline inspection has no running stack; metrics live on a standalone
+  // (never advanced) simulator, so every snapshot is stamped at t=0.
+  Simulator metrics_sim;
+  std::unique_ptr<Metrics> metrics;
+  if (with_metrics) {
+    metrics = std::make_unique<Metrics>(&metrics_sim);
+    metrics->registry().Add(metrics->registry().Counter("inspect.window_entries"),
+                            window.size());
+  }
+  std::ostringstream json;
+  if (emit_json) {
+    json << "{\n  \"total_blocks\": " << sb->total_blocks
+         << ",\n  \"journal_areas\": " << sb->journal_areas << ",\n  \"journal\": \""
+         << JournalKindName(sb->journal) << "\""
+         << ",\n  \"dirty_mount\": " << (sb->dirty_mount != 0 ? "true" : "false")
+         << ",\n  \"num_devices\": " << image->devices.size() << ",\n  \"areas\": [\n";
+  } else {
+    std::printf(
+        "image: %llu blocks, %u journal area(s), %s journal, dirty_mount=%u, %zu device(s)\n\n",
+        U(sb->total_blocks), sb->journal_areas, JournalKindName(sb->journal), sb->dirty_mount,
+        image->devices.size());
+  }
+  std::vector<AreaScan> scans;
+  for (size_t a = 0; a < areas.size(); ++a) {
+    auto scan = ScanJournalArea(read, areas[a], seal,
+                                seal == JournalSeal::kDescriptorChecksums ? &in_doubt : nullptr);
+    DumpArea(read, static_cast<uint32_t>(a), areas[a], seal, scan,
+             emit_json ? &json : nullptr, metrics.get());
+    if (emit_json) {
+      json << (a + 1 < areas.size() ? ",\n" : "\n");
+    } else {
+      std::printf("\n");
+    }
+    if (scan.ok()) {
+      scans.push_back(std::move(*scan));
+    }
+  }
+  // The home blocks a dirty mount's recovery would write, in order: its own
+  // replay, writing nothing.
+  std::string replay;
+  (void)ReplayJournal(scans, read, [&](BlockNo home, const Buffer&) {
+    replay += (replay.empty() ? "" : ", ") + std::to_string(home);
+    return OkStatus();
+  });
+  if (emit_json) {
+    json << "  ]" << (replay.empty() ? "" : ",\n  \"replay\": [" + replay + "]")
+         << ",\n  \"windows\": [";
+  } else {
+    if (!replay.empty()) {
+      std::printf("replay writes home, in tx-id order: %s\n\n", replay.c_str());
+    }
+    std::printf("ccNVMe P-SQ unfinished windows (%u queue(s), depth %u):\n", queues,
+                queue_depth);
+  }
+  for (size_t i = 0; i < window.size(); ++i) {
+    const auto& [d, req] = window[i];
+    if (emit_json) {
+      json << (i == 0 ? "" : ",") << "\n    {\"device\": " << d << ", \"qid\": " << req.qid
+           << ", \"tx\": " << req.tx_id << ", \"lba\": " << req.slba
+           << ", \"blocks\": " << req.num_blocks
+           << ", \"commit\": " << (req.is_commit ? "true" : "false") << "}";
+    } else {
+      std::printf("  dev%zu q%u tx=%llu lba=%llu blocks=%u%s\n", d, req.qid, U(req.tx_id),
+                  U(req.slba), req.num_blocks, req.is_commit ? " [commit]" : "");
     }
   }
   if (emit_json) {
-    json << (first_window ? "" : "\n  ") << "]\n}\n";
+    json << (window.empty() ? "" : "\n  ") << "]\n}\n";
     std::fputs(json.str().c_str(), stdout);
-  } else if (total == 0) {
+  } else if (window.empty()) {
     std::printf("  (empty — every submitted transaction completed in order)\n");
   }
   if (metrics != nullptr) {
