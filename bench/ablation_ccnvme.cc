@@ -37,7 +37,7 @@ AblationResult Run(BenchContext& ctx, bool tx_aware_mmio, bool irq_coalescing, i
   NvmeController ctrl(&sim, &link, &ssd, ctrl_cfg);
   CcNvmeOptions cc_opts;
   cc_opts.tx_aware_mmio = tx_aware_mmio;
-  CcNvmeDriver cc(&sim, &link, &ctrl, HostCosts{}, cc_opts);
+  CcNvmeDriver cc(&sim, &link, &ctrl, cc_opts);
 
   AblationResult res;
   const int kIters = 50;

@@ -41,7 +41,7 @@ double IndirectKTps(int n) {
   NvmeDriver nvme(&sim, &link, &ctrl, NvmeDriverConfig{});
   PcieLink pmr_link(&sim, PcieConfig{});
   Pmr pmr;
-  IndirectCcNvme indirect(&sim, &pmr_link, &pmr, &nvme, HostCosts{}, 1);
+  IndirectCcNvme indirect(&sim, &pmr_link, &pmr, &nvme, 1);
   uint64_t ops = 0;
   const uint64_t dur = 8'000'000;
   sim.Spawn("app", [&] {

@@ -1,6 +1,7 @@
 #include "src/block/block_layer.h"
 
 #include "src/common/logging.h"
+#include "src/driver/host_costs.h"
 #include "src/metrics/metrics.h"
 #include "src/trace/tracer.h"
 
@@ -10,8 +11,7 @@ namespace {
 thread_local uint16_t tls_queue = 0;
 }  // namespace
 
-BlockLayer::BlockLayer(Simulator* sim, Volume* volume, const HostCosts& costs)
-    : sim_(sim), volume_(volume), costs_(costs) {
+BlockLayer::BlockLayer(Simulator* sim, Volume* volume) : sim_(sim), volume_(volume) {
   const SsdConfig& ssd = volume_->member(0).ssd->config();
   needs_flush_ = ssd.volatile_cache && !ssd.power_loss_protection;
 }
@@ -27,7 +27,7 @@ NvmeDriver::RequestHandle BlockLayer::SubmitWrite(uint64_t lba, const Buffer* da
                                                   uint32_t flags,
                                                   std::function<void()> on_complete) {
   CCNVME_CHECK(data != nullptr);
-  Simulator::Sleep(costs_.block_layer_submit_ns);
+  Simulator::Sleep(kBlockLayerSubmitNs);
   if (Tracer* t = sim_->tracer()) t->Instant(TracePoint::kBioSubmit, lba);
   if ((flags & kBioPreflush) != 0 && needs_flush_) {
     // PREFLUSH: drain the device cache before this write (the classic
@@ -45,12 +45,12 @@ Status BlockLayer::WriteSync(uint64_t lba, const Buffer& data, uint32_t flags) {
 }
 
 Status BlockLayer::ReadSync(uint64_t lba, uint32_t num_blocks, Buffer* out) {
-  Simulator::Sleep(costs_.block_layer_submit_ns);
+  Simulator::Sleep(kBlockLayerSubmitNs);
   return volume_->Read(tls_queue, lba, num_blocks, out);
 }
 
 Status BlockLayer::FlushSync() {
-  Simulator::Sleep(costs_.block_layer_submit_ns);
+  Simulator::Sleep(kBlockLayerSubmitNs);
   if (!needs_flush_) {
     return OkStatus();
   }
@@ -61,7 +61,7 @@ Status BlockLayer::FlushSync() {
 void BlockLayer::SubmitTxWrite(uint64_t tx_id, uint64_t lba, const Buffer* data,
                                std::function<void()> on_complete) {
   CCNVME_CHECK(has_ccnvme()) << "stack has no ccNVMe extension";
-  Simulator::Sleep(costs_.block_layer_submit_ns);
+  Simulator::Sleep(kBlockLayerSubmitNs);
   if (Tracer* t = sim_->tracer()) {
     t->InstantWith(TracePoint::kBioSubmit, {CurrentTraceContext().req_id, tx_id}, lba);
   }
@@ -74,7 +74,7 @@ void BlockLayer::SubmitTxWrite(uint64_t tx_id, uint64_t lba, const Buffer* data,
 CcNvmeDriver::TxHandle BlockLayer::CommitTx(uint64_t tx_id, uint64_t lba, const Buffer* data,
                                             std::function<void()> on_durable) {
   CCNVME_CHECK(has_ccnvme()) << "stack has no ccNVMe extension";
-  Simulator::Sleep(costs_.block_layer_submit_ns);
+  Simulator::Sleep(kBlockLayerSubmitNs);
   if (Tracer* t = sim_->tracer()) {
     t->InstantWith(TracePoint::kBioSubmit, {CurrentTraceContext().req_id, tx_id}, lba);
   }

@@ -29,7 +29,7 @@ class NvmDevice;
 class BlockLayer {
  public:
   // |volume| must outlive the block layer.
-  BlockLayer(Simulator* sim, Volume* volume, const HostCosts& costs);
+  BlockLayer(Simulator* sim, Volume* volume);
 
   // Binds the calling actor to hardware queue |qid| (per-core queues).
   void BindQueue(uint16_t qid);
@@ -80,7 +80,6 @@ class BlockLayer {
   Simulator* sim_;
   Volume* volume_;
   NvmDevice* nvm_ = nullptr;
-  HostCosts costs_;
   // True when the device has a volatile write cache without power-loss
   // protection, i.e. FLUSH/PREFLUSH actually matter. On PLP drives the
   // block layer strips them (the paper observes exactly this on Optane).

@@ -3,14 +3,15 @@
 #include <utility>
 
 #include "src/common/logging.h"
+#include "src/driver/host_costs.h"
 #include "src/metrics/metrics.h"
 #include "src/trace/tracer.h"
 
 namespace ccnvme {
 
 CcNvmeDriver::CcNvmeDriver(Simulator* sim, PcieLink* link, NvmeController* controller,
-                           const HostCosts& costs, const CcNvmeOptions& options)
-    : sim_(sim), link_(link), controller_(controller), costs_(costs), options_(options) {
+                           const CcNvmeOptions& options)
+    : sim_(sim), link_(link), controller_(controller), options_(options) {
   const uint16_t depth = controller->config().queue_depth;
   CCNVME_CHECK_LE(PmrQueueBase(options.num_queues, depth), controller->pmr().size())
       << "P-SQs do not fit in the PMR";
@@ -171,7 +172,7 @@ void CcNvmeDriver::SubmitTx(uint16_t qid, uint64_t tx_id, uint64_t slba, const B
   CCNVME_CHECK(data != nullptr && !data->empty());
   CCNVME_CHECK_EQ(data->size() % kLbaSize, 0u);
   Queue& q = GetQueue(qid);
-  Simulator::Sleep(costs_.ccnvme_stage_ns);
+  Simulator::Sleep(kCcNvmeStageNs);
 
   if (q.open_tx == nullptr) {
     q.open_tx = std::make_shared<Transaction>(sim_);
@@ -208,7 +209,7 @@ CcNvmeDriver::TxHandle CcNvmeDriver::CommitTx(uint16_t qid, uint64_t tx_id, uint
   Queue& q = GetQueue(qid);
   Tracer* tracer = sim_->tracer();
   ScopedSpan span(tracer, TracePoint::kTxCommit);
-  Simulator::Sleep(costs_.ccnvme_stage_ns);
+  Simulator::Sleep(kCcNvmeStageNs);
 
   if (q.open_tx == nullptr) {
     q.open_tx = std::make_shared<Transaction>(sim_);
@@ -275,7 +276,7 @@ CcNvmeDriver::TxHandle CcNvmeDriver::SealTx(uint16_t qid, uint64_t tx_id,
                                             std::function<void()> on_durable) {
   Queue& q = GetQueue(qid);
   Tracer* tracer = sim_->tracer();
-  Simulator::Sleep(costs_.ccnvme_stage_ns);
+  Simulator::Sleep(kCcNvmeStageNs);
 
   CCNVME_CHECK(q.open_tx != nullptr) << "SealTx with no staged requests on queue " << qid;
   TxHandle tx = q.open_tx;
@@ -426,7 +427,7 @@ void CcNvmeDriver::BottomHalfLoop(Queue* q) {
     q->irq_pending->Acquire();
     while (q->irq_pending->TryAcquire()) {
     }
-    Simulator::Sleep(costs_.irq_context_switch_ns);
+    Simulator::Sleep(kIrqContextSwitchNs);
 
     for (;;) {
       const size_t off = static_cast<size_t>(q->cq_head) * kCqeSize;
@@ -435,7 +436,7 @@ void CcNvmeDriver::BottomHalfLoop(Queue* q) {
       if (cqe.phase != q->cq_phase) {
         break;
       }
-      Simulator::Sleep(costs_.irq_per_cqe_ns);
+      Simulator::Sleep(kIrqPerCqeNs);
       TxHandle tx = q->cid_to_tx[cqe.cid];
       CCNVME_CHECK(tx != nullptr) << "ccNVMe completion for idle cid " << cqe.cid;
       ScopedTraceContext trace_ctx({q->cid_req[cqe.cid], tx->tx_id, device_id_});

@@ -35,7 +35,6 @@
 
 #include "src/block/bio_event.h"
 #include "src/common/status.h"
-#include "src/driver/host_costs.h"
 #include "src/nvme/controller.h"
 #include "src/pcie/wc_buffer.h"
 #include "src/sim/sync.h"
@@ -84,7 +83,7 @@ class CcNvmeDriver {
   using TxHandle = std::shared_ptr<Transaction>;
 
   CcNvmeDriver(Simulator* sim, PcieLink* link, NvmeController* controller,
-               const HostCosts& costs, const CcNvmeOptions& options);
+               const CcNvmeOptions& options);
 
   // Stages one atomic write (REQ_TX) on |qid|'s open transaction. All
   // requests of a transaction must use the same qid and tx_id. |data| must
@@ -222,7 +221,6 @@ class CcNvmeDriver {
   Simulator* sim_;
   PcieLink* link_;
   NvmeController* controller_;
-  HostCosts costs_;
   CcNvmeOptions options_;
   std::vector<std::unique_ptr<Queue>> queues_;
   uint64_t transactions_completed_ = 0;

@@ -1,17 +1,16 @@
 #include "src/ccnvme/indirect.h"
 
 #include "src/common/logging.h"
+#include "src/driver/host_costs.h"
 
 namespace ccnvme {
 
 IndirectCcNvme::IndirectCcNvme(Simulator* sim, PcieLink* pmr_link, Pmr* pmr, NvmeDriver* nvme,
-                               const HostCosts& costs, uint16_t num_queues,
-                               uint16_t queue_depth)
+                               uint16_t num_queues, uint16_t queue_depth)
     : sim_(sim),
       pmr_link_(pmr_link),
       pmr_(pmr),
       nvme_(nvme),
-      costs_(costs),
       queue_depth_(queue_depth) {
   CCNVME_CHECK_LE(CcNvmeDriver::PmrQueueBase(num_queues, queue_depth), pmr->size());
   for (uint16_t qid = 0; qid < num_queues; ++qid) {
@@ -56,7 +55,7 @@ void IndirectCcNvme::SubmitTx(uint16_t qid, uint64_t tx_id, uint64_t slba,
                               const Buffer* data) {
   CCNVME_CHECK_LT(qid, queues_.size());
   Queue& q = *queues_[qid];
-  Simulator::Sleep(costs_.ccnvme_stage_ns);
+  Simulator::Sleep(kCcNvmeStageNs);
   if (q.open_tx == nullptr) {
     q.open_tx = std::make_shared<Transaction>(sim_);
     q.open_tx->tx_id = tx_id;
@@ -80,7 +79,7 @@ IndirectCcNvme::TxHandle IndirectCcNvme::CommitTx(uint16_t qid, uint64_t tx_id, 
                                                   const Buffer* data) {
   CCNVME_CHECK_LT(qid, queues_.size());
   Queue& q = *queues_[qid];
-  Simulator::Sleep(costs_.ccnvme_stage_ns);
+  Simulator::Sleep(kCcNvmeStageNs);
   if (q.open_tx == nullptr) {
     q.open_tx = std::make_shared<Transaction>(sim_);
     q.open_tx->tx_id = tx_id;

@@ -42,7 +42,7 @@ class IndirectCcNvme {
   // |pmr_link| and |pmr| model the wrapping PMR SSD; |nvme| is the driver
   // of the test SSD (carries the data path).
   IndirectCcNvme(Simulator* sim, PcieLink* pmr_link, Pmr* pmr, NvmeDriver* nvme,
-                 const HostCosts& costs, uint16_t num_queues, uint16_t queue_depth = 256);
+                 uint16_t num_queues, uint16_t queue_depth = 256);
 
   void SubmitTx(uint16_t qid, uint64_t tx_id, uint64_t slba, const Buffer* data);
   TxHandle CommitTx(uint16_t qid, uint64_t tx_id, uint64_t slba, const Buffer* data);
@@ -79,7 +79,6 @@ class IndirectCcNvme {
   PcieLink* pmr_link_;
   Pmr* pmr_;
   NvmeDriver* nvme_;
-  HostCosts costs_;
   uint16_t queue_depth_;
   std::vector<std::unique_ptr<Queue>> queues_;
   uint64_t completed_ = 0;

@@ -21,22 +21,77 @@ Result<SsdConfig> SsdByName(const std::string& name) {
   return InvalidArgument("unknown SSD preset: " + name);
 }
 
-// --- Typed readers over the parsed artifact object -------------------------
-// Keys added after the first artifact layout are optional: an absent one
-// keeps the default. A present key of the wrong type is an error either way.
+const char* VolumeKindName(VolumeKind kind) {
+  return kind == VolumeKind::kMirror ? "mirror" : "stripe";
+}
 
-constexpr bool kRequired = true;
-constexpr bool kOptional = false;
+// The artifact's one field list: every StackConfig field, by key, in the
+// order ToJson writes them. The SSD travels as its preset's name (the
+// presets are the only source of SsdConfig values), and
+// cc_options.num_queues is left out because the stack sets it from
+// num_queues.
+template <typename Config, typename Visit>
+void ForEachField(Config& c, Visit visit) {
+  visit("ssd", c.ssd);
+  visit("pcie_mmio_write_bytes_per_sec", c.pcie.mmio_write_bytes_per_sec);
+  visit("pcie_mmio_write_overhead_ns", c.pcie.mmio_write_overhead_ns);
+  visit("pcie_max_mmio_backlog_ns", c.pcie.max_mmio_backlog_ns);
+  visit("num_queues", c.num_queues);
+  visit("queue_depth", c.queue_depth);
+  visit("enable_ccnvme", c.enable_ccnvme);
+  visit("tx_aware_mmio", c.cc_options.tx_aware_mmio);
+  visit("in_order_completion", c.cc_options.in_order_completion);
+  visit("doorbell_coalesce_limit", c.cc_options.doorbell_coalesce_limit);
+  visit("fs_total_blocks", c.fs_total_blocks);
+  visit("journal", c.fs.journal);
+  visit("journal_areas", c.fs.journal_areas);
+  visit("journal_blocks", c.fs.journal_blocks);
+  visit("data_journaling", c.fs.data_journaling);
+  visit("metadata_shadow_paging", c.fs.metadata_shadow_paging);
+  visit("test_skip_psq_window_scan", c.fs.test_skip_psq_window_scan);
+  visit("test_skip_cross_core_order", c.fs.test_skip_cross_core_order);
+  visit("nvlog_drain_batch", c.fs.nvlog_drain_batch);
+  visit("nvlog_drain_delay_ns", c.fs.nvlog_drain_delay_ns);
+  visit("nvlog_drainers", c.fs.nvlog_drainers);
+  visit("test_skip_nvlog_fence", c.fs.test_skip_nvlog_fence);
+  visit("num_devices", c.num_devices);
+  visit("volume_kind", c.volume.kind);
+  visit("volume_chunk_blocks", c.volume.chunk_blocks);
+  visit("test_skip_volume_commit_gate", c.volume.test_skip_volume_commit_gate);
+  visit("nvm_enabled", c.nvm.enabled);
+  visit("nvm_size_bytes", c.nvm.size_bytes);
+  visit("nvm_store_line_ns", c.nvm.store_line_ns);
+  visit("nvm_load_line_ns", c.nvm.load_line_ns);
+  visit("kv_enabled", c.kv.enabled);
+  visit("kv_dir_slots", c.kv.dir_slots);
+  visit("kv_shadow_slots", c.kv.shadow_slots);
+  visit("kv_flash_pages", c.kv.flash_pages);
+  visit("kv_pages_per_block", c.kv.pages_per_block);
+  visit("kv_total_lpns", c.kv.total_lpns);
+  visit("kv_map_cache_segments", c.kv.map_cache_segments);
+  visit("kv_gc_free_blocks_low", c.kv.gc_free_blocks_low);
+  visit("kv_test_skip_ftl_shadow_commit", c.kv.test_skip_ftl_shadow_commit);
+}
 
-// The value of |key|, checked to be of |type|; nullptr when the key is
-// absent and not |required|.
+// --- Writers, one per field type ---------------------------------------------
+
+void Write(JsonWriter& w, bool v) { w.os << (v ? "true" : "false"); }
+void Write(JsonWriter& w, std::unsigned_integral auto v) { w.os << static_cast<uint64_t>(v); }
+void Write(JsonWriter& w, const SsdConfig& v) { w.String(v.name); }
+void Write(JsonWriter& w, JournalKind v) { w.String(JournalKindName(v)); }
+void Write(JsonWriter& w, VolumeKind v) { w.String(VolumeKindName(v)); }
+
+// --- Readers: every key is required, with its field's type -------------------
+// A replay re-simulates the recording, so an artifact reproduces only on the
+// code that wrote it; there is no older layout to accept.
+
 Result<const JsonValue*> Field(const JsonValue& root, const std::string& key,
-                               JsonValue::Type type, bool required) {
+                               JsonValue::Type type) {
   const JsonValue* v = root.Find(key);
-  if (v == nullptr && required) {
+  if (v == nullptr) {
     return NotFound("artifact missing key: " + key);
   }
-  if (v != nullptr && v->type != type) {
+  if (v->type != type) {
     return InvalidArgument("wrong type for key: " + key);
   }
   return v;
@@ -55,30 +110,59 @@ bool ParseUInt(const JsonValue& v, Int* out) {
   return ec == std::errc() && ptr == end;
 }
 
-Status Read(const JsonValue& root, const std::string& key, bool required, bool* out) {
-  CCNVME_ASSIGN_OR_RETURN(const JsonValue* v,
-                          Field(root, key, JsonValue::Type::kBool, required));
-  if (v != nullptr) {
-    *out = v->b;
-  }
+Status Read(const JsonValue& root, const std::string& key, bool* out) {
+  CCNVME_ASSIGN_OR_RETURN(const JsonValue* v, Field(root, key, JsonValue::Type::kBool));
+  *out = v->b;
   return OkStatus();
 }
 
-Status Read(const JsonValue& root, const std::string& key, bool required, std::string* out) {
-  CCNVME_ASSIGN_OR_RETURN(const JsonValue* v,
-                          Field(root, key, JsonValue::Type::kString, required));
-  if (v != nullptr) {
-    *out = v->str;
-  }
+Status Read(const JsonValue& root, const std::string& key, std::string* out) {
+  CCNVME_ASSIGN_OR_RETURN(const JsonValue* v, Field(root, key, JsonValue::Type::kString));
+  *out = v->str;
   return OkStatus();
 }
 
 template <std::unsigned_integral Int>
-Status Read(const JsonValue& root, const std::string& key, bool required, Int* out) {
-  CCNVME_ASSIGN_OR_RETURN(const JsonValue* v,
-                          Field(root, key, JsonValue::Type::kNumber, required));
-  if (v != nullptr && !ParseUInt(*v, out)) {
+Status Read(const JsonValue& root, const std::string& key, Int* out) {
+  CCNVME_ASSIGN_OR_RETURN(const JsonValue* v, Field(root, key, JsonValue::Type::kNumber));
+  if (!ParseUInt(*v, out)) {
     return InvalidArgument("expected unsigned integer for key: " + key);
+  }
+  return OkStatus();
+}
+
+Status Read(const JsonValue& root, const std::string& key, SsdConfig* out) {
+  std::string name;
+  CCNVME_RETURN_IF_ERROR(Read(root, key, &name));
+  CCNVME_ASSIGN_OR_RETURN(*out, SsdByName(name));
+  return OkStatus();
+}
+
+Status Read(const JsonValue& root, const std::string& key, JournalKind* out) {
+  std::string name;
+  CCNVME_RETURN_IF_ERROR(Read(root, key, &name));
+  CCNVME_ASSIGN_OR_RETURN(*out, ParseJournalKind(name));
+  return OkStatus();
+}
+
+Status Read(const JsonValue& root, const std::string& key, VolumeKind* out) {
+  std::string name;
+  CCNVME_RETURN_IF_ERROR(Read(root, key, &name));
+  if (name != VolumeKindName(VolumeKind::kStripe) && name != VolumeKindName(VolumeKind::kMirror)) {
+    return InvalidArgument("unknown volume kind: " + name);
+  }
+  *out = name == VolumeKindName(VolumeKind::kMirror) ? VolumeKind::kMirror : VolumeKind::kStripe;
+  return OkStatus();
+}
+
+// Reads an array of |key| whose every element |read| accepts.
+template <typename ReadElement>
+Status ReadArray(const JsonValue& root, const std::string& key, ReadElement read) {
+  CCNVME_ASSIGN_OR_RETURN(const JsonValue* arr, Field(root, key, JsonValue::Type::kArray));
+  for (const JsonValue& v : arr->arr) {
+    if (!read(v)) {
+      return InvalidArgument("bad array element for key: " + key);
+    }
   }
   return OkStatus();
 }
@@ -92,61 +176,27 @@ std::string ReplayArtifact::ToJson() const {
     w.Key(k, first);
     first = false;
   };
-  auto num = [&](const char* k, uint64_t v) {
-    key(k);
-    w.os << v;
-  };
-  auto flag = [&](const char* k, bool v) {
-    key(k);
-    w.os << (v ? "true" : "false");
-  };
-  auto str = [&](const char* k, const std::string& v) {
-    key(k);
-    w.String(v);
-  };
-  const StackConfig& c = config;
   w.Open('{');
-  num("version", 1);
-  str("workload", workload);
-  str("ssd", c.ssd.name);
-  num("num_queues", c.num_queues);
-  num("queue_depth", c.queue_depth);
-  flag("enable_ccnvme", c.enable_ccnvme);
-  flag("tx_aware_mmio", c.cc_options.tx_aware_mmio);
-  flag("in_order_completion", c.cc_options.in_order_completion);
-  num("fs_total_blocks", c.fs_total_blocks);
-  str("journal", JournalKindName(c.fs.journal));
-  num("journal_areas", c.fs.journal_areas);
-  num("journal_blocks", c.fs.journal_blocks);
-  flag("data_journaling", c.fs.data_journaling);
-  flag("metadata_shadow_paging", c.fs.metadata_shadow_paging);
-  flag("test_skip_psq_window_scan", c.fs.test_skip_psq_window_scan);
-  flag("test_skip_cross_core_order", c.fs.test_skip_cross_core_order);
-  flag("test_skip_nvlog_fence", c.fs.test_skip_nvlog_fence);
-  flag("nvm_enabled", c.nvm.enabled);
-  num("nvm_size_bytes", c.nvm.size_bytes);
-  num("num_devices", c.num_devices);
-  str("volume_kind", c.volume.kind == VolumeKind::kMirror ? "mirror" : "stripe");
-  num("volume_chunk_blocks", c.volume.chunk_blocks);
-  flag("test_skip_volume_commit_gate", c.volume.test_skip_volume_commit_gate);
-  flag("kv_enabled", c.kv.enabled);
-  num("kv_dir_slots", c.kv.dir_slots);
-  num("kv_shadow_slots", c.kv.shadow_slots);
-  num("kv_flash_pages", c.kv.flash_pages);
-  num("kv_pages_per_block", c.kv.pages_per_block);
-  num("kv_total_lpns", c.kv.total_lpns);
-  num("kv_map_cache_segments", c.kv.map_cache_segments);
-  num("kv_gc_free_blocks_low", c.kv.gc_free_blocks_low);
-  flag("kv_test_skip_ftl_shadow_commit", c.kv.test_skip_ftl_shadow_commit);
-  num("torn_seed", torn_seed);
-  num("crash_index", plan.crash_index);
+  key("version");
+  w.os << 1;
+  key("workload");
+  w.String(workload);
+  ForEachField(config, [&](const char* k, const auto& field) {
+    key(k);
+    Write(w, field);
+  });
+  key("torn_seed");
+  w.os << torn_seed;
+  key("crash_index");
+  w.os << plan.crash_index;
   key("choices");
   w.os << '[';
   for (size_t i = 0; i < plan.choices.size(); ++i) {
     w.os << (i == 0 ? "" : ",") << static_cast<uint32_t>(plan.choices[i]);
   }
   w.os << ']';
-  str("failure", failure);
+  key("failure");
+  w.String(failure);
   key("flight_recorder");
   w.Open('[');
   for (size_t i = 0; i < flight_recorder.size(); ++i) {
@@ -172,92 +222,33 @@ Result<ReplayArtifact> ReplayArtifact::FromJson(const std::string& json) {
     return InvalidArgument("artifact is not a JSON object");
   }
   uint64_t version = 0;
-  CCNVME_RETURN_IF_ERROR(Read(root, "version", kRequired, &version));
+  CCNVME_RETURN_IF_ERROR(Read(root, "version", &version));
   if (version != 1) {
     return InvalidArgument("unsupported artifact version: " + std::to_string(version));
   }
   ReplayArtifact art;
-  StackConfig& c = art.config;
-  std::string ssd_name;
-  std::string journal;
-  CCNVME_RETURN_IF_ERROR(Read(root, "workload", kRequired, &art.workload));
-  CCNVME_RETURN_IF_ERROR(Read(root, "ssd", kRequired, &ssd_name));
-  CCNVME_ASSIGN_OR_RETURN(c.ssd, SsdByName(ssd_name));
-  CCNVME_RETURN_IF_ERROR(Read(root, "num_queues", kRequired, &c.num_queues));
-  CCNVME_RETURN_IF_ERROR(Read(root, "queue_depth", kRequired, &c.queue_depth));
-  CCNVME_RETURN_IF_ERROR(Read(root, "enable_ccnvme", kRequired, &c.enable_ccnvme));
-  CCNVME_RETURN_IF_ERROR(Read(root, "tx_aware_mmio", kRequired, &c.cc_options.tx_aware_mmio));
-  CCNVME_RETURN_IF_ERROR(
-      Read(root, "in_order_completion", kRequired, &c.cc_options.in_order_completion));
-  CCNVME_RETURN_IF_ERROR(Read(root, "fs_total_blocks", kRequired, &c.fs_total_blocks));
-  CCNVME_RETURN_IF_ERROR(Read(root, "journal", kRequired, &journal));
-  CCNVME_ASSIGN_OR_RETURN(c.fs.journal, ParseJournalKind(journal));
-  CCNVME_RETURN_IF_ERROR(Read(root, "journal_areas", kRequired, &c.fs.journal_areas));
-  CCNVME_RETURN_IF_ERROR(Read(root, "journal_blocks", kRequired, &c.fs.journal_blocks));
-  CCNVME_RETURN_IF_ERROR(Read(root, "data_journaling", kRequired, &c.fs.data_journaling));
-  CCNVME_RETURN_IF_ERROR(
-      Read(root, "metadata_shadow_paging", kRequired, &c.fs.metadata_shadow_paging));
-  CCNVME_RETURN_IF_ERROR(
-      Read(root, "test_skip_psq_window_scan", kRequired, &c.fs.test_skip_psq_window_scan));
-  // Optional (older artifacts predate cross-core fsync aggregation).
-  CCNVME_RETURN_IF_ERROR(
-      Read(root, "test_skip_cross_core_order", kOptional, &c.fs.test_skip_cross_core_order));
-  // Optional NVM tier (older artifacts predate the NVLog architecture).
-  CCNVME_RETURN_IF_ERROR(
-      Read(root, "test_skip_nvlog_fence", kOptional, &c.fs.test_skip_nvlog_fence));
-  CCNVME_RETURN_IF_ERROR(Read(root, "nvm_enabled", kOptional, &c.nvm.enabled));
-  CCNVME_RETURN_IF_ERROR(Read(root, "nvm_size_bytes", kOptional, &c.nvm.size_bytes));
-  if (c.fs.journal == JournalKind::kNvlog) {
-    c.nvm.enabled = true;
-  }
-  // Optional volume geometry (older artifacts predate multi-device volumes).
-  std::string volume_kind = "stripe";
-  CCNVME_RETURN_IF_ERROR(Read(root, "num_devices", kOptional, &c.num_devices));
-  CCNVME_RETURN_IF_ERROR(Read(root, "volume_kind", kOptional, &volume_kind));
-  if (volume_kind != "stripe" && volume_kind != "mirror") {
-    return InvalidArgument("unknown volume kind: " + volume_kind);
-  }
-  c.volume.kind = volume_kind == "mirror" ? VolumeKind::kMirror : VolumeKind::kStripe;
-  CCNVME_RETURN_IF_ERROR(
-      Read(root, "volume_chunk_blocks", kOptional, &c.volume.chunk_blocks));
-  CCNVME_RETURN_IF_ERROR(Read(root, "test_skip_volume_commit_gate", kOptional,
-                              &c.volume.test_skip_volume_commit_gate));
-  // Optional KV-native path (older artifacts predate the KV-SSD).
-  CCNVME_RETURN_IF_ERROR(Read(root, "kv_enabled", kOptional, &c.kv.enabled));
-  CCNVME_RETURN_IF_ERROR(Read(root, "kv_dir_slots", kOptional, &c.kv.dir_slots));
-  CCNVME_RETURN_IF_ERROR(Read(root, "kv_shadow_slots", kOptional, &c.kv.shadow_slots));
-  CCNVME_RETURN_IF_ERROR(Read(root, "kv_flash_pages", kOptional, &c.kv.flash_pages));
-  CCNVME_RETURN_IF_ERROR(Read(root, "kv_pages_per_block", kOptional, &c.kv.pages_per_block));
-  CCNVME_RETURN_IF_ERROR(Read(root, "kv_total_lpns", kOptional, &c.kv.total_lpns));
-  CCNVME_RETURN_IF_ERROR(
-      Read(root, "kv_map_cache_segments", kOptional, &c.kv.map_cache_segments));
-  CCNVME_RETURN_IF_ERROR(
-      Read(root, "kv_gc_free_blocks_low", kOptional, &c.kv.gc_free_blocks_low));
-  CCNVME_RETURN_IF_ERROR(Read(root, "kv_test_skip_ftl_shadow_commit", kOptional,
-                              &c.kv.test_skip_ftl_shadow_commit));
-  CCNVME_RETURN_IF_ERROR(Read(root, "torn_seed", kRequired, &art.torn_seed));
-  CCNVME_RETURN_IF_ERROR(Read(root, "crash_index", kRequired, &art.plan.crash_index));
-  CCNVME_ASSIGN_OR_RETURN(const JsonValue* choices,
-                          Field(root, "choices", JsonValue::Type::kArray, kRequired));
-  for (const JsonValue& v : choices->arr) {
-    uint8_t choice = 0;
-    if (!ParseUInt(v, &choice)) {
-      return InvalidArgument("choice out of range in key: choices");
+  CCNVME_RETURN_IF_ERROR(Read(root, "workload", &art.workload));
+  Status config = OkStatus();
+  ForEachField(art.config, [&](const char* k, auto& field) {
+    if (config.ok()) {
+      config = Read(root, k, &field);
     }
-    art.plan.choices.push_back(choice);
+  });
+  CCNVME_RETURN_IF_ERROR(config);
+  // An NVLog journal runs on the NVM tier, as the stack builds it.
+  if (art.config.fs.journal == JournalKind::kNvlog) {
+    art.config.nvm.enabled = true;
   }
-  CCNVME_RETURN_IF_ERROR(Read(root, "failure", kRequired, &art.failure));
-  // Optional (older artifacts predate the flight recorder).
-  CCNVME_ASSIGN_OR_RETURN(const JsonValue* tail, Field(root, "flight_recorder",
-                                                       JsonValue::Type::kArray, kOptional));
-  if (tail != nullptr) {
-    for (const JsonValue& line : tail->arr) {
-      if (line.type != JsonValue::Type::kString) {
-        return InvalidArgument("bad array element for key: flight_recorder");
-      }
-      art.flight_recorder.push_back(line.str);
-    }
-  }
+  CCNVME_RETURN_IF_ERROR(Read(root, "torn_seed", &art.torn_seed));
+  CCNVME_RETURN_IF_ERROR(Read(root, "crash_index", &art.plan.crash_index));
+  CCNVME_RETURN_IF_ERROR(ReadArray(root, "choices", [&](const JsonValue& v) {
+    return ParseUInt(v, &art.plan.choices.emplace_back());
+  }));
+  CCNVME_RETURN_IF_ERROR(Read(root, "failure", &art.failure));
+  CCNVME_RETURN_IF_ERROR(ReadArray(root, "flight_recorder", [&](const JsonValue& v) {
+    art.flight_recorder.push_back(v.str);
+    return v.type == JsonValue::Type::kString;
+  }));
   return art;
 }
 

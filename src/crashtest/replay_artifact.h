@@ -3,12 +3,13 @@
 // When the explorer finds a crash state that fails recovery or violates an
 // oracle fact, it serializes everything needed to rebuild that exact state
 // to a flat JSON file: the workload name (resolved through the workload
-// registry), the stack configuration (the SSD encoded by preset name), the
-// torn-write seed, and the crash plan (crash index + per-item choices).
-// Since the simulator is deterministic, re-recording the workload yields
-// the identical event stream, and (plan, seed) then reconstruct the
-// identical device image — tools/crash_replay re-checks it and must
-// reproduce the same failure string.
+// registry), every field of the stack configuration (the SSD encoded by
+// preset name), the torn-write seed, and the crash plan (crash index +
+// per-item choices). Every key is required. Since the simulator is
+// deterministic, re-recording the workload on the code that wrote the
+// artifact yields the identical event stream, and (plan, seed) then
+// reconstruct the identical device image — tools/crash_replay re-checks it
+// and must reproduce the same failure string.
 #ifndef SRC_CRASHTEST_REPLAY_ARTIFACT_H_
 #define SRC_CRASHTEST_REPLAY_ARTIFACT_H_
 
@@ -26,8 +27,7 @@ struct ReplayArtifact {
   CrashPlan plan;
   std::string failure;  // the failure string observed at record time
   // Flight recorder: formatted trace-tail lines from the recorded run
-  // (what the stack was doing just before the simulated crash). Optional —
-  // absent in artifacts written before the field existed.
+  // (what the stack was doing just before the simulated crash).
   std::vector<std::string> flight_recorder;
 
   std::string ToJson() const;

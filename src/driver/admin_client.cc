@@ -1,12 +1,12 @@
 #include "src/driver/admin_client.h"
 
 #include "src/common/logging.h"
+#include "src/driver/host_costs.h"
 
 namespace ccnvme {
 
-AdminClient::AdminClient(Simulator* sim, PcieLink* link, NvmeController* controller,
-                         const HostCosts& costs)
-    : sim_(sim), link_(link), controller_(controller), costs_(costs), mu_(sim) {
+AdminClient::AdminClient(Simulator* sim, PcieLink* link, NvmeController* controller)
+    : sim_(sim), link_(link), controller_(controller), mu_(sim) {
   irq_ = std::make_unique<SimCompletion>(sim);
   SimCompletion* irq = irq_.get();
   qp_ = controller->CreateAdminQueue([irq] { irq->Signal(); });
@@ -14,7 +14,7 @@ AdminClient::AdminClient(Simulator* sim, PcieLink* link, NvmeController* control
 
 Result<AdminClient::AdminCompletion> AdminClient::Submit(NvmeCommand cmd, Buffer* read_buf) {
   SimLockGuard guard(mu_);
-  Simulator::Sleep(costs_.driver_submit_ns);
+  Simulator::Sleep(kDriverSubmitNs);
   irq_->Reset();
 
   cmd.cid = 0;  // single outstanding admin command
@@ -27,7 +27,7 @@ Result<AdminClient::AdminCompletion> AdminClient::Submit(NvmeCommand cmd, Buffer
   controller_->RingSqDoorbell(qp_, sq_tail_);
 
   irq_->Wait();
-  Simulator::Sleep(costs_.irq_per_cqe_ns);
+  Simulator::Sleep(kIrqPerCqeNs);
   const NvmeCompletion cqe = NvmeCompletion::Parse(
       std::span<const uint8_t>(qp_->host_cq)
           .subspan(static_cast<size_t>(cq_head_) * kCqeSize, kCqeSize));

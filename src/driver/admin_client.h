@@ -10,7 +10,6 @@
 #include <memory>
 
 #include "src/common/status.h"
-#include "src/driver/host_costs.h"
 #include "src/nvme/admin.h"
 #include "src/nvme/controller.h"
 #include "src/sim/sync.h"
@@ -19,8 +18,7 @@ namespace ccnvme {
 
 class AdminClient {
  public:
-  AdminClient(Simulator* sim, PcieLink* link, NvmeController* controller,
-              const HostCosts& costs);
+  AdminClient(Simulator* sim, PcieLink* link, NvmeController* controller);
 
   // All calls must run inside an actor (they block on the admin round trip).
   Result<IdentifyController> Identify();
@@ -43,7 +41,6 @@ class AdminClient {
   Simulator* sim_;
   PcieLink* link_;
   NvmeController* controller_;
-  HostCosts costs_;
   IoQueuePair* qp_ = nullptr;
   SimMutex mu_;  // one admin command outstanding at a time
   std::unique_ptr<SimCompletion> irq_;

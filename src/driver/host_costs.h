@@ -1,11 +1,12 @@
-// Host-software CPU cost constants (nanoseconds of modeled CPU work).
+// Host-software CPU cost table (nanoseconds of modeled CPU work).
 //
-// These are the knobs that make the *software overhead* column of Table 1
-// and the latency breakdown of Figure 14 come out: the simulator charges
-// them on the paths where the real kernel spends the equivalent cycles.
-// Defaults are calibrated against Figure 14's per-function numbers on the
-// Optane 905P (e.g. Ext4's dirty-page search + block allocation for a 4 KB
-// append costs ~5-7 us; passing one bio through the block layer costs ~1 us).
+// These make the *software overhead* column of Table 1 and the latency
+// breakdown of Figure 14 come out: the simulator charges them on the paths
+// where the real kernel spends the equivalent cycles. They are calibrated
+// against Figure 14's per-function numbers on the Optane 905P (e.g. Ext4's
+// dirty-page search + block allocation for a 4 KB append costs ~5-7 us;
+// passing one bio through the block layer costs ~1 us). No option carries
+// them: every layer reads this one table.
 #ifndef SRC_DRIVER_HOST_COSTS_H_
 #define SRC_DRIVER_HOST_COSTS_H_
 
@@ -13,50 +14,48 @@
 
 namespace ccnvme {
 
-struct HostCosts {
-  // Block layer: per-bio submission cost (Figure 14: "the block layer ...
-  // still costs more than 1 us to pass the request").
-  uint64_t block_layer_submit_ns = 900;
-  // NVMe driver: building the SQE, PRP setup, queue bookkeeping.
-  uint64_t driver_submit_ns = 400;
-  // ccNVMe staging of one request: serialize the 64 B SQE into the WC
-  // buffer plus bookkeeping — leaner than the full NVMe submission path
-  // ("queuing a transaction consumes only us-scale latency", §4.5).
-  uint64_t ccnvme_stage_ns = 250;
-  // Interrupt bottom half: context switch into the handler.
-  uint64_t irq_context_switch_ns = 1'200;
-  // Per-CQE processing in the handler.
-  uint64_t irq_per_cqe_ns = 300;
-  // Waking a blocked task (completion signal -> task runnable).
-  uint64_t wakeup_ns = 1'000;
-  // Context switch between an application thread and a dedicated journaling
-  // thread (the JBD2/HoraeFS commit-thread handoff the paper calls out).
-  uint64_t journal_thread_switch_ns = 4'000;
+// Block layer: per-bio submission cost (Figure 14: "the block layer ...
+// still costs more than 1 us to pass the request").
+inline constexpr uint64_t kBlockLayerSubmitNs = 900;
+// NVMe driver: building the SQE, PRP setup, queue bookkeeping.
+inline constexpr uint64_t kDriverSubmitNs = 400;
+// ccNVMe staging of one request: serialize the 64 B SQE into the WC
+// buffer plus bookkeeping — leaner than the full NVMe submission path
+// ("queuing a transaction consumes only us-scale latency", §4.5).
+inline constexpr uint64_t kCcNvmeStageNs = 250;
+// Interrupt bottom half: context switch into the handler.
+inline constexpr uint64_t kIrqContextSwitchNs = 1'200;
+// Per-CQE processing in the handler.
+inline constexpr uint64_t kIrqPerCqeNs = 300;
+// Waking a blocked task (completion signal -> task runnable).
+inline constexpr uint64_t kWakeupNs = 1'000;
+// Context switch between an application thread and a dedicated journaling
+// thread (the JBD2/HoraeFS commit-thread handoff the paper calls out).
+inline constexpr uint64_t kJournalThreadSwitchNs = 4'000;
 
-  // File-system layer costs (used by extfs/mqfs; see Figure 14).
-  uint64_t fs_dirty_search_alloc_ns = 5'400;  // S-iD minus block layer+driver
-  uint64_t fs_inode_update_ns = 500;          // S-iM minus block layer+driver
-  uint64_t fs_dir_update_ns = 300;            // S-pM minus block layer+driver
-  uint64_t fs_journal_desc_ns = 250;          // building the JH block
-  // JBD2 commit-thread work per journaled buffer (tags, buffer_head
-  // management) — part of the "software overhead" column of Table 1.
-  uint64_t jbd2_per_block_ns = 2'000;
-  // JBD2 journal-lock window at the start of each commit: new handles
-  // (joins) stall while the commit thread locks the journal and walks the
-  // transaction state machine.
-  uint64_t jbd2_commit_lock_ns = 10'000;
-  // Commit-thread post-processing after the I/O completes: checkpoint-list
-  // insertion, buffer state transitions, stats.
-  uint64_t jbd2_commit_post_ns = 15'000;
-  // Commit-thread cost per waiting fsync caller (wakeup dispatch, per-handle
-  // bookkeeping). With many threads group-committing, this serial cost is
-  // why "the computing power of a single CPU core is inadequate for newer
-  // fast drives" (§3) — the single commit thread becomes the bottleneck.
-  uint64_t jbd2_per_waiter_ns = 4'000;
-  uint64_t fs_memcpy_4k_ns = 350;             // copying one 4 KB block
-  uint64_t fs_tx_begin_ns = 150;              // transaction bookkeeping
-  uint64_t fs_page_lock_ns = 80;              // lock/unlock a page
-};
+// File-system layer costs (extfs and the journals; see Figure 14).
+inline constexpr uint64_t kFsDirtySearchAllocNs = 5'400;  // S-iD minus block layer+driver
+inline constexpr uint64_t kFsInodeUpdateNs = 500;         // S-iM minus block layer+driver
+inline constexpr uint64_t kFsDirUpdateNs = 300;           // S-pM minus block layer+driver
+inline constexpr uint64_t kFsJournalDescNs = 250;         // building the JH block
+// JBD2 commit-thread work per journaled buffer (tags, buffer_head
+// management) — part of the "software overhead" column of Table 1.
+inline constexpr uint64_t kJbd2PerBlockNs = 2'000;
+// JBD2 journal-lock window at the start of each commit: new handles
+// (joins) stall while the commit thread locks the journal and walks the
+// transaction state machine.
+inline constexpr uint64_t kJbd2CommitLockNs = 10'000;
+// Commit-thread post-processing after the I/O completes: checkpoint-list
+// insertion, buffer state transitions, stats.
+inline constexpr uint64_t kJbd2CommitPostNs = 15'000;
+// Commit-thread cost per waiting fsync caller (wakeup dispatch, per-handle
+// bookkeeping). With many threads group-committing, this serial cost is
+// why "the computing power of a single CPU core is inadequate for newer
+// fast drives" (§3) — the single commit thread becomes the bottleneck.
+inline constexpr uint64_t kJbd2PerWaiterNs = 4'000;
+inline constexpr uint64_t kFsMemcpy4kNs = 350;  // copying one 4 KB block
+inline constexpr uint64_t kFsTxBeginNs = 150;   // transaction bookkeeping
+inline constexpr uint64_t kFsPageLockNs = 80;   // lock/unlock a page
 
 }  // namespace ccnvme
 

@@ -6,9 +6,13 @@
 #include "src/trace/tracer.h"
 
 namespace ccnvme {
+namespace {
 
-KvNvmeDriver::KvNvmeDriver(Simulator* sim, NvmeDriver* nvme, const KvDriverOptions& options)
-    : sim_(sim), nvme_(nvme), options_(options) {}
+constexpr uint64_t kKvCpuNs = 300;  // host CPU per op: key encode + command setup
+
+}  // namespace
+
+KvNvmeDriver::KvNvmeDriver(Simulator* sim, NvmeDriver* nvme) : sim_(sim), nvme_(nvme) {}
 
 Status KvNvmeDriver::WaitKv(const NvmeDriver::RequestHandle& req) {
   req->done.Wait();
@@ -27,7 +31,7 @@ Status KvNvmeDriver::Store(uint16_t qid, std::string_view key,
   ScopedTraceContext trace_ctx({next_req_id_++, 0});
   ScopedSpan span(sim_->tracer(), TracePoint::kKvTotal,
                   static_cast<uint8_t>(NvmeOpcode::kKvStore));
-  Simulator::Sleep(options_.kv_cpu_ns);
+  Simulator::Sleep(kKvCpuNs);
   const Buffer data(value.begin(), value.end());
   NvmeCommand cmd;
   cmd.opcode = static_cast<uint8_t>(NvmeOpcode::kKvStore);
@@ -51,7 +55,7 @@ Result<Buffer> KvNvmeDriver::Retrieve(uint16_t qid, std::string_view key) {
   ScopedTraceContext trace_ctx({next_req_id_++, 0});
   ScopedSpan span(sim_->tracer(), TracePoint::kKvTotal,
                   static_cast<uint8_t>(NvmeOpcode::kKvRetrieve));
-  Simulator::Sleep(options_.kv_cpu_ns);
+  Simulator::Sleep(kKvCpuNs);
   Buffer out;
   NvmeCommand cmd;
   cmd.opcode = static_cast<uint8_t>(NvmeOpcode::kKvRetrieve);
@@ -71,7 +75,7 @@ Status KvNvmeDriver::Delete(uint16_t qid, std::string_view key) {
   ScopedTraceContext trace_ctx({next_req_id_++, 0});
   ScopedSpan span(sim_->tracer(), TracePoint::kKvTotal,
                   static_cast<uint8_t>(NvmeOpcode::kKvDelete));
-  Simulator::Sleep(options_.kv_cpu_ns);
+  Simulator::Sleep(kKvCpuNs);
   NvmeCommand cmd;
   cmd.opcode = static_cast<uint8_t>(NvmeOpcode::kKvDelete);
   cmd.set_key(KeyBytes(key));
@@ -87,7 +91,7 @@ Result<bool> KvNvmeDriver::Exist(uint16_t qid, std::string_view key) {
   ScopedTraceContext trace_ctx({next_req_id_++, 0});
   ScopedSpan span(sim_->tracer(), TracePoint::kKvTotal,
                   static_cast<uint8_t>(NvmeOpcode::kKvExist));
-  Simulator::Sleep(options_.kv_cpu_ns);
+  Simulator::Sleep(kKvCpuNs);
   NvmeCommand cmd;
   cmd.opcode = static_cast<uint8_t>(NvmeOpcode::kKvExist);
   cmd.set_key(KeyBytes(key));
@@ -109,7 +113,7 @@ Result<std::vector<std::string>> KvNvmeDriver::ListKeys(uint16_t qid) {
   std::vector<std::string> keys;
   uint32_t cursor = 0;
   for (;;) {
-    Simulator::Sleep(options_.kv_cpu_ns);
+    Simulator::Sleep(kKvCpuNs);
     Buffer out;
     NvmeCommand cmd;
     cmd.opcode = static_cast<uint8_t>(NvmeOpcode::kKvList);

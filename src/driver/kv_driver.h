@@ -19,13 +19,9 @@
 
 namespace ccnvme {
 
-struct KvDriverOptions {
-  uint64_t kv_cpu_ns = 300;  // host CPU per op: key encode + command setup
-};
-
 class KvNvmeDriver {
  public:
-  KvNvmeDriver(Simulator* sim, NvmeDriver* nvme, const KvDriverOptions& options = {});
+  KvNvmeDriver(Simulator* sim, NvmeDriver* nvme);
 
   // All calls are synchronous (completion = durability) and run on the
   // caller's actor against hardware queue |qid|.
@@ -50,7 +46,6 @@ class KvNvmeDriver {
 
   Simulator* sim_;
   NvmeDriver* nvme_;
-  KvDriverOptions options_;
   // Request ids for profiler attribution; the high-bit offset keeps them
   // disjoint from file-system request ids on mixed stacks.
   uint64_t next_req_id_ = (1ull << 48) + 1;

@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "src/common/logging.h"
+#include "src/driver/host_costs.h"
 #include "src/trace/tracer.h"
 
 namespace ccnvme {
@@ -38,7 +39,7 @@ NvmeDriver::RequestHandle NvmeDriver::SubmitCommand(uint16_t qid, NvmeCommand cm
 
   Tracer* tracer = sim_->tracer();
   ScopedSpan span(tracer, TracePoint::kDriverSubmit, cmd.opcode);
-  Simulator::Sleep(config_.costs.driver_submit_ns);
+  Simulator::Sleep(kDriverSubmitNs);
 
   SimLockGuard guard(*q.submit_mu);
   // Ring-full backpressure: SQ has depth-1 usable slots.
@@ -145,7 +146,7 @@ void NvmeDriver::BottomHalfLoop(QueueState* q) {
     // invocation drains the whole CQ.
     while (q->irq_pending->TryAcquire()) {
     }
-    Simulator::Sleep(config_.costs.irq_context_switch_ns);
+    Simulator::Sleep(kIrqContextSwitchNs);
 
     // Scan the CQ for entries with the current phase.
     int handled = 0;
@@ -156,7 +157,7 @@ void NvmeDriver::BottomHalfLoop(QueueState* q) {
       if (cqe.phase != q->cq_phase) {
         break;
       }
-      Simulator::Sleep(config_.costs.irq_per_cqe_ns);
+      Simulator::Sleep(kIrqPerCqeNs);
       q->sq_head = cqe.sq_head;
       RequestHandle req = q->inflight[cqe.cid];
       CCNVME_CHECK(req != nullptr) << "completion for idle cid " << cqe.cid;
@@ -178,7 +179,7 @@ void NvmeDriver::BottomHalfLoop(QueueState* q) {
       if (auto on_complete = std::exchange(req->on_complete, nullptr)) {
         on_complete();
       }
-      Simulator::Sleep(config_.costs.wakeup_ns);
+      Simulator::Sleep(kWakeupNs);
       req->done.Signal();
     }
     if (handled > 0) {

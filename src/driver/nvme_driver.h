@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "src/common/status.h"
-#include "src/driver/host_costs.h"
 #include "src/nvme/controller.h"
 #include "src/pcie/pcie_link.h"
 #include "src/sim/resource.h"
@@ -29,7 +28,6 @@ namespace ccnvme {
 
 struct NvmeDriverConfig {
   uint16_t num_queues = 1;
-  HostCosts costs;
 };
 
 class NvmeDriver {
@@ -76,7 +74,6 @@ class NvmeDriver {
   Status Flush(uint16_t qid);
 
   uint16_t num_queues() const { return config_.num_queues; }
-  const HostCosts& costs() const { return config_.costs; }
   NvmeController* controller() { return controller_; }
   PcieLink* link() { return link_; }
 

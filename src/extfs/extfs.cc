@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "src/common/logging.h"
+#include "src/driver/host_costs.h"
 #include "src/metrics/metrics.h"
 #include "src/trace/tracer.h"
 #include "src/jbd2/jbd2.h"
@@ -60,11 +61,9 @@ std::vector<std::string> SplitPath(const std::string& path) {
 
 }  // namespace
 
-ExtFs::ExtFs(Simulator* sim, BlockLayer* blk, const HostCosts& costs,
-             const ExtFsOptions& options)
+ExtFs::ExtFs(Simulator* sim, BlockLayer* blk, const ExtFsOptions& options)
     : sim_(sim),
       blk_(blk),
-      costs_(costs),
       options_(options),
       cache_(sim, blk),
       inode_cache_mu_(sim) {}
@@ -72,7 +71,7 @@ ExtFs::ExtFs(Simulator* sim, BlockLayer* blk, const HostCosts& costs,
 ExtFs::~ExtFs() = default;
 
 void ExtFs::LockForUpdate(const BlockBufPtr& buf) {
-  Simulator::Sleep(costs_.fs_page_lock_ns);
+  Simulator::Sleep(kFsPageLockNs);
   buf->lock.Lock();
   while (buf->writeback) {
     buf->wb_cv.Wait(buf->lock);
@@ -152,7 +151,7 @@ Status ExtFs::Mount() {
 
   switch (options_.journal) {
     case JournalKind::kNone:
-      journal_ = std::make_unique<NullJournal>(sim_, blk_, &cache_, costs_);
+      journal_ = std::make_unique<NullJournal>(sim_, blk_, &cache_);
       break;
     case JournalKind::kClassic:
     case JournalKind::kHorae:
@@ -160,14 +159,14 @@ Status ExtFs::Mount() {
       Jbd2Options jopts;
       jopts.horae = options_.journal == JournalKind::kHorae;
       jopts.over_ccnvme = options_.journal == JournalKind::kCcNvmeJbd2;
-      journal_ = std::make_unique<Jbd2Journal>(sim_, blk_, &cache_, layout_, costs_, this, jopts);
+      journal_ = std::make_unique<Jbd2Journal>(sim_, blk_, &cache_, layout_, this, jopts);
       break;
     }
     case JournalKind::kMultiQueue: {
       MqJournalOptions mopts;
       mopts.shadow_paging = options_.metadata_shadow_paging;
       mopts.test_skip_psq_window_scan = options_.test_skip_psq_window_scan;
-      journal_ = std::make_unique<MqJournal>(sim_, blk_, &cache_, layout_, costs_, this, mopts);
+      journal_ = std::make_unique<MqJournal>(sim_, blk_, &cache_, layout_, this, mopts);
       break;
     }
     case JournalKind::kNvlog: {
@@ -178,7 +177,7 @@ Status ExtFs::Mount() {
       nopts.drain_delay_ns = options_.nvlog_drain_delay_ns;
       nopts.drainers = options_.nvlog_drainers;
       nopts.test_skip_fence = options_.test_skip_nvlog_fence;
-      journal_ = std::make_unique<NvLogJournal>(sim_, blk_, blk_->nvm(), costs_, this, nopts);
+      journal_ = std::make_unique<NvLogJournal>(sim_, blk_, blk_->nvm(), this, nopts);
       break;
     }
   }
@@ -327,7 +326,7 @@ Status ExtFs::DirAdd(const InodePtr& dir, const std::string& name, InodeNum ino,
   if (name.size() > kMaxNameLen) {
     return InvalidArgument("name too long: " + name);
   }
-  Simulator::Sleep(costs_.fs_dir_update_ns);
+  Simulator::Sleep(kFsDirUpdateNs);
   RawDirEntry entry;
   entry.ino = ino;
   entry.type = type;
@@ -368,7 +367,7 @@ Status ExtFs::DirAdd(const InodePtr& dir, const std::string& name, InodeNum ino,
 
 Status ExtFs::DirRemove(const InodePtr& dir, const std::string& name,
                         std::set<BlockNo>* touched) {
-  Simulator::Sleep(costs_.fs_dir_update_ns);
+  Simulator::Sleep(kFsDirUpdateNs);
   const uint64_t nblocks = (dir->disk.size + kFsBlockSize - 1) / kFsBlockSize;
   for (uint64_t b = 0; b < nblocks; ++b) {
     CCNVME_ASSIGN_OR_RETURN(BlockNo lba, FileBlock(dir, b, false, touched));
@@ -762,7 +761,7 @@ Status ExtFs::Write(InodeNum ino, uint64_t offset, std::span<const uint8_t> data
       CCNVME_ASSIGN_OR_RETURN(buf, cache_.GetBlock(lba));
     }
     LockForUpdate(buf);
-    Simulator::Sleep(costs_.fs_memcpy_4k_ns * chunk / kFsBlockSize);
+    Simulator::Sleep(kFsMemcpy4kNs * chunk / kFsBlockSize);
     std::memcpy(buf->data.data() + within, data.data() + written, chunk);
     buf->dirty = true;
     buf->lock.Unlock();
@@ -910,7 +909,7 @@ Result<ExtFs::StatInfo> ExtFs::StatPath(const std::string& path) {
 Status ExtFs::SyncInternal(InodeNum ino, SyncMode mode) {
   CCNVME_ASSIGN_OR_RETURN(InodePtr inode, GetInode(ino));
   inode->lock.Lock();
-  Simulator::Sleep(costs_.fs_tx_begin_ns);
+  Simulator::Sleep(kFsTxBeginNs);
 
   // Every sync is one attributed request flow: the id is allocated
   // unconditionally (tracing must not change behavior) and follows the
@@ -934,7 +933,7 @@ Status ExtFs::SyncInternal(InodeNum ino, SyncMode mode) {
     // S-iD: search dirty data blocks and route them.
     ScopedSpan phase(tracer, TracePoint::kSyncSubmitData);
     if (!inode->dirty_data.empty()) {
-      Simulator::Sleep(costs_.fs_dirty_search_alloc_ns);
+      Simulator::Sleep(kFsDirtySearchAllocNs);
       for (BlockNo lba : inode->dirty_data) {
         CCNVME_ASSIGN_OR_RETURN(BlockBufPtr buf, cache_.GetBlock(lba));
         if (options_.data_journaling || journal_->ForceJournalData(lba)) {
@@ -956,7 +955,7 @@ Status ExtFs::SyncInternal(InodeNum ino, SyncMode mode) {
     const bool skip_inode = mode == SyncMode::kFdataatomic &&
                             inode->disk.size == inode->size_at_last_sync && !inode->dirty;
     if (!skip_inode) {
-      Simulator::Sleep(costs_.fs_inode_update_ns);
+      Simulator::Sleep(kFsInodeUpdateNs);
       CCNVME_ASSIGN_OR_RETURN(BlockBufPtr table, FlushInodeToTable(inode));
       if (seen.insert(table->block_no).second) {
         op.metadata.push_back(table);

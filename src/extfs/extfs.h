@@ -25,7 +25,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "src/driver/host_costs.h"
 #include "src/extfs/alloc.h"
 #include "src/extfs/layout.h"
 #include "src/vfs/buffer_cache.h"
@@ -73,7 +72,7 @@ struct DirEntry {
 
 class ExtFs {
  public:
-  ExtFs(Simulator* sim, BlockLayer* blk, const HostCosts& costs, const ExtFsOptions& options);
+  ExtFs(Simulator* sim, BlockLayer* blk, const ExtFsOptions& options);
   ~ExtFs();
 
   // Formats the device. Called once per fresh media.
@@ -131,7 +130,6 @@ class ExtFs {
   BufferCache* cache() { return &cache_; }
   Allocator* allocator() { return alloc_.get(); }
   BlockLayer* block_layer() { return blk_; }
-  const HostCosts& costs() const { return costs_; }
 
   // Consistency check used by the crash tests: walks the directory tree and
   // verifies inodes, link counts and directory structure parse cleanly.
@@ -168,7 +166,6 @@ class ExtFs {
 
   Simulator* sim_;
   BlockLayer* blk_;
-  HostCosts costs_;
   ExtFsOptions options_;
   BufferCache cache_;
   FsLayout layout_;

@@ -8,10 +8,9 @@ namespace ccnvme {
 
 namespace {
 constexpr uint32_t kImageMagic = 0x4D494343;  // "CCIM"
-// v1: single device (media table + PMR). v2: a device count follows the
-// block size, then v1's per-device payload repeated per member. v1 files
-// load as one-device images. v3: a u64 NVM size + the NVM tier's durable
-// bytes follow the devices; v1/v2 files load with an empty NVM image.
+// Versions 1 (one device, no device count) and 2 (no NVM tier) are
+// refused: every file system they hold predates the superblock's journal
+// kind, which a mount requires.
 constexpr uint32_t kImageVersion = 3;
 }  // namespace
 
@@ -101,16 +100,15 @@ Result<CrashImage> LoadImage(const std::string& path) {
   if (GetU32(raw, 0) != kImageMagic) {
     return Corruption("bad image magic");
   }
-  const uint32_t version = GetU32(raw, 4);
-  if (version != 1 && version != 2 && version != 3) {
+  if (GetU32(raw, 4) != kImageVersion) {
     return NotSupported("unsupported image version");
   }
   if (GetU32(raw, 8) != kFsBlockSize) {
     return NotSupported("image block size mismatch");
   }
   const size_t payload_end = raw.size() - 8;
-  size_t off = version == 1 ? 12 : 16;
-  const uint32_t num_devices = version == 1 ? 1 : GetU32(raw, 12);
+  size_t off = 16;
+  const uint32_t num_devices = GetU32(raw, 12);
   if (num_devices == 0) {
     return Corruption("image has no devices");
   }
@@ -140,18 +138,16 @@ Result<CrashImage> LoadImage(const std::string& path) {
     image.devices[d].pmr = PageImage(std::span<const uint8_t>(raw).subspan(off, pmr_size));
     off += pmr_size;
   }
-  if (version >= 3) {
-    if (off + 8 > payload_end) {
-      return Corruption("image truncated in NVM header");
-    }
-    const uint64_t nvm_size = GetU64(raw, off);
-    off += 8;
-    if (nvm_size > payload_end - off) {
-      return Corruption("image truncated in NVM payload");
-    }
-    image.nvm = PageImage(std::span<const uint8_t>(raw).subspan(off, nvm_size));
-    off += nvm_size;
+  if (off + 8 > payload_end) {
+    return Corruption("image truncated in NVM header");
   }
+  const uint64_t nvm_size = GetU64(raw, off);
+  off += 8;
+  if (nvm_size > payload_end - off) {
+    return Corruption("image truncated in NVM payload");
+  }
+  image.nvm = PageImage(std::span<const uint8_t>(raw).subspan(off, nvm_size));
+  off += nvm_size;
   if (off != payload_end) {
     return Corruption("image size inconsistent with header");
   }

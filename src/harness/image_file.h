@@ -5,13 +5,12 @@
 //
 // Format (little-endian):
 //   [0..3]   magic "CCIM"
-//   [4..7]   version (1)
+//   [4..7]   version (3; no other is read)
 //   [8..11]  block size
-//   [12..19] number of media blocks
-//   [20..27] pmr size in bytes
-//   then per block: u64 block number + block payload
-//   then the PMR bytes
-//   then (v3) a u64 NVM size + the NVM tier's durable bytes
+//   [12..15] number of member devices
+//   then per device: u64 number of media blocks, u64 PMR size in bytes,
+//     per block a u64 block number + the block payload, then the PMR bytes
+//   then a u64 NVM size + the NVM tier's durable bytes
 //   finally a u64 FNV-1a checksum of everything before it
 //
 // The PMR and NVM bytes are written in full, absent pages as zeros; a

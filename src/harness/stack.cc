@@ -67,7 +67,6 @@ void StorageStack::Build(const CrashImage* image) {
 
     NvmeDriverConfig drv_cfg;
     drv_cfg.num_queues = config_.num_queues;
-    drv_cfg.costs = config_.costs;
     nvmes_.push_back(std::make_unique<NvmeDriver>(sim_.get(), links_[d].get(),
                                                   controllers_[d].get(), drv_cfg));
 
@@ -75,8 +74,7 @@ void StorageStack::Build(const CrashImage* image) {
       CcNvmeOptions cc_opts = config_.cc_options;
       cc_opts.num_queues = config_.num_queues;
       ccs_.push_back(std::make_unique<CcNvmeDriver>(sim_.get(), links_[d].get(),
-                                                    controllers_[d].get(), config_.costs,
-                                                    cc_opts));
+                                                    controllers_[d].get(), cc_opts));
       ccs_[d]->set_device_id(d);
     } else {
       ccs_.push_back(nullptr);
@@ -98,7 +96,7 @@ void StorageStack::Build(const CrashImage* image) {
     }
   }
   volume_ = std::make_unique<Volume>(sim_.get(), config_.volume, std::move(members));
-  blk_ = std::make_unique<BlockLayer>(sim_.get(), volume_.get(), config_.costs);
+  blk_ = std::make_unique<BlockLayer>(sim_.get(), volume_.get());
   if (config_.nvm.enabled || config_.fs.journal == JournalKind::kNvlog) {
     config_.nvm.enabled = true;
     if (image != nullptr && !image->nvm.empty()) {
@@ -110,7 +108,7 @@ void StorageStack::Build(const CrashImage* image) {
     }
     blk_->set_nvm(nvm_.get());
   }
-  fs_ = std::make_unique<ExtFs>(sim_.get(), blk_.get(), config_.costs, config_.fs);
+  fs_ = std::make_unique<ExtFs>(sim_.get(), blk_.get(), config_.fs);
 
   if (config_.kv.enabled) {
     CCNVME_CHECK_EQ(n, 1) << "the KV-native path is a single-device architecture";

@@ -34,7 +34,6 @@ struct StackConfig {
   uint16_t num_queues = 1;
   bool enable_ccnvme = true;
   uint16_t queue_depth = 256;
-  HostCosts costs;
   CcNvmeOptions cc_options;
   // Device size in 4 KB blocks (default 1 GB — plenty for the workloads and
   // cheap to simulate).

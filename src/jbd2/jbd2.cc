@@ -1,6 +1,7 @@
 #include "src/jbd2/jbd2.h"
 
 #include "src/common/logging.h"
+#include "src/driver/host_costs.h"
 #include "src/extfs/extfs.h"
 #include "src/metrics/metrics.h"
 #include "src/trace/tracer.h"
@@ -66,12 +67,10 @@ Status NullJournal::Sync(const SyncOp& op, SyncMode mode) {
 // Jbd2Journal
 
 Jbd2Journal::Jbd2Journal(Simulator* sim, BlockLayer* blk, BufferCache* cache,
-                         const FsLayout& layout, const HostCosts& costs, ExtFs* fs,
-                         const Jbd2Options& options)
+                         const FsLayout& layout, ExtFs* fs, const Jbd2Options& options)
     : sim_(sim),
       blk_(blk),
       cache_(cache),
-      costs_(costs),
       fs_(fs),
       options_(options),
       area_(JournalAreasOf(JournalKind::kClassic, layout).front()),
@@ -134,7 +133,7 @@ Status Jbd2Journal::Sync(const SyncOp& op, SyncMode mode) {
   MutableTraceContext().tx_id = tx->tx_id;
   // Handoff to the dedicated journaling thread — the context-switch tax the
   // paper calls out for JBD2-style designs.
-  Simulator::Sleep(costs_.journal_thread_switch_ns);
+  Simulator::Sleep(kJournalThreadSwitchNs);
   for (auto& h : data_handles) {
     CCNVME_RETURN_IF_ERROR(blk_->Wait(h));
   }
@@ -145,7 +144,7 @@ Status Jbd2Journal::Sync(const SyncOp& op, SyncMode mode) {
     if (Tracer* t = sim_->tracer()) {
       t->WaitEdgeEvent(WaitEdge::kCommitBarrier, barrier_begin, sim_->now());
     }
-    Simulator::Sleep(costs_.wakeup_ns);
+    Simulator::Sleep(kWakeupNs);
   }
   return OkStatus();
 }
@@ -177,14 +176,14 @@ void Jbd2Journal::CommitLoop() {
     {
       // Journal-lock window: joins stall while the commit locks the journal.
       SimLockGuard guard(mu_);
-      Simulator::Sleep(costs_.jbd2_commit_lock_ns);
+      Simulator::Sleep(kJbd2CommitLockNs);
     }
     Status st = CommitOne(tx);
     CCNVME_CHECK(st.ok()) << "journal commit failed: " << st.ToString();
     // Post-processing and per-waiter wakeup dispatch, all serial on the
     // commit thread — the single-core bottleneck of §3.
-    Simulator::Sleep(costs_.jbd2_commit_post_ns +
-                     static_cast<uint64_t>(tx->waiters) * costs_.jbd2_per_waiter_ns);
+    Simulator::Sleep(kJbd2CommitPostNs +
+                     static_cast<uint64_t>(tx->waiters) * kJbd2PerWaiterNs);
     tx->durable.Signal();
   }
   stopped_.Signal();
@@ -202,8 +201,8 @@ void Jbd2Journal::StopActors() {
 Status Jbd2Journal::CommitOne(const std::shared_ptr<TxState>& tx) {
   ScopedTraceContext trace_ctx({0, tx->tx_id});
   ScopedSpan span(sim_->tracer(), TracePoint::kJournalCommit);
-  Simulator::Sleep(costs_.journal_thread_switch_ns);  // wake kjournald
-  Simulator::Sleep(costs_.fs_journal_desc_ns);
+  Simulator::Sleep(kJournalThreadSwitchNs);  // wake kjournald
+  Simulator::Sleep(kFsJournalDescNs);
 
   std::vector<BlockNo> revocations;
   {
@@ -244,7 +243,7 @@ Status Jbd2Journal::CommitOne(const std::shared_ptr<TxState>& tx) {
       head_off_ = NextOff(head_off_);
     }
     for (size_t i = 0; i < tx->metadata.size(); ++i) {
-      Simulator::Sleep(costs_.jbd2_per_block_ns);
+      Simulator::Sleep(kJbd2PerBlockNs);
       blk_->SubmitTxWrite(tx->tx_id, member_lbas[i], &tx->metadata[i]->data);
     }
     if (Metrics* m = sim_->metrics()) {
@@ -259,7 +258,7 @@ Status Jbd2Journal::CommitOne(const std::shared_ptr<TxState>& tx) {
   handles.push_back(blk_->SubmitWrite(AreaLba(head_off_), &desc_buf, 0));
   head_off_ = NextOff(head_off_);
   for (const BlockBufPtr& buf : tx->metadata) {
-    Simulator::Sleep(costs_.jbd2_per_block_ns);
+    Simulator::Sleep(kJbd2PerBlockNs);
     handles.push_back(blk_->SubmitWrite(AreaLba(head_off_), &buf->data, 0));
     head_off_ = NextOff(head_off_);
   }

@@ -29,7 +29,6 @@
 #include <set>
 
 #include "src/block/block_layer.h"
-#include "src/driver/host_costs.h"
 #include "src/extfs/layout.h"
 #include "src/jbd2/journal_format.h"
 #include "src/vfs/journal.h"
@@ -40,8 +39,8 @@ class ExtFs;
 
 class NullJournal : public Journal {
  public:
-  NullJournal(Simulator* sim, BlockLayer* blk, BufferCache* cache, const HostCosts& costs)
-      : sim_(sim), blk_(blk), cache_(cache), costs_(costs) {}
+  NullJournal(Simulator* sim, BlockLayer* blk, BufferCache* cache)
+      : sim_(sim), blk_(blk), cache_(cache) {}
 
   Status Sync(const SyncOp& op, SyncMode mode) override;
   void RevokeBlock(BlockNo block) override { (void)block; }
@@ -52,7 +51,6 @@ class NullJournal : public Journal {
   Simulator* sim_;
   BlockLayer* blk_;
   BufferCache* cache_;
-  HostCosts costs_;
 };
 
 struct Jbd2Options {
@@ -67,7 +65,7 @@ struct Jbd2Options {
 class Jbd2Journal : public Journal {
  public:
   Jbd2Journal(Simulator* sim, BlockLayer* blk, BufferCache* cache, const FsLayout& layout,
-              const HostCosts& costs, ExtFs* fs, const Jbd2Options& options);
+              ExtFs* fs, const Jbd2Options& options);
 
   Status Sync(const SyncOp& op, SyncMode mode) override;
   void RevokeBlock(BlockNo block) override;
@@ -110,7 +108,6 @@ class Jbd2Journal : public Journal {
   Simulator* sim_;
   BlockLayer* blk_;
   BufferCache* cache_;
-  HostCosts costs_;
   ExtFs* fs_;
   Jbd2Options options_;
 

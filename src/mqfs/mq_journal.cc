@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "src/common/logging.h"
+#include "src/driver/host_costs.h"
 #include "src/extfs/extfs.h"
 #include "src/metrics/metrics.h"
 #include "src/trace/tracer.h"
@@ -10,12 +11,10 @@
 namespace ccnvme {
 
 MqJournal::MqJournal(Simulator* sim, BlockLayer* blk, BufferCache* cache,
-                     const FsLayout& layout, const HostCosts& costs, ExtFs* fs,
-                     const MqJournalOptions& options)
+                     const FsLayout& layout, ExtFs* fs, const MqJournalOptions& options)
     : sim_(sim),
       blk_(blk),
       cache_(cache),
-      costs_(costs),
       fs_(fs),
       options_(options),
       ckpt_mu_(sim) {
@@ -36,8 +35,7 @@ Status MqJournal::Sync(const SyncOp& op, SyncMode mode) {
   if (op.data.empty() && op.metadata.empty()) {
     return OkStatus();
   }
-  // With fewer areas than hardware queues, queues share areas. No bench
-  // configures that: Figure 13's "+ccNVMe" step runs kCcNvmeJbd2, not MQFS.
+  // With fewer areas than hardware queues, queues share areas.
   const uint32_t qid = blk_->current_queue();
   const uint32_t area_idx = qid % static_cast<uint32_t>(areas_.size());
   Area& area = *areas_[area_idx];
@@ -59,15 +57,17 @@ Status MqJournal::Sync(const SyncOp& op, SyncMode mode) {
   }
   // build_mu is released at the atomicity point, once CommitTx has rung the
   // P-SQDB: the next transaction on this queue is staged while this one is
-  // in flight. ccNVMe completes a queue's transactions in order (§4.4), so
-  // the two still become durable, and reach the checkpoint list, in tx order.
+  // in flight. ccNVMe completes a device queue's transactions in order
+  // (§4.4), but a striped volume reports a transaction durable only when its
+  // slowest member is, so the two may become durable out of tx order;
+  // FinishTx still moves them to the checkpoint list in order.
   for (auto& h : committed.overflow) {
     CCNVME_RETURN_IF_ERROR(blk_->Wait(h));
   }
   if (mode == SyncMode::kFsync) {
     ScopedSpan wait_span(sim_->tracer(), TracePoint::kSyncWaitDurable);
     blk_->WaitTxDurable(committed.tx);
-    Simulator::Sleep(costs_.wakeup_ns);
+    Simulator::Sleep(kWakeupNs);
   }
   // kFatomic / kFdataatomic: the atomicity point has passed (the doorbell
   // was rung inside CommitTx); return immediately.
@@ -178,7 +178,7 @@ Result<MqJournal::CommittedTx> MqJournal::BuildTx(const SyncOp& op, uint32_t qid
       if (tracer != nullptr) {
         tracer->WaitEdgeEvent(WaitEdge::kPageFrozen, frozen_begin, sim_->now(), buf->block_no);
       }
-      Simulator::Sleep(costs_.fs_memcpy_4k_ns);
+      Simulator::Sleep(kFsMemcpy4kNs);
       auto copy = std::make_shared<Buffer>(buf->data);
       buf->lock.Unlock();
       rec->copies.push_back(copy);
@@ -223,7 +223,7 @@ Result<MqJournal::CommittedTx> MqJournal::BuildTx(const SyncOp& op, uint32_t qid
   // 3. The descriptor commits the transaction (REQ_TX_COMMIT); no separate
   // commit record is needed — the P-SQDB ring plays that role.
   if (tracer != nullptr) tracer->BeginSpan(TracePoint::kSyncSubmitDesc);
-  Simulator::Sleep(costs_.fs_journal_desc_ns);
+  Simulator::Sleep(kFsJournalDescNs);
   rec->jd = std::make_shared<Buffer>(kFsBlockSize, 0);
   desc.Serialize(*rec->jd);
   if (Metrics* m = sim_->metrics()) {
@@ -248,8 +248,11 @@ void MqJournal::FinishTx(const std::shared_ptr<TxRecord>& rec) {
   rec->durable = true;
   Area& area = *areas_[rec->area];
   // Only a durable prefix of the area's commit order moves to the checkpoint
-  // list: queues sharing an area complete out of order, and a checkpoint
-  // must never advance the area's start past a transaction still in flight.
+  // list: queues sharing an area complete out of order, and so do two
+  // transactions in flight on one queue of a striped volume (one spanning
+  // two members can become durable after a later one on one member). A
+  // checkpoint must never advance the area's start past a transaction still
+  // in flight.
   while (!area.committed.empty() && area.committed.front()->durable) {
     const std::shared_ptr<TxRecord> done = std::move(area.committed.front());
     area.committed.pop_front();

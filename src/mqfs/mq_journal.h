@@ -31,7 +31,6 @@
 #include <set>
 
 #include "src/block/block_layer.h"
-#include "src/driver/host_costs.h"
 #include "src/extfs/layout.h"
 #include "src/jbd2/journal_format.h"
 #include "src/mqfs/radix_tree.h"
@@ -65,7 +64,7 @@ struct JhChain {
 class MqJournal : public Journal {
  public:
   MqJournal(Simulator* sim, BlockLayer* blk, BufferCache* cache, const FsLayout& layout,
-            const HostCosts& costs, ExtFs* fs, const MqJournalOptions& options);
+            ExtFs* fs, const MqJournalOptions& options);
 
   Status Sync(const SyncOp& op, SyncMode mode) override;
   void RevokeBlock(BlockNo block) override;
@@ -153,7 +152,6 @@ class MqJournal : public Journal {
   Simulator* sim_;
   BlockLayer* blk_;
   BufferCache* cache_;
-  HostCosts costs_;
   ExtFs* fs_;
   MqJournalOptions options_;
 

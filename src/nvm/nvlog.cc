@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "src/common/logging.h"
+#include "src/driver/host_costs.h"
 #include "src/extfs/extfs.h"
 #include "src/metrics/metrics.h"
 #include "src/trace/tracer.h"
@@ -121,12 +122,11 @@ NvLogBlock NvLog::LoadBlock(uint32_t entry_ring_off, size_t nblocks, size_t bloc
 // ---------------------------------------------------------------------------
 // NvLogJournal
 
-NvLogJournal::NvLogJournal(Simulator* sim, BlockLayer* blk, NvmDevice* nvm,
-                           const HostCosts& costs, ExtFs* fs, const NvLogOptions& options)
+NvLogJournal::NvLogJournal(Simulator* sim, BlockLayer* blk, NvmDevice* nvm, ExtFs* fs,
+                           const NvLogOptions& options)
     : sim_(sim),
       blk_(blk),
       nvm_(nvm),
-      costs_(costs),
       fs_(fs),
       options_(options),
       log_(sim, nvm),
@@ -185,7 +185,7 @@ Status NvLogJournal::Sync(const SyncOp& op, SyncMode mode) {
     }
 
     ScopedSpan span(tracer, TracePoint::kNvlogAppend);
-    Simulator::Sleep(costs_.fs_journal_desc_ns);  // build the entry header
+    Simulator::Sleep(kFsJournalDescNs);  // build the entry header
     for (size_t pos = 0; pos < blocks.size(); pos += kNvLogMaxBlocksPerEntry) {
       const size_t n = std::min(kNvLogMaxBlocksPerEntry, blocks.size() - pos);
       std::vector<NvLogBlock> chunk(blocks.begin() + static_cast<long>(pos),
@@ -247,7 +247,7 @@ Status NvLogJournal::Sync(const SyncOp& op, SyncMode mode) {
     buf->EndWriteback();
   }
   drain_cv_.NotifyOne();
-  Simulator::Sleep(costs_.wakeup_ns);
+  Simulator::Sleep(kWakeupNs);
   return OkStatus();
 }
 

@@ -30,7 +30,6 @@
 #include <vector>
 
 #include "src/block/block_layer.h"
-#include "src/driver/host_costs.h"
 #include "src/nvm/nvlog_format.h"
 #include "src/nvm/nvm_device.h"
 #include "src/sim/sync.h"
@@ -118,8 +117,8 @@ struct NvLogOptions {
 
 class NvLogJournal : public Journal {
  public:
-  NvLogJournal(Simulator* sim, BlockLayer* blk, NvmDevice* nvm, const HostCosts& costs,
-               ExtFs* fs, const NvLogOptions& options);
+  NvLogJournal(Simulator* sim, BlockLayer* blk, NvmDevice* nvm, ExtFs* fs,
+               const NvLogOptions& options);
 
   Status Sync(const SyncOp& op, SyncMode mode) override;
   // No-op by design — see the file comment.
@@ -170,7 +169,6 @@ class NvLogJournal : public Journal {
   Simulator* sim_;
   BlockLayer* blk_;
   NvmDevice* nvm_;
-  HostCosts costs_;
   ExtFs* fs_;
   NvLogOptions options_;
   NvLog log_;

@@ -9,6 +9,9 @@ namespace ccnvme {
 
 namespace {
 
+// The clwb+sfence persist barrier (Optane DCPMM).
+constexpr uint64_t kNvmFenceNs = 500;
+
 uint64_t Lines(size_t bytes) { return (bytes + kNvmLineSize - 1) / kNvmLineSize; }
 
 }  // namespace
@@ -88,7 +91,7 @@ size_t NvmDevice::FlushFence() {
     recorder_(ev);
   }
   fences_++;
-  Simulator::Sleep(config_.fence_ns);
+  Simulator::Sleep(kNvmFenceNs);
   return flushed;
 }
 

@@ -51,11 +51,10 @@ inline constexpr size_t kNvmStoreChunk = kNvmWordSize * 64;
 struct NvmConfig {
   bool enabled = false;
   size_t size_bytes = 16 * 1024 * 1024;
-  // Optane-DCPMM-flavoured timing: media write per dirtied cache line,
-  // read latency per line, and the clwb+sfence persist barrier.
+  // Optane-DCPMM-flavoured timing: media write per dirtied cache line and
+  // read latency per line (the persist barrier is kNvmFenceNs).
   uint64_t store_line_ns = 60;
   uint64_t load_line_ns = 170;
-  uint64_t fence_ns = 500;
 };
 
 class NvmDevice {

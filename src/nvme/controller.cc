@@ -7,10 +7,19 @@
 #include "src/trace/tracer.h"
 
 namespace ccnvme {
+namespace {
+
+// Device internal parallelism per queue (how many commands a queue can
+// have in flight inside the controller).
+constexpr int kWorkersPerQueue = 8;
+// Device-internal latency to read one SQE out of the PMR (no PCIe hop).
+constexpr uint64_t kPmrFetchNs = 250;
+
+}  // namespace
 
 NvmeController::NvmeController(Simulator* sim, PcieLink* link, SsdModel* ssd,
                                const NvmeControllerConfig& config)
-    : sim_(sim), link_(link), ssd_(ssd), config_(config), pmr_(config.pmr_size) {}
+    : sim_(sim), link_(link), ssd_(ssd), config_(config) {}
 
 IoQueuePair* NvmeController::CreateIoQueuePair(uint16_t qid, bool sq_in_pmr,
                                                size_t pmr_sq_offset,
@@ -42,7 +51,7 @@ IoQueuePair* NvmeController::CreateIoQueuePairWithDepth(uint16_t qid, uint16_t d
 
   IoQueuePair* raw = qp.get();
   queues_.push_back(std::move(qp));
-  for (int w = 0; w < config_.workers_per_queue; ++w) {
+  for (int w = 0; w < kWorkersPerQueue; ++w) {
     sim_->Spawn("nvme_q" + std::to_string(qid) + "_w" + std::to_string(w),
                 [this, raw] { WorkerLoop(raw); });
   }
@@ -112,7 +121,7 @@ void NvmeController::WorkerLoop(IoQueuePair* qp) {
     Tracer* tracer = sim_->tracer();
     if (tracer != nullptr) tracer->BeginSpan(TracePoint::kSqeFetch);
     if (qp->sq_in_pmr) {
-      Simulator::Sleep(config_.pmr_fetch_ns);
+      Simulator::Sleep(kPmrFetchNs);
     } else {
       link_->DmaQueueFetch(kSqeSize);
     }

@@ -93,12 +93,6 @@ struct IoQueuePair {
 struct NvmeControllerConfig {
   uint16_t num_io_queues = 1;
   uint16_t queue_depth = 256;
-  // Device internal parallelism per queue (how many commands a queue can
-  // have in flight inside the controller).
-  int workers_per_queue = 8;
-  // Device-internal latency to read one SQE out of the PMR (no PCIe hop).
-  uint64_t pmr_fetch_ns = 250;
-  size_t pmr_size = 2 * 1024 * 1024;
   // Transaction-aware interrupt coalescing (§4.6): raise MSI-X only when a
   // commit (or non-transactional) command completes. Off by default — the
   // paper discusses it as an optional controller-side optimization.

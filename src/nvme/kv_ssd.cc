@@ -13,6 +13,11 @@ namespace {
 constexpr uint64_t kPageBytes = 4096;
 constexpr size_t kPmrLineBytes = 64;
 constexpr size_t kPmrWcChunkBytes = 64 * kMmioWordSize;
+// Controller-internal PMR costs: one 64-byte line stored or read, and the
+// persist fence.
+constexpr uint64_t kPmrStoreNs = 100;
+constexpr uint64_t kPmrFenceNs = 250;
+static_assert(kKvMaxValueBytes < (1u << 20), "meta word packs 20 length bits");
 
 uint64_t PmrLines(size_t bytes) { return (bytes + kPmrLineBytes - 1) / kPmrLineBytes; }
 }  // namespace
@@ -38,7 +43,7 @@ KvSuperblock KvSuperblock::ForConfig(const KvSsdConfig& config) {
   sb.flash_pages = config.flash_pages;
   sb.total_lpns = config.total_lpns;
   sb.pages_per_block = config.pages_per_block;
-  sb.map_entries_per_segment = config.map_entries_per_segment;
+  sb.map_entries_per_segment = kPageBytes / 8;
   sb.map_cache_segments = config.map_cache_segments;
   sb.gc_free_blocks_low = config.gc_free_blocks_low;
   return sb;
@@ -194,10 +199,9 @@ KvSsd::KvSsd(Simulator* sim, SsdModel* ssd, Pmr* pmr, const KvSsdConfig& config)
       frame_cv_(sim) {
   CCNVME_CHECK(config_.dir_slots > 0 && config_.shadow_slots > 1);
   CCNVME_CHECK(config_.total_lpns <= (1ull << 26)) << "meta word packs 26 LPN bits";
-  CCNVME_CHECK(config_.max_value_bytes < (1u << 20)) << "meta word packs 20 length bits";
-  CCNVME_CHECK(config_.max_value_bytes <= config_.pages_per_block * kPageBytes)
-      << "a value must fit one erase block (contiguous run)";
-  layout_ = KvSuperblock::ForConfig(config_).Layout(pmr_->size());
+  const KvSuperblock sb = KvSuperblock::ForConfig(config_);
+  layout_ = sb.Layout(pmr_->size());
+  max_value_bytes_ = sb.MaxValueBytes();
   // The ccNVMe P-SQ area grows from the bottom of the PMR; keep clear of it.
   CCNVME_CHECK(layout_.frame_off >= 64 * 1024)
       << "KV metadata would overrun the PMR (shrink dir_slots or the geometry)";
@@ -239,7 +243,7 @@ std::array<KvSsd::RecoveredFrame, kKvFrames> KvSsd::RecoverFrames(
 }
 
 KvSsd::Directory KvSsd::WalkDirectory(const PageImage& pmr, const KvPmrLayout& layout,
-                                      const KvSuperblock& sb, uint32_t max_value_bytes,
+                                      const KvSuperblock& sb,
                                       const std::array<RecoveredFrame, kKvFrames>& frames,
                                       Ftl& ftl, std::vector<std::string>* errors) {
   Directory dir;
@@ -264,7 +268,7 @@ KvSsd::Directory KvSsd::WalkDirectory(const PageImage& pmr, const KvPmrLayout& l
     const uint32_t key_len = MetaKeyLen(e.meta);
     const uint64_t lpn = MetaLpn(e.meta);
     const uint32_t npages = MetaPages(e.meta);
-    if (key_len < 1 || key_len > kKvMaxKeyLen || MetaValueLen(e.meta) > max_value_bytes ||
+    if (key_len < 1 || key_len > kKvMaxKeyLen || MetaValueLen(e.meta) > sb.MaxValueBytes() ||
         lpn + npages > sb.total_lpns) {
       errors->push_back("directory slot " + std::to_string(s) + " has out-of-range fields");
       e.meta = kMetaTomb;  // dead: no command may read or release its LPNs
@@ -314,7 +318,7 @@ KvSsd::Directory KvSsd::WalkDirectory(const PageImage& pmr, const KvPmrLayout& l
 
 void KvSsd::PmrStoreWc(size_t offset, std::span<const uint8_t> data) {
   pmr_->Write(offset, data);
-  Simulator::Sleep(config_.pmr_store_ns * PmrLines(data.size()));
+  Simulator::Sleep(kPmrStoreNs * PmrLines(data.size()));
   for (size_t pos = 0; recorder_ && pos < data.size(); pos += kPmrWcChunkBytes) {
     const std::span<const uint8_t> chunk =
         data.subspan(pos, std::min(kPmrWcChunkBytes, data.size() - pos));
@@ -331,7 +335,7 @@ void KvSsd::PmrStoreWc(size_t offset, std::span<const uint8_t> data) {
 
 void KvSsd::PmrStoreUncached(size_t offset, std::span<const uint8_t> data) {
   pmr_->Write(offset, data);
-  Simulator::Sleep(config_.pmr_store_ns);
+  Simulator::Sleep(kPmrStoreNs);
   if (recorder_) {
     BioEvent ev;
     ev.op = BioOp::kPmrWrite;
@@ -344,7 +348,7 @@ void KvSsd::PmrStoreUncached(size_t offset, std::span<const uint8_t> data) {
 }
 
 void KvSsd::PmrFence() {
-  Simulator::Sleep(config_.pmr_fence_ns);
+  Simulator::Sleep(kPmrFenceNs);
   if (recorder_) {
     BioEvent ev;
     ev.op = BioOp::kPmrFence;
@@ -482,8 +486,7 @@ Status KvSsd::Attach() {
 
   // Directory walk: mirror the slots into RAM and rebuild physical-page
   // liveness.
-  Directory dir = WalkDirectory(pmr_->image(), layout_, *sb, config_.max_value_bytes, recovered,
-                                *ftl_, &errors);
+  Directory dir = WalkDirectory(pmr_->image(), layout_, *sb, recovered, *ftl_, &errors);
   for (const std::string& error : errors) {
     attach_errors_.push_back("kv-ssd: " + error);
   }
@@ -690,8 +693,7 @@ void KvSsd::UnpinPage(uint64_t ppn) {
 uint16_t KvSsd::ExecStore(std::span<const uint8_t> key, std::span<const uint8_t> value) {
   SimLockGuard lock(mu_);
   CCNVME_CHECK(attached_) << "KV command before Format/Attach";
-  if (key.empty() || key.size() > kKvMaxKeyLen ||
-      value.size() > config_.max_value_bytes) {
+  if (key.empty() || key.size() > kKvMaxKeyLen || value.size() > max_value_bytes_) {
     return kKvStatusInvalidField;
   }
   int found = -1;
@@ -986,7 +988,7 @@ uint16_t KvSsd::ExecRetrieve(std::span<const uint8_t> key, Buffer* out,
     // the frame meanwhile.
     out->assign(value_len, 0);
     pmr_->Read(layout_.FrameDataOff(static_cast<uint32_t>(f)) + in_page, *out);
-    Simulator::Sleep(config_.pmr_store_ns * PmrLines(value_len));
+    Simulator::Sleep(kPmrStoreNs * PmrLines(value_len));
     *result = value_len;
     retrieves_++;
     return 0;

@@ -71,6 +71,7 @@
 #ifndef SRC_NVME_KV_SSD_H_
 #define SRC_NVME_KV_SSD_H_
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <functional>
@@ -107,6 +108,11 @@ inline constexpr size_t kKvSuperblockBytes = 128;
 inline constexpr size_t kKvDirSlotBytes = 32;   // 16B key + pad + 8B meta
 inline constexpr size_t kKvShadowBytes = 32;
 inline constexpr uint32_t kKvMaxKeyLen = 16;
+// The longest value a Store takes on a geometry whose erase block holds it
+// (see KvSuperblock::MaxValueBytes).
+inline constexpr uint32_t kKvMaxValueBytes = 64 * 1024;
+// Erase latency of one flash block.
+inline constexpr uint64_t kKvEraseLatencyNs = 2'000'000;
 // Staging frames: each is a header line (one 8-byte word naming its LPN)
 // followed by one flash page of packed values.
 inline constexpr uint32_t kKvFrames = 2;
@@ -125,13 +131,8 @@ struct KvSsdConfig {
   uint64_t flash_pages = 4096;    // physical geometry (see FtlConfig)
   uint32_t pages_per_block = 64;
   uint64_t total_lpns = 3072;
-  uint32_t map_entries_per_segment = 512;
   uint32_t map_cache_segments = 4;
   uint32_t gc_free_blocks_low = 2;
-  uint64_t erase_latency_ns = 2'000'000;
-  uint64_t pmr_store_ns = 100;    // controller-internal PMR store cost
-  uint64_t pmr_fence_ns = 250;    // controller-internal persist fence cost
-  uint32_t max_value_bytes = 64 * 1024;  // <= pages_per_block * 4KB
   // Injected bug: commit the directory meta word WITHOUT first fencing the
   // shadow map-entry. Breaks map+data atomicity; must be caught by the
   // ftl.map_data_atomicity monitor AND the crash explorer.
@@ -172,7 +173,8 @@ struct KvSuperblock {
   uint64_t media_pages = 0;
   uint64_t gc_runs = 0;
   uint64_t gc_migrated_pages = 0;
-  // The geometry: KvSsdConfig's fields of the same names.
+  // The geometry: KvSsdConfig's fields of the same names, and the map
+  // segment's size (one flash page of 8-byte entries).
   uint32_t dir_slots = 0;
   uint32_t shadow_slots = 0;
   uint64_t flash_pages = 0;
@@ -190,9 +192,12 @@ struct KvSuperblock {
   static KvSuperblock ForConfig(const KvSsdConfig& config);  // checkpoint, stats 0
   // Of the fields that place the metadata and the flash pages; stored.
   uint64_t GeometryHash() const;
-  // The longest value the geometry admits: one erase block, since a value's
-  // pages are one contiguous run. KvSsdConfig::max_value_bytes may be lower.
-  uint32_t MaxValueBytes() const { return pages_per_block * static_cast<uint32_t>(kKvFrameBytes); }
+  // The longest value a Store takes: kKvMaxValueBytes, or one erase block
+  // if that is smaller, since a value's pages are one contiguous run.
+  uint32_t MaxValueBytes() const {
+    return static_cast<uint32_t>(
+        std::min<uint64_t>(kKvMaxValueBytes, uint64_t{pages_per_block} * kKvFrameBytes));
+  }
   FtlConfig ToFtlConfig() const {
     return {flash_pages,           pages_per_block,    total_lpns,
             map_entries_per_segment, map_cache_segments, gc_free_blocks_low};
@@ -300,7 +305,7 @@ class KvSsd : public FtlEnv {
   uint64_t LoadGtd(uint32_t seg) override;
   bool FlashWrite(uint64_t ppn, const Buffer& data) override;
   bool FlashRead(uint64_t ppn, Buffer* out) override;
-  uint64_t EraseLatencyNs() const override { return config_.erase_latency_ns; }
+  uint64_t EraseLatencyNs() const override { return kKvEraseLatencyNs; }
   void OnMapCheckpointed() override;
 
   // Directory meta-word packing (shared with tools/ftl_inspect): LPN in
@@ -359,7 +364,7 @@ class KvSsd : public FtlEnv {
   // Recovery's directory walk (shared with tools/ftl_inspect), in slot
   // order against the recovered |frames| and |ftl|'s replayed map. A live
   // entry with a key length outside [1, kKvMaxKeyLen], a value longer than
-  // |max_value_bytes| or LPNs beyond the logical space is reported into
+  // |sb|'s MaxValueBytes or LPNs beyond the logical space is reported into
   // |errors| and tombstoned. Every other one claims its LPNs and marks the
   // pages they map to live: a packed page once, none for a value a frame
   // still stages. An entry covering an unmapped LPN is reported: its commit
@@ -377,7 +382,7 @@ class KvSsd : public FtlEnv {
     std::array<uint32_t, kKvFrames> frame_values{};  // live values a staged frame holds
   };
   static Directory WalkDirectory(const PageImage& pmr, const KvPmrLayout& layout,
-                                 const KvSuperblock& sb, uint32_t max_value_bytes,
+                                 const KvSuperblock& sb,
                                  const std::array<RecoveredFrame, kKvFrames>& frames, Ftl& ftl,
                                  std::vector<std::string>* errors);
 
@@ -446,7 +451,7 @@ class KvSsd : public FtlEnv {
   void PublishFtlMetrics();
 
   // Recorded PMR traffic (device-internal engine, qid = kFtlQid). Copies
-  // to and from the PMR cost pmr_store_ns per 64-byte line; a WC store is
+  // to and from the PMR cost kPmrStoreNs per 64-byte line; a WC store is
   // recorded in chunks of at most 64 words, the unit the crash model tears.
   void PmrStoreWc(size_t offset, std::span<const uint8_t> data);
   void PmrStoreUncached(size_t offset, std::span<const uint8_t> data);
@@ -458,6 +463,7 @@ class KvSsd : public FtlEnv {
   Pmr* pmr_;
   KvSsdConfig config_;
   KvPmrLayout layout_;
+  uint32_t max_value_bytes_ = 0;  // the geometry's MaxValueBytes
   BioRecorder recorder_;
   uint16_t device_id_ = 0;
 

@@ -7,6 +7,27 @@
 #include "src/trace/tracer.h"
 
 namespace ccnvme {
+namespace {
+
+// Raw link rate per direction. PCIe 3.0 x4 nets ~3.2 GB/s after encoding
+// and TLP overhead.
+constexpr uint64_t kLinkBytesPerSec = 3'200'000'000ull;
+// Payload return rate of a non-posted MMIO read.
+constexpr uint64_t kMmioReadBytesPerSec = 350'000'000ull;
+// CPU-visible cost of one cache-line store into a WC-mapped region.
+constexpr uint64_t kStorePerLineNs = 18;
+// clflush of one dirty line plus its share of the mfence. Flushing
+// WC-mapped lines is cheap; the dominant persistence cost is the read
+// fence, which is why write+sync converges to write for large payloads.
+constexpr uint64_t kClflushPerLineNs = 10;
+// Round trip of a non-posted read (the persistence fence).
+constexpr uint64_t kReadRttNs = 500;
+// Device-side setup latency per DMA descriptor.
+constexpr uint64_t kDmaSetupNs = 200;
+// Delivery latency of an MSI-X interrupt.
+constexpr uint64_t kIrqDeliveryNs = 300;
+
+}  // namespace
 
 std::string TrafficStats::ToString() const {
   char buf[256];
@@ -23,15 +44,15 @@ std::string TrafficStats::ToString() const {
 PcieLink::PcieLink(Simulator* sim, const PcieConfig& config)
     : sim_(sim),
       config_(config),
-      down_(sim, "pcie_down", config.downstream_bytes_per_sec),
-      up_(sim, "pcie_up", config.upstream_bytes_per_sec) {}
+      down_(sim, "pcie_down", kLinkBytesPerSec),
+      up_(sim, "pcie_up", kLinkBytesPerSec) {}
 
 void PcieLink::CpuStoreToWc(uint64_t bytes) {
-  Simulator::Sleep(CacheLines(bytes) * config_.store_per_line_ns);
+  Simulator::Sleep(CacheLines(bytes) * kStorePerLineNs);
 }
 
 void PcieLink::CpuFlushLines(uint64_t bytes) {
-  Simulator::Sleep(CacheLines(bytes) * config_.clflush_per_line_ns);
+  Simulator::Sleep(CacheLines(bytes) * kClflushPerLineNs);
 }
 
 void PcieLink::MmioWrite(uint64_t bytes) {
@@ -75,11 +96,8 @@ void PcieLink::MmioReadFence(uint64_t bytes) {
   // The read must not pass posted writes: wait for the drain horizon, then
   // pay a round trip plus payload return time.
   uint64_t wait = mmio_drain_at_ns_ > now ? mmio_drain_at_ns_ - now : 0;
-  wait += config_.read_rtt_ns;
-  if (bytes > 0 && config_.mmio_read_bytes_per_sec > 0) {
-    wait += static_cast<uint64_t>(static_cast<double>(bytes) * 1e9 /
-                                  static_cast<double>(config_.mmio_read_bytes_per_sec));
-  }
+  wait += kReadRttNs + static_cast<uint64_t>(static_cast<double>(bytes) * 1e9 /
+                                             static_cast<double>(kMmioReadBytesPerSec));
   const uint64_t drain_horizon = mmio_drain_at_ns_;
   Simulator::Sleep(wait);
   if (tracer != nullptr && drain_horizon > now) {
@@ -103,7 +121,7 @@ void PcieLink::DmaQueueFetch(uint64_t bytes) {
     tracer->AddCounter(TraceCounter::kDmaQueueBytes, bytes);
   }
   ScopedSpan span(tracer, TracePoint::kDmaQueue, bytes);
-  Simulator::Sleep(config_.dma_setup_ns);
+  Simulator::Sleep(kDmaSetupNs);
   up_.Transfer(bytes);
 }
 
@@ -116,7 +134,7 @@ void PcieLink::DmaQueuePost(uint64_t bytes) {
     tracer->AddCounter(TraceCounter::kDmaQueueBytes, bytes);
   }
   ScopedSpan span(tracer, TracePoint::kDmaQueue, bytes);
-  Simulator::Sleep(config_.dma_setup_ns);
+  Simulator::Sleep(kDmaSetupNs);
   up_.Transfer(bytes);
 }
 
@@ -129,7 +147,7 @@ void PcieLink::DmaData(uint64_t bytes, bool to_device) {
     tracer->AddCounter(TraceCounter::kBlockIoBytes, bytes);
   }
   ScopedSpan span(tracer, TracePoint::kDmaData, bytes);
-  Simulator::Sleep(config_.dma_setup_ns);
+  Simulator::Sleep(kDmaSetupNs);
   if (to_device) {
     down_.Transfer(bytes);
   } else {
@@ -143,7 +161,7 @@ void PcieLink::RaiseIrq(std::function<void()> handler) {
     t->Instant(TracePoint::kMsix);
     t->AddCounter(TraceCounter::kIrqs);
   }
-  sim_->Schedule(config_.irq_delivery_ns, std::move(handler));
+  sim_->Schedule(kIrqDeliveryNs, std::move(handler));
 }
 
 }  // namespace ccnvme

@@ -12,8 +12,9 @@
 //   * DMA transfers are device-initiated and occupy the respective pipe for
 //     their payload.
 //
-// Latency constants default to values calibrated against Figure 5 of the
-// paper (2 MB PMR, PCIe 3.0 x4). See bench/fig5_pmr.cc.
+// The timing constants in pcie_link.cc and PcieConfig's defaults are
+// calibrated against Figure 5 of the paper (2 MB PMR, PCIe 3.0 x4). See
+// bench/fig5_pmr.cc.
 #ifndef SRC_PCIE_PCIE_LINK_H_
 #define SRC_PCIE_PCIE_LINK_H_
 
@@ -26,34 +27,19 @@
 
 namespace ccnvme {
 
+// The WC-drain timings: the doorbell-cost injection and the pathology
+// scenarios vary them.
 struct PcieConfig {
-  // Raw link rate per direction. PCIe 3.0 x4 nets ~3.2 GB/s after encoding
-  // and TLP overhead.
-  uint64_t downstream_bytes_per_sec = 3'200'000'000ull;
-  uint64_t upstream_bytes_per_sec = 3'200'000'000ull;
   // MMIO-write streaming is much slower than DMA: the CPU's WC drain engine
   // tops out near 1 GB/s on this class of hardware (Figure 5's bandwidth
   // plateau for large writes).
   uint64_t mmio_write_bytes_per_sec = 1'100'000'000ull;
-  uint64_t mmio_read_bytes_per_sec = 350'000'000ull;
   // Fixed cost of issuing one MMIO write burst (TLP formation, uncore).
   uint64_t mmio_write_overhead_ns = 250;
   // Posted writes are async only up to this much backlog in the WC drain
   // engine; beyond it the stores stall at the drain rate (this is what
   // makes Figure 5's write latency grow linearly for large payloads).
   uint64_t max_mmio_backlog_ns = 2'000;
-  // CPU-visible cost of one cache-line store into a WC-mapped region.
-  uint64_t store_per_line_ns = 18;
-  // clflush of one dirty line plus its share of the mfence. Flushing
-  // WC-mapped lines is cheap; the dominant persistence cost is the read
-  // fence, which is why write+sync converges to write for large payloads.
-  uint64_t clflush_per_line_ns = 10;
-  // Round trip of a non-posted read (the persistence fence).
-  uint64_t read_rtt_ns = 500;
-  // Device-side setup latency per DMA descriptor.
-  uint64_t dma_setup_ns = 200;
-  // Delivery latency of an MSI-X interrupt.
-  uint64_t irq_delivery_ns = 300;
 };
 
 class PcieLink {

@@ -120,7 +120,7 @@ std::string FormatWhatIfCurve(const WhatIfEngine& engine, WaitEdge edge) {
   os << "what-if " << WaitEdgeName(edge) << " (" << engine.requests()
      << " requests, baseline mean " << engine.baseline_mean_ns() << " ns, p99 "
      << engine.BaselineQuantileNs(0.99) << " ns)\n";
-  for (double f : engine.options().factors) {
+  for (double f : WhatIfEngine::kFactors) {
     const WhatIfEngine::Prediction p = engine.Predict(edge, f);
     char buf[192];
     std::snprintf(buf, sizeof(buf),
@@ -142,7 +142,7 @@ std::string FormatFrontierTable(const WhatIfEngine& engine) {
   os << "=== optimization frontier (virtual speedup per wait edge) ===\n";
   os << "requests: " << engine.requests() << "  baseline mean: " << engine.baseline_mean_ns()
      << " ns  p99: " << engine.BaselineQuantileNs(0.99) << " ns\n";
-  const auto& factors = engine.options().factors;
+  const auto& factors = WhatIfEngine::kFactors;
   {
     std::ostringstream head;
     head << "  " << std::left;
@@ -248,7 +248,7 @@ std::string PerfReportJson(const CriticalPathProfiler& profiler, const WhatIfEng
     w.Key("factors", false);
     w.Open('[');
     first = true;
-    for (double f : engine->options().factors) {
+    for (double f : WhatIfEngine::kFactors) {
       if (!first) w.os << ',';
       w.os << f;
       first = false;

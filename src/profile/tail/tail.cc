@@ -32,12 +32,7 @@ bool Fail(std::string* error, const std::string& msg) {
 }  // namespace
 
 TailForensics::TailForensics(TailOptions options)
-    : options_(options),
-      windows_(options.window),
-      reservoir_(options.reservoir) {
-  CCNVME_CHECK_GT(options_.tail_quantile, 0.0);
-  CCNVME_CHECK_LT(options_.tail_quantile, 1.0);
-}
+    : windows_(options.window), reservoir_(options.reservoir) {}
 
 void TailForensics::Attach(CriticalPathProfiler* profiler) {
   CCNVME_CHECK(profiler != nullptr);
@@ -94,7 +89,7 @@ uint64_t TailForensics::total_signatures() const {
 }
 
 uint64_t TailForensics::TailThresholdNs() const {
-  return profiler().latency_ns().Percentile(options_.tail_quantile);
+  return profiler().latency_ns().Percentile(kTailQuantile);
 }
 
 std::vector<const Exemplar*> TailForensics::TailExemplars() const {
@@ -168,7 +163,7 @@ std::string FormatTailReport(const TailForensics& tail) {
                                          : profiler.total_latency_ns() / tail.requests()),
                 static_cast<unsigned long long>(lat.Percentile(0.5)),
                 static_cast<unsigned long long>(lat.Percentile(0.99)),
-                100.0 * tail.options().tail_quantile,
+                100.0 * TailForensics::kTailQuantile,
                 static_cast<unsigned long long>(tail.TailThresholdNs()),
                 static_cast<unsigned long long>(lat.max()));
   os << buf;
@@ -568,7 +563,7 @@ std::string TailReportJson(const TailForensics& tail, const PerfReportInfo& info
   w.Key("max_ns", false);
   w.os << lat.max();
   w.Key("tail_quantile", false);
-  w.os << tail.options().tail_quantile;
+  w.os << TailForensics::kTailQuantile;
   w.Key("tail_threshold_ns", false);
   w.os << tail.TailThresholdNs();
 

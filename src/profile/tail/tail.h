@@ -49,12 +49,13 @@ class Metrics;
 struct TailOptions {
   WindowedOptions window;
   ReservoirOptions reservoir;
-  // Latency quantile that defines "the tail" for the blame-diff table.
-  double tail_quantile = 0.999;
 };
 
 class TailForensics : public CriticalPathProfiler::RequestObserver {
  public:
+  // Latency quantile that defines "the tail" for the blame-diff table.
+  static constexpr double kTailQuantile = 0.999;
+
   explicit TailForensics(TailOptions options = {});
 
   // Registers as |profiler|'s request observer and reads its totals. Must
@@ -87,7 +88,7 @@ class TailForensics : public CriticalPathProfiler::RequestObserver {
   }
   uint64_t total_signatures() const;
 
-  // Latency at options().tail_quantile over the profiler's latency
+  // Latency at kTailQuantile over the profiler's latency
   // histogram — the "p99.9" boundary of the blame-diff table.
   uint64_t TailThresholdNs() const;
 
@@ -107,10 +108,7 @@ class TailForensics : public CriticalPathProfiler::RequestObserver {
   // Exemplars the tail column aggregates (latency >= threshold).
   std::vector<const Exemplar*> TailExemplars() const;
 
-  const TailOptions& options() const { return options_; }
-
  private:
-  TailOptions options_;
   WindowedAggregator windows_;
   ExemplarReservoir reservoir_;
   std::array<uint64_t, kNumPathologies> signature_counts_{};

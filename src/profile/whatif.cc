@@ -21,13 +21,6 @@ uint64_t QuantileNs(std::vector<uint64_t> v, double q) {
 
 }  // namespace
 
-WhatIfEngine::WhatIfEngine(WhatIfOptions options) : options_(std::move(options)) {
-  CCNVME_CHECK(!options_.factors.empty());
-  // Most aggressive factor first: FrontierRow::max_gain reads curve.front().
-  std::sort(options_.factors.begin(), options_.factors.end());
-  CCNVME_CHECK_GT(options_.max_requests, 0u);
-}
-
 void WhatIfEngine::Attach(CriticalPathProfiler* profiler) {
   CCNVME_CHECK(profiler != nullptr);
   profiler->AddRequestObserver(this);
@@ -51,7 +44,7 @@ void WhatIfEngine::OnRequestProfile(const CriticalPathProfiler::RequestProfile& 
   rec.blame.assign(profile.blame_ns.begin(), profile.blame_ns.end());
   baseline_total_ns_ += rec.latency();
   records_.push_back(std::move(rec));
-  while (records_.size() > options_.max_requests) {
+  while (records_.size() > kMaxRequests) {
     baseline_total_ns_ -= records_.front().latency();
     records_.pop_front();
   }
@@ -321,7 +314,7 @@ std::vector<WhatIfEngine::FrontierRow> WhatIfEngine::Frontier() const {
                           ? 0.0
                           : static_cast<double>(row.blame_ns) /
                                 static_cast<double>(baseline_total_ns_);
-    for (double f : options_.factors) {
+    for (double f : kFactors) {
       row.curve.push_back(Predict(e, f));
     }
     rows.push_back(std::move(row));

@@ -1,6 +1,15 @@
 #include "src/ssd/ssd_model.h"
 
 namespace ccnvme {
+namespace {
+
+// Media-latency jitter, +/- this fraction of the base latency: real drives'
+// channel conflicts and internal scheduling make command latencies vary,
+// which is what causes out-of-order completions. Deterministic per seed.
+constexpr double kLatencyJitter = 0.25;
+constexpr uint64_t kJitterSeed = 0x5eed;
+
+}  // namespace
 
 SsdConfig SsdConfig::Intel750() {
   SsdConfig c;
@@ -49,17 +58,14 @@ SsdModel::SsdModel(Simulator* sim, const SsdConfig& config)
     : sim_(sim),
       config_(config),
       media_(config.capacity_bytes),
-      jitter_rng_(config.jitter_seed),
+      jitter_rng_(kJitterSeed),
       channels_(sim, config.name + "/channels", static_cast<uint64_t>(config.channels)),
       read_pipe_(sim, config.name + "/read", config.read_bw_bytes_per_sec),
       write_pipe_(sim, config.name + "/write", config.write_bw_bytes_per_sec) {}
 
 uint64_t SsdModel::JitteredLatency(uint64_t base_ns) {
-  if (config_.latency_jitter_pct == 0) {
-    return base_ns;
-  }
   // Uniform in [1 - j, 1 + j] of the base latency, deterministic per seed.
-  const double j = config_.latency_jitter_pct / 100.0;
+  const double j = kLatencyJitter;
   const double factor = 1.0 - j + 2.0 * j * jitter_rng_.NextDouble();
   return static_cast<uint64_t>(static_cast<double>(base_ns) * factor);
 }

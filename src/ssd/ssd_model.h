@@ -44,11 +44,6 @@ struct SsdConfig {
   uint64_t cache_write_latency_ns = 3'000;
   // Fixed cost of a FLUSH command on a volatile-cache drive.
   uint64_t flush_base_ns = 30'000;
-  // Media-latency jitter in percent (+/-): real drives' channel conflicts
-  // and internal scheduling make command latencies vary, which is what
-  // causes out-of-order completions. Deterministic per seed.
-  uint32_t latency_jitter_pct = 25;
-  uint64_t jitter_seed = 0x5eed;
 
   // Table 3 presets.
   static SsdConfig Intel750();       // 2015 flash

@@ -6,6 +6,11 @@
 #include "src/common/rng.h"
 
 namespace ccnvme {
+namespace {
+
+constexpr uint64_t kKvCpuNs = 900;  // user-space CPU per Put (memtable, encoding)
+
+}  // namespace
 
 Status MiniKv::Open() {
   if (options_.backend == MiniKvBackend::kKvSsd) {
@@ -55,7 +60,7 @@ Status MiniKv::Put(const std::string& key, const std::string& value) {
   if (options_.backend == MiniKvBackend::kKvSsd) {
     // Device-native: one KV Store on the caller's queue. No WAL, no
     // memtable — the device's shadow commit is the durability point.
-    Simulator::Sleep(options_.kv_cpu_ns);
+    Simulator::Sleep(kKvCpuNs);
     puts_++;
     return stack_->kv_driver()->Store(stack_->blk().current_queue(), key, value);
   }
@@ -64,7 +69,7 @@ Status MiniKv::Put(const std::string& key, const std::string& value) {
 
 Status MiniKv::Delete(const std::string& key) {
   if (options_.backend == MiniKvBackend::kKvSsd) {
-    Simulator::Sleep(options_.kv_cpu_ns);
+    Simulator::Sleep(kKvCpuNs);
     return stack_->kv_driver()->Delete(stack_->blk().current_queue(), key);
   }
   Result<bool> exists = Exist(key);
@@ -79,7 +84,7 @@ Status MiniKv::Delete(const std::string& key) {
 
 Result<bool> MiniKv::Exist(const std::string& key) {
   if (options_.backend == MiniKvBackend::kKvSsd) {
-    Simulator::Sleep(options_.kv_cpu_ns / 2);
+    Simulator::Sleep(kKvCpuNs / 2);
     return stack_->kv_driver()->Exist(stack_->blk().current_queue(), key);
   }
   Result<std::string> got = Get(key);
@@ -94,7 +99,7 @@ Result<bool> MiniKv::Exist(const std::string& key) {
 
 Result<std::vector<std::string>> MiniKv::ListKeys() {
   if (options_.backend == MiniKvBackend::kKvSsd) {
-    Simulator::Sleep(options_.kv_cpu_ns);
+    Simulator::Sleep(kKvCpuNs);
     Result<std::vector<std::string>> keys =
         stack_->kv_driver()->ListKeys(stack_->blk().current_queue());
     if (keys.ok()) {
@@ -145,7 +150,7 @@ Result<std::vector<std::string>> MiniKv::ListKeys() {
 }
 
 Status MiniKv::WriteFsRecord(const std::string& key, const std::string* value) {
-  Simulator::Sleep(options_.kv_cpu_ns);  // encode + memtable CPU
+  Simulator::Sleep(kKvCpuNs);  // encode + memtable CPU
   auto writer = std::make_shared<Writer>(&stack_->sim());
   writer->record = EncodeRecord(key, value);
 
@@ -241,7 +246,7 @@ Status MiniKv::MaybeFlushMemtable() {
 }
 
 Result<std::string> MiniKv::Get(const std::string& key) {
-  Simulator::Sleep(options_.kv_cpu_ns / 2);
+  Simulator::Sleep(kKvCpuNs / 2);
   if (options_.backend == MiniKvBackend::kKvSsd) {
     CCNVME_ASSIGN_OR_RETURN(
         Buffer value, stack_->kv_driver()->Retrieve(stack_->blk().current_queue(), key));

@@ -40,7 +40,6 @@ struct MiniKvOptions {
   // Sync mode for the WAL: kFsync matches RocksDB fillsync; kFdataatomic is
   // the MQFS-A variant enabled by ccNVMe.
   SyncMode wal_sync = SyncMode::kFsync;
-  uint64_t kv_cpu_ns = 900;  // user-space CPU per Put (memtable, encoding)
 };
 
 class MiniKv {

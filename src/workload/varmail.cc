@@ -7,6 +7,10 @@ namespace ccnvme {
 
 namespace {
 
+// Mail bodies and appends are uniform in [kMeanAppendBytes / 2,
+// 3 * kMeanAppendBytes / 2); the read-modify-append adds half of it.
+constexpr uint32_t kMeanAppendBytes = 8192;
+
 std::string MailPath(int thread, int index) {
   return "/mail_t" + std::to_string(thread) + "_" + std::to_string(index);
 }
@@ -26,9 +30,7 @@ VarmailResult RunVarmail(StorageStack& stack, const VarmailOptions& options) {
       for (int i = 0; i < files_per_thread; ++i) {
         auto ino = stack.fs().Create(MailPath(t, i));
         CCNVME_CHECK(ino.ok());
-        const Buffer body(options.mean_append_bytes / 2 +
-                              rng.Uniform(options.mean_append_bytes),
-                          0x6D);
+        const Buffer body(kMeanAppendBytes / 2 + rng.Uniform(kMeanAppendBytes), 0x6D);
         CCNVME_CHECK(stack.fs().Write(*ino, 0, body).ok());
       }
       prepared++;
@@ -57,8 +59,7 @@ VarmailResult RunVarmail(StorageStack& stack, const VarmailOptions& options) {
         const std::string fresh = MailPath(t, next_new++);
         auto created = stack.fs().Create(fresh);
         CCNVME_CHECK(created.ok());
-        Buffer body(options.mean_append_bytes / 2 + rng.Uniform(options.mean_append_bytes),
-                    0x41);
+        Buffer body(kMeanAppendBytes / 2 + rng.Uniform(kMeanAppendBytes), 0x41);
         CCNVME_CHECK(stack.fs().Write(*created, 0, body).ok());
         CCNVME_CHECK(stack.fs().Fsync(*created).ok());
         result.flow_ops++;
@@ -73,7 +74,7 @@ VarmailResult RunVarmail(StorageStack& stack, const VarmailOptions& options) {
             Buffer content(*size);
             (void)stack.fs().Read(*found, 0, content);
           }
-          Buffer extra(options.mean_append_bytes / 2, 0x42);
+          Buffer extra(kMeanAppendBytes / 2, 0x42);
           if (stack.fs().Append(*found, extra).ok()) {
             CCNVME_CHECK(stack.fs().Fsync(*found).ok());
           }

@@ -21,7 +21,6 @@ namespace ccnvme {
 struct VarmailOptions {
   int num_threads = 16;
   int num_files = 200;           // pre-created mail files
-  uint32_t mean_append_bytes = 8192;
   uint64_t duration_ns = 30'000'000;
   uint64_t seed = 99;
 };

@@ -17,7 +17,7 @@ struct AdminStack {
     NvmeControllerConfig cfg;
     cfg.num_io_queues = 4;
     ctrl = std::make_unique<NvmeController>(sim.get(), link.get(), ssd.get(), cfg);
-    admin = std::make_unique<AdminClient>(sim.get(), link.get(), ctrl.get(), HostCosts{});
+    admin = std::make_unique<AdminClient>(sim.get(), link.get(), ctrl.get());
   }
   std::unique_ptr<Simulator> sim;
   std::unique_ptr<PcieLink> link;

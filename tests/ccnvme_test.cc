@@ -28,7 +28,7 @@ struct CcStack {
     ctrl_cfg.tx_aware_irq_coalescing = tx_aware_irq;
     ctrl = std::make_unique<NvmeController>(sim.get(), link.get(), ssd.get(), ctrl_cfg);
     opts.num_queues = num_queues;
-    cc = std::make_unique<CcNvmeDriver>(sim.get(), link.get(), ctrl.get(), HostCosts{}, opts);
+    cc = std::make_unique<CcNvmeDriver>(sim.get(), link.get(), ctrl.get(), opts);
   }
   std::unique_ptr<Simulator> sim;
   std::unique_ptr<PcieLink> link;
@@ -438,7 +438,7 @@ TEST(BlockLayerTest, OrdinaryAndTxPathsCoexist) {
   NvmeDriverConfig drv_cfg;
   NvmeDriver drv(s.sim.get(), s.link.get(), s.ctrl.get(), drv_cfg);
   Volume vol(s.sim.get(), VolumeConfig{}, {Volume::Member{&drv, s.cc.get(), s.ssd.get()}});
-  BlockLayer blk(s.sim.get(), &vol, HostCosts{});
+  BlockLayer blk(s.sim.get(), &vol);
   s.sim->Spawn("app", [&] {
     blk.BindQueue(0);
     const Buffer plain = MakeBlock(0x55);
@@ -461,7 +461,7 @@ TEST(BlockLayerTest, RecorderSeesWritesAndFlushes) {
   NvmeDriverConfig drv_cfg;
   NvmeDriver drv(s.sim.get(), s.link.get(), s.ctrl.get(), drv_cfg);
   Volume vol(s.sim.get(), VolumeConfig{}, {Volume::Member{&drv, s.cc.get(), s.ssd.get()}});
-  BlockLayer blk(s.sim.get(), &vol, HostCosts{});
+  BlockLayer blk(s.sim.get(), &vol);
   std::vector<BioEvent> events;
   vol.set_recorder([&](const BioEvent& ev) { events.push_back(ev); });
   s.sim->Spawn("app", [&] {

@@ -456,7 +456,6 @@ TEST(CrashStateSharingTest, BuildingEveryPlanOfATornStagingFrameStoreLeavesTheBa
   cfg.kv.total_lpns = 32;
   cfg.kv.map_cache_segments = 1;
   cfg.kv.gc_free_blocks_low = 2;
-  cfg.kv.max_value_bytes = 8 * 4096;
   CrashRecording rec = RecordNamed(cfg, "kv_packed_churn");
   const KvPmrLayout layout = KvSuperblock::ForConfig(cfg.kv).Layout(rec.base.pmr().size());
   GiveBasePagesUnderEveryStore(rec);

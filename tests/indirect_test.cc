@@ -23,7 +23,7 @@ struct IndirectStack {
     pmr_link = std::make_unique<PcieLink>(sim.get(), PcieConfig{});
     pmr = std::make_unique<Pmr>();
     indirect = std::make_unique<IndirectCcNvme>(sim.get(), pmr_link.get(), pmr.get(),
-                                                nvme.get(), HostCosts{}, 1);
+                                                nvme.get(), 1);
   }
   std::unique_ptr<Simulator> sim;
   std::unique_ptr<PcieLink> link;

@@ -18,6 +18,7 @@
 #include "src/common/rng.h"
 #include "src/crashtest/crash_explorer.h"
 #include "src/crashtest/crash_workloads.h"
+#include "src/crashtest/replay_artifact.h"
 #include "src/harness/stack.h"
 
 namespace ccnvme {
@@ -46,7 +47,6 @@ StackConfig SmallKvConfig() {
   cfg.kv.total_lpns = 768;
   cfg.kv.map_cache_segments = 1;
   cfg.kv.gc_free_blocks_low = 3;
-  cfg.kv.max_value_bytes = 8 * 4096;  // a value must fit one erase block
   return cfg;
 }
 
@@ -577,7 +577,7 @@ TEST(KvRecordTest, SuperblockRoundTripsAndRefusesATornGeometry) {
   EXPECT_EQ(back->map_cache_segments, 1u);
   EXPECT_EQ(back->gc_free_blocks_low, 3u);
   EXPECT_EQ(back->GeometryHash(), sb.GeometryHash());
-  EXPECT_EQ(back->MaxValueBytes(), SmallKvConfig().kv.max_value_bytes);
+  EXPECT_EQ(back->MaxValueBytes(), 8u * 4096);  // one 8-page erase block
 
   // Any geometry byte torn away from the stored hash, or no superblock at
   // all, is refused.
@@ -702,7 +702,6 @@ StackConfig ConcurrentKvConfig() {
   cfg.kv.total_lpns = 64;
   cfg.kv.map_cache_segments = 1;
   cfg.kv.gc_free_blocks_low = 2;
-  cfg.kv.max_value_bytes = 8 * 4096;  // a value must fit one erase block
   return cfg;
 }
 
@@ -772,9 +771,9 @@ TEST(KvSsdConcurrencyTest, RetrieveDuringAnEraseTakesAboutOneMediaRead) {
   EXPECT_GT(ftl.erases(), 2u);
 
   // The erase a GC Store handed over started inside that Store and runs
-  // for erase_latency_ns, so it is still in flight from the Store's return
-  // until erase_latency_ns after the Store began.
-  const uint64_t erase_ns = cfg.kv.erase_latency_ns;
+  // for kKvEraseLatencyNs, so it is still in flight from the Store's return
+  // until kKvEraseLatencyNs after the Store began.
+  const uint64_t erase_ns = kKvEraseLatencyNs;
   for (const auto& [key, intervals] : gets) {
     size_t during_erase = 0;
     uint64_t slowest_get_ns = 0;
@@ -896,7 +895,6 @@ StackConfig ExplorerGcKvConfig() {
   cfg.kv.total_lpns = 32;
   cfg.kv.map_cache_segments = 1;
   cfg.kv.gc_free_blocks_low = 2;
-  cfg.kv.max_value_bytes = 8 * 4096;  // a value must fit one erase block
   return cfg;
 }
 
@@ -1053,6 +1051,25 @@ TEST(KvExplorerTest, SkippedShadowCommitIsCaught) {
   EXPECT_GT(report.total_failures, 0u);
   ASSERT_FALSE(report.failures.empty());
   EXPECT_FALSE(report.failures[0].artifact_path.empty());
+}
+
+// An artifact carries only the geometry, and the value bound follows from
+// it: an artifact of an 8-pages-per-block device (32 KB values) replays to
+// the same failure.
+TEST(KvExplorerTest, SmallEraseBlockArtifactReplaysTheFailure) {
+  StackConfig cfg = ExplorerGcKvConfig();
+  cfg.kv.test_skip_ftl_shadow_commit = true;
+  ExplorerOptions options = TestOptions();
+  options.emit_artifacts = true;
+  options.artifact_dir = ::testing::TempDir();
+  options.workload_name = "kv_overwrite_churn";
+  const ExplorerReport report = ExploreWorkload(cfg, "kv_overwrite_churn", options);
+  ASSERT_FALSE(report.failures.empty());
+  Result<ReplayArtifact> art = ReplayArtifact::ReadFile(report.failures[0].artifact_path);
+  ASSERT_TRUE(art.ok()) << art.status().ToString();
+  Result<std::string> replayed = ReplayArtifactCheck(*art);
+  ASSERT_TRUE(replayed.ok()) << replayed.status().ToString();
+  EXPECT_EQ(*replayed, report.failures[0].message);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <sys/wait.h>
 
 #include <cstdio>
+#include <functional>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -131,8 +132,7 @@ TEST(JournalInspectTest, ClassicTransactionWithAZeroedCommitRecordIsNotReplayabl
 
 // --- ftl_inspect ----------------------------------------------------------
 
-// A geometry whose erase block bounds values exactly as the config does, so
-// the inspector (which knows only the geometry) and Attach share a bound.
+// A geometry whose 8-page erase block bounds values at 32 KB.
 StackConfig KvImageConfig() {
   StackConfig cfg;
   cfg.num_queues = 1;
@@ -145,71 +145,91 @@ StackConfig KvImageConfig() {
   cfg.kv.total_lpns = 768;
   cfg.kv.map_cache_segments = 1;
   cfg.kv.gc_free_blocks_low = 3;
-  cfg.kv.max_value_bytes = 8 * 4096;
   return cfg;
 }
 
-TEST(FtlInspectTest, OutOfRangeDirectoryEntryIsReportedAsAttachReportsIt) {
-  const StackConfig cfg = KvImageConfig();
+// Stores one 4 KB value under "ranged" on a stack of |cfg| and replaces its
+// directory slot's meta word with |corrupt|(meta word, key length): Attach
+// and ftl_inspect must both report that slot out of range, and nothing
+// else.
+void ExpectOutOfRangeEntryReportedAsAttachReportsIt(
+    const StackConfig& cfg, const char* name,
+    const std::function<uint64_t(uint64_t meta, uint32_t key_len)>& corrupt) {
   const std::string key = "ranged";
-  CrashImage base;
+  CrashImage image;
   {
     StorageStack stack(cfg);
     ASSERT_TRUE(stack.KvFormat().ok());
     stack.Run([&] {
       ASSERT_TRUE(stack.kv_driver()->Store(0, key, std::string(4096, 'r')).ok());
     });
-    base = stack.CaptureCrashImage();
+    image = stack.CaptureCrashImage();
   }
-  const KvPmrLayout layout =
-      KvSuperblock::ForConfig(cfg.kv).Layout(base.pmr().size());
+  const KvPmrLayout layout = KvSuperblock::ForConfig(cfg.kv).Layout(image.pmr().size());
   // The first key in an empty directory lands on its home slot.
   const uint32_t slot = static_cast<uint32_t>(
       Fnv1a(std::span<const uint8_t>(reinterpret_cast<const uint8_t*>(key.data()),
                                      key.size())) %
       cfg.kv.dir_slots);
   const size_t meta_at = layout.DirSlotOff(slot) + KvDirEntry::kMetaOffset;
-  const uint64_t meta = base.pmr().ReadU64(meta_at);
+  const uint64_t meta = image.pmr().ReadU64(meta_at);
   ASSERT_TRUE(KvSsd::MetaLive(meta));
-  const uint32_t key_len = KvSsd::MetaKeyLen(meta);
-  struct Case {
-    const char* name;
-    uint64_t meta;
-  };
-  for (const Case& c : {
-           Case{"no key", KvSsd::PackMeta(KvSsd::MetaLpn(meta), 4096, 0)},
-           Case{"value past the bound",
-                KvSsd::PackMeta(KvSsd::MetaLpn(meta), cfg.kv.max_value_bytes + 4096, key_len)},
-           Case{"lpn past the logical space",
-                KvSsd::PackMeta(cfg.kv.total_lpns - 1, 2 * 4096, key_len)},
-       }) {
-    CrashImage image = base;
-    Buffer word(8);
-    PutU64(word, 0, c.meta);
-    image.pmr().Write(meta_at, word);
+  Buffer word(8);
+  PutU64(word, 0, corrupt(meta, KvSsd::MetaKeyLen(meta)));
+  image.pmr().Write(meta_at, word);
 
-    StorageStack stack(cfg, image);
-    ASSERT_TRUE(stack.KvAttach().ok()) << c.name;
-    Status attach;
-    stack.Run([&] { attach = stack.kv_ssd()->CheckConsistency(); });
-    ASSERT_FALSE(attach.ok()) << c.name;
+  StorageStack stack(cfg, image);
+  ASSERT_TRUE(stack.KvAttach().ok()) << name;
+  Status attach;
+  stack.Run([&] { attach = stack.kv_ssd()->CheckConsistency(); });
+  ASSERT_FALSE(attach.ok()) << name;
 
-    const std::string path = TempImage("ranged");
-    ASSERT_TRUE(SaveImage(image, path).ok());
-    const ToolRun run = RunTool(FTL_INSPECT_BIN, path + " --json");
-    std::remove(path.c_str());
-    EXPECT_EQ(run.exit_code, 1) << c.name;
-    const JsonValue report = ParseJson(run.out);
-    const JsonValue* violations = report.Find("violations");
-    ASSERT_NE(violations, nullptr);
-    ASSERT_EQ(violations->arr.size(), 1u) << c.name << "\n" << run.out;
-    EXPECT_EQ("kv-ssd: " + violations->arr[0].str, attach.message()) << c.name;
-    EXPECT_NE(attach.message().find("directory slot " + std::to_string(slot) +
-                                    " has out-of-range fields"),
-              std::string::npos)
-        << c.name << ": " << attach.message();
-    EXPECT_EQ(report.Find("directory")->U64("live_keys"), 0u) << c.name;
-  }
+  // One file per test: ctest may run this file's tests in parallel.
+  const std::string path =
+      TempImage(::testing::UnitTest::GetInstance()->current_test_info()->name());
+  ASSERT_TRUE(SaveImage(image, path).ok());
+  const ToolRun run = RunTool(FTL_INSPECT_BIN, path + " --json");
+  std::remove(path.c_str());
+  EXPECT_EQ(run.exit_code, 1) << name;
+  const JsonValue report = ParseJson(run.out);
+  const JsonValue* violations = report.Find("violations");
+  ASSERT_NE(violations, nullptr);
+  ASSERT_EQ(violations->arr.size(), 1u) << name << "\n" << run.out;
+  EXPECT_EQ("kv-ssd: " + violations->arr[0].str, attach.message()) << name;
+  EXPECT_NE(attach.message().find("directory slot " + std::to_string(slot) +
+                                  " has out-of-range fields"),
+            std::string::npos)
+      << name << ": " << attach.message();
+  EXPECT_EQ(report.Find("directory")->U64("live_keys"), 0u) << name;
+}
+
+TEST(FtlInspectTest, OutOfRangeDirectoryEntryIsReportedAsAttachReportsIt) {
+  const StackConfig cfg = KvImageConfig();
+  const uint32_t bound = KvSuperblock::ForConfig(cfg.kv).MaxValueBytes();
+  ExpectOutOfRangeEntryReportedAsAttachReportsIt(cfg, "no key", [](uint64_t meta, uint32_t) {
+    return KvSsd::PackMeta(KvSsd::MetaLpn(meta), 4096, 0);
+  });
+  ExpectOutOfRangeEntryReportedAsAttachReportsIt(
+      cfg, "value past the bound", [&](uint64_t meta, uint32_t key_len) {
+        return KvSsd::PackMeta(KvSsd::MetaLpn(meta), bound + 4096, key_len);
+      });
+  ExpectOutOfRangeEntryReportedAsAttachReportsIt(
+      cfg, "lpn past the logical space", [&](uint64_t, uint32_t key_len) {
+        return KvSsd::PackMeta(cfg.kv.total_lpns - 1, 2 * 4096, key_len);
+      });
+}
+
+// At the default geometry an erase block holds 256 KB, and both readers
+// bound a value at 64 KB: a 100000-byte entry is out of range to each.
+TEST(FtlInspectTest, DefaultGeometryBoundsValuesAsAttachDoes) {
+  StackConfig cfg;
+  cfg.num_queues = 1;
+  cfg.enable_ccnvme = false;
+  cfg.kv.enabled = true;
+  ExpectOutOfRangeEntryReportedAsAttachReportsIt(
+      cfg, "100000-byte value", [](uint64_t meta, uint32_t key_len) {
+        return KvSsd::PackMeta(KvSsd::MetaLpn(meta), 100000, key_len);
+      });
 }
 
 // --- fsck_ccnvme ----------------------------------------------------------

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/common/json.h"
 #include "src/crashtest/crash_workloads.h"
 #include "src/crashtest/replay_artifact.h"
 #include "src/trace/chrome_trace.h"
@@ -404,19 +405,6 @@ TEST(FlightRecorderTest, ReplayArtifactRoundTrip) {
   EXPECT_EQ(parsed->flight_recorder, art.flight_recorder);
   EXPECT_EQ(parsed->failure, art.failure);
   EXPECT_EQ(parsed->plan.crash_index, art.plan.crash_index);
-
-  // Artifacts written before the field existed still parse (empty tail).
-  // The key is the last one, so drop it with its whole array.
-  const size_t pos = json.find(",\n  \"flight_recorder\"");
-  const size_t end = json.find("]\n}", pos);
-  ASSERT_NE(pos, std::string::npos);
-  ASSERT_NE(end, std::string::npos);
-  std::string legacy = json;
-  legacy.erase(pos, end + 1 - pos);
-  EXPECT_TRUE(JsonValidator(legacy).Valid());
-  Result<ReplayArtifact> old = ReplayArtifact::FromJson(legacy);
-  ASSERT_TRUE(old.ok()) << old.status().ToString();
-  EXPECT_TRUE(old->flight_recorder.empty());
 }
 
 TEST(FlightRecorderTest, ReplayArtifactEscapesControlCharacters) {
@@ -457,6 +445,127 @@ TEST(FlightRecorderTest, ReplayArtifactRejectsMalformedInput) {
   };
   for (const std::string& text : bad) {
     EXPECT_FALSE(ReplayArtifact::FromJson(text).ok()) << text;
+  }
+}
+
+// A replay re-records the workload under the artifact's config, so every
+// StackConfig field must come back from the JSON: each is set off its
+// default here and compared after the round trip. Every key is required.
+TEST(ReplayArtifactTest, CarriesEveryStackConfigField) {
+  ReplayArtifact art;
+  art.workload = "create_delete";
+  StackConfig& c = art.config;
+  c.ssd = SsdConfig::Intel750();
+  c.pcie.mmio_write_bytes_per_sec = 2'000'000;
+  c.pcie.mmio_write_overhead_ns = 251;
+  c.pcie.max_mmio_backlog_ns = 500;
+  c.num_queues = 3;
+  c.enable_ccnvme = false;
+  c.queue_depth = 64;
+  c.cc_options.tx_aware_mmio = false;
+  c.cc_options.in_order_completion = false;
+  c.cc_options.doorbell_coalesce_limit = 4;
+  c.fs_total_blocks = 4096;
+  c.fs.journal = JournalKind::kNvlog;
+  c.fs.journal_areas = 2;
+  c.fs.journal_blocks = 1024;
+  c.fs.data_journaling = true;
+  c.fs.metadata_shadow_paging = false;
+  c.fs.test_skip_psq_window_scan = true;
+  c.fs.test_skip_cross_core_order = true;
+  c.fs.nvlog_drain_batch = 3;
+  c.fs.nvlog_drain_delay_ns = 7;
+  c.fs.nvlog_drainers = 2;
+  c.fs.test_skip_nvlog_fence = true;
+  c.num_devices = 2;
+  c.volume.kind = VolumeKind::kMirror;
+  c.volume.chunk_blocks = 16;
+  c.volume.test_skip_volume_commit_gate = true;
+  c.nvm.enabled = true;
+  c.nvm.size_bytes = 1 << 20;
+  c.nvm.store_line_ns = 61;
+  c.nvm.load_line_ns = 171;
+  c.kv.enabled = true;
+  c.kv.dir_slots = 32;
+  c.kv.shadow_slots = 4;
+  c.kv.flash_pages = 48;
+  c.kv.pages_per_block = 8;
+  c.kv.total_lpns = 32;
+  c.kv.map_cache_segments = 1;
+  c.kv.gc_free_blocks_low = 3;
+  c.kv.test_skip_ftl_shadow_commit = true;
+
+  const std::string json = art.ToJson();
+  Result<ReplayArtifact> parsed = ReplayArtifact::FromJson(json);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  const StackConfig& p = parsed->config;
+  const StackConfig d;
+#define EXPECT_CARRIED(field)   \
+  EXPECT_NE(c.field, d.field);  \
+  EXPECT_EQ(p.field, c.field) << #field
+  EXPECT_CARRIED(ssd.name);
+  EXPECT_CARRIED(ssd.write_bw_bytes_per_sec);
+  EXPECT_CARRIED(ssd.volatile_cache);
+  EXPECT_CARRIED(pcie.mmio_write_bytes_per_sec);
+  EXPECT_CARRIED(pcie.mmio_write_overhead_ns);
+  EXPECT_CARRIED(pcie.max_mmio_backlog_ns);
+  EXPECT_CARRIED(num_queues);
+  EXPECT_CARRIED(enable_ccnvme);
+  EXPECT_CARRIED(queue_depth);
+  EXPECT_CARRIED(cc_options.tx_aware_mmio);
+  EXPECT_CARRIED(cc_options.in_order_completion);
+  EXPECT_CARRIED(cc_options.doorbell_coalesce_limit);
+  EXPECT_CARRIED(fs_total_blocks);
+  EXPECT_CARRIED(fs.journal);
+  EXPECT_CARRIED(fs.journal_areas);
+  EXPECT_CARRIED(fs.journal_blocks);
+  EXPECT_CARRIED(fs.data_journaling);
+  EXPECT_CARRIED(fs.metadata_shadow_paging);
+  EXPECT_CARRIED(fs.test_skip_psq_window_scan);
+  EXPECT_CARRIED(fs.test_skip_cross_core_order);
+  EXPECT_CARRIED(fs.nvlog_drain_batch);
+  EXPECT_CARRIED(fs.nvlog_drain_delay_ns);
+  EXPECT_CARRIED(fs.nvlog_drainers);
+  EXPECT_CARRIED(fs.test_skip_nvlog_fence);
+  EXPECT_CARRIED(num_devices);
+  EXPECT_CARRIED(volume.kind);
+  EXPECT_CARRIED(volume.chunk_blocks);
+  EXPECT_CARRIED(volume.test_skip_volume_commit_gate);
+  EXPECT_CARRIED(nvm.enabled);
+  EXPECT_CARRIED(nvm.size_bytes);
+  EXPECT_CARRIED(nvm.store_line_ns);
+  EXPECT_CARRIED(nvm.load_line_ns);
+  EXPECT_CARRIED(kv.enabled);
+  EXPECT_CARRIED(kv.dir_slots);
+  EXPECT_CARRIED(kv.shadow_slots);
+  EXPECT_CARRIED(kv.flash_pages);
+  EXPECT_CARRIED(kv.pages_per_block);
+  EXPECT_CARRIED(kv.total_lpns);
+  EXPECT_CARRIED(kv.map_cache_segments);
+  EXPECT_CARRIED(kv.gc_free_blocks_low);
+  EXPECT_CARRIED(kv.test_skip_ftl_shadow_commit);
+#undef EXPECT_CARRIED
+  // The SSD travels as its preset's name, which restores every field.
+  const SsdConfig& ssd = p.ssd;
+  EXPECT_EQ(ssd.capacity_bytes, c.ssd.capacity_bytes);
+  EXPECT_EQ(ssd.read_bw_bytes_per_sec, c.ssd.read_bw_bytes_per_sec);
+  EXPECT_EQ(ssd.read_latency_ns, c.ssd.read_latency_ns);
+  EXPECT_EQ(ssd.write_latency_ns, c.ssd.write_latency_ns);
+  EXPECT_EQ(ssd.channels, c.ssd.channels);
+  EXPECT_EQ(ssd.power_loss_protection, c.ssd.power_loss_protection);
+  EXPECT_EQ(ssd.cache_write_latency_ns, c.ssd.cache_write_latency_ns);
+  EXPECT_EQ(ssd.flush_base_ns, c.ssd.flush_base_ns);
+  EXPECT_EQ(parsed->ToJson(), json);
+
+  // Without any one of its keys, the artifact is refused.
+  JsonValue root;
+  std::string error;
+  ASSERT_TRUE(JsonParse(json, &root, &error)) << error;
+  for (const auto& [key, value] : root.obj) {
+    std::string without = json;
+    const std::string quoted = "\"" + key + "\":";
+    without.replace(without.find(quoted), quoted.size(), "\"renamed_" + key + "\":");
+    EXPECT_FALSE(ReplayArtifact::FromJson(without).ok()) << key;
   }
 }
 

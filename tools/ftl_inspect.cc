@@ -8,8 +8,8 @@
 // FTL whose flash is the image's durable media, and reports map residency,
 // the shadow ring, each staging frame, per-erase-block valid page counts,
 // the WAF stats mirror, and every violation Attach would flag. Values are
-// bounded by the geometry (one erase block): the image does not record the
-// run's KvSsdConfig::max_value_bytes.
+// bounded as Attach bounds them, by the geometry the superblock records
+// (KvSuperblock::MaxValueBytes).
 //
 // With --metrics[=path] a metrics snapshot (inspect.ftl_* counters) is
 // written to |path| (stdout when omitted), mirroring nvlog_inspect.
@@ -151,8 +151,7 @@ int main(int argc, char** argv) {
   const KvShadowChain chain = ReplayShadowChain(pmr, layout, sb, ftl);
   const std::array<KvSsd::RecoveredFrame, kKvFrames> frames =
       KvSsd::RecoverFrames(pmr, layout, ftl, &violations);
-  const KvSsd::Directory dir =
-      KvSsd::WalkDirectory(pmr, layout, sb, sb.MaxValueBytes(), frames, ftl, &violations);
+  const KvSsd::Directory dir = KvSsd::WalkDirectory(pmr, layout, sb, frames, ftl, &violations);
   uint64_t live_pages = 0;  // distinct flash pages holding live values
   uint32_t empty_blocks = 0;
   for (uint32_t b = 0; b < num_blocks; ++b) {
