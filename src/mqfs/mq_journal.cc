@@ -53,7 +53,7 @@ Status MqJournal::Sync(const SyncOp& op, SyncMode mode) {
     if (Tracer* tracer = sim_->tracer()) {
       tracer->WaitEdgeEvent(WaitEdge::kJournalHandle, handle_begin, handle_acquired, area_idx);
     }
-    CCNVME_ASSIGN_OR_RETURN(committed, BuildTx(op, qid, area_idx, tx_id));
+    CCNVME_ASSIGN_OR_RETURN(committed, BuildTx(op, area_idx, tx_id));
   }
   // build_mu is released at the atomicity point, once CommitTx has rung the
   // P-SQDB: the next transaction on this queue is staged while this one is
@@ -74,8 +74,8 @@ Status MqJournal::Sync(const SyncOp& op, SyncMode mode) {
   return OkStatus();
 }
 
-Result<MqJournal::CommittedTx> MqJournal::BuildTx(const SyncOp& op, uint32_t qid,
-                                                  uint32_t area_idx, uint64_t tx_id) {
+Result<MqJournal::CommittedTx> MqJournal::BuildTx(const SyncOp& op, uint32_t area_idx,
+                                                  uint64_t tx_id) {
   Area& area = *areas_[area_idx];
   Tracer* tracer = sim_->tracer();
   CCNVME_CHECK_LE(op.metadata.size(), DescriptorBlock::kMaxEntries)
@@ -86,7 +86,7 @@ Result<MqJournal::CommittedTx> MqJournal::BuildTx(const SyncOp& op, uint32_t qid
   }
 
   auto rec = std::make_shared<TxRecord>();
-  rec->tx_id = tx_id;
+  rec->tx.tx_id = tx_id;
   rec->area = area_idx;
   area.committed.push_back(rec);
   // Atomicity window (Figure 14's "A"): journal entry to P-SQDB ring.
@@ -146,7 +146,7 @@ Result<MqJournal::CommittedTx> MqJournal::BuildTx(const SyncOp& op, uint32_t qid
     area.free -= needed;
     return off;
   }();
-  rec->blocks_used = needed;
+  rec->tx.blocks_used = needed;
 
   // Without shadow paging, pages stay frozen until their journal write's
   // CQE arrives; freezing in ascending block order keeps concurrent queues
@@ -169,6 +169,7 @@ Result<MqJournal::CommittedTx> MqJournal::BuildTx(const SyncOp& op, uint32_t qid
                                             : TracePoint::kSyncSubmitParent);
     const BlockNo journal_lba = area.start + off;
     const Buffer* payload = nullptr;
+    std::shared_ptr<const Buffer> content;  // the version's bytes
     if (options_.shadow_paging) {
       const uint64_t frozen_begin = sim_->now();
       buf->lock.Lock();
@@ -179,10 +180,9 @@ Result<MqJournal::CommittedTx> MqJournal::BuildTx(const SyncOp& op, uint32_t qid
         tracer->WaitEdgeEvent(WaitEdge::kPageFrozen, frozen_begin, sim_->now(), buf->block_no);
       }
       Simulator::Sleep(kFsMemcpy4kNs);
-      auto copy = std::make_shared<Buffer>(buf->data);
+      content = std::make_shared<const Buffer>(buf->data);
       buf->lock.Unlock();
-      rec->copies.push_back(copy);
-      payload = copy.get();
+      payload = content.get();
     } else {
       // No shadow paging: the page itself is the journal-write source, so
       // it stays frozen until the member's CQE arrives (the serialization
@@ -198,16 +198,17 @@ Result<MqJournal::CommittedTx> MqJournal::BuildTx(const SyncOp& op, uint32_t qid
       buf->BeginWriteback();
       buf->lock.Unlock();
       payload = &buf->data;
+      content = std::make_shared<const Buffer>(buf->data);  // for the checkpoint
     }
     buf->dirty = false;
     desc.entries.push_back(JournalEntry{buf->block_no, Fnv1a(*payload)});
-    rec->writes.push_back(LoggedWrite{buf->block_no, tx_id, *payload});
+    rec->tx.writes.push_back(LoggedWrite{buf->block_no, tx_id, std::move(content)});
 
     // Publish the version in the home block's radix tree (Figure 6).
     const size_t t = TreeIndex(buf->block_no);
     SimLockGuard tree_guard(*tree_mu_[t]);
     JhChain& chain = trees_[t]->GetOrCreate(buf->block_no);
-    chain.versions.push_back(JhVersion{tx_id, journal_lba, qid, JhState::kLog});
+    chain.versions.push_back(JhVersion{tx_id, journal_lba, area_idx, JhState::kLog});
 
     if (options_.shadow_paging) {
       blk_->SubmitTxWrite(tx_id, journal_lba, payload);
@@ -218,7 +219,7 @@ Result<MqJournal::CommittedTx> MqJournal::BuildTx(const SyncOp& op, uint32_t qid
     off = NextOff(area, off);
     first_meta = false;
   }
-  rec->end_offset = area.head;
+  rec->tx.end_offset = area.head;
 
   // 3. The descriptor commits the transaction (REQ_TX_COMMIT); no separate
   // commit record is needed — the P-SQDB ring plays that role.
@@ -256,29 +257,70 @@ void MqJournal::FinishTx(const std::shared_ptr<TxRecord>& rec) {
   while (!area.committed.empty() && area.committed.front()->durable) {
     const std::shared_ptr<TxRecord> done = std::move(area.committed.front());
     area.committed.pop_front();
-    LoggedTx logged;
-    logged.tx_id = done->tx_id;
-    logged.blocks_used = done->blocks_used;
-    logged.end_offset = done->end_offset;
-    logged.writes = std::move(done->writes);
-    area.ckpt.push_back(std::move(logged));
-
-    // log -> logged in the trees.
-    for (const LoggedWrite& w : area.ckpt.back().writes) {
-      const size_t t = TreeIndex(w.home);
-      JhChain* chain = trees_[t]->Find(w.home);
-      if (chain != nullptr) {
-        for (JhVersion& v : chain->versions) {
-          if (v.tx_id == w.tx_id) {
-            v.state = JhState::kLogged;
-          }
-        }
-      }
+    area.ckpt.push_back(std::move(done->tx));
+    for (LoggedWrite& w : area.ckpt.back().writes) {
+      ListVersion(w);
     }
   }
   if (area.committed.empty()) {
     area.quiesced.NotifyAll();
   }
+}
+
+// Keeps one host copy per home block on the checkpoint lists, that of the
+// newest anchored version. Dropping an older listed version's bytes is safe
+// once a newer version V of its block anchors: V stays listed until a
+// checkpoint pops it, which pops the older one too (then V is the newer
+// popped one), and until then V's chain entry lies beyond any horizon that
+// pops the older one, so Checkpoint finds the block superseded. Shutdown
+// writes the newest listed version, and V outranks it. A revocation clears
+// the chain but also revokes every version it held. A version that is
+// durable but held behind an in-flight transaction of its area is not
+// listed, so it anchors nothing yet.
+void MqJournal::ListVersion(LoggedWrite& w) {
+  JhChain* chain = trees_[TreeIndex(w.home)]->Find(w.home);
+  if (chain == nullptr) {
+    return;  // revoked, or pruned while in flight: keeps its bytes
+  }
+  bool anchored = false;
+  const JhVersion* newest = nullptr;  // the newest other anchored version
+  for (JhVersion& v : chain->versions) {
+    if (v.tx_id == w.tx_id) {
+      v.state = JhState::kLogged;
+      anchored = v.tx_id > popped_horizon_;
+    } else if (v.state == JhState::kLogged && v.tx_id > popped_horizon_ &&
+               (newest == nullptr || v.tx_id > newest->tx_id)) {
+      newest = &v;
+    }
+  }
+  if (newest == nullptr) {
+    return;
+  }
+  if (newest->tx_id > w.tx_id) {
+    w.content.reset();  // arrived after a newer version
+  } else if (anchored) {
+    // Every older anchored version already dropped its bytes to |newest|.
+    ListedWrite(*newest, w.home).content.reset();
+  }
+}
+
+MqJournal::LoggedWrite& MqJournal::ListedWrite(const JhVersion& v, BlockNo home) {
+  // An area's list is in commit order, which is its tx order.
+  std::deque<LoggedTx>& list = areas_[v.area]->ckpt;
+  const auto tx = std::lower_bound(
+      list.begin(), list.end(), v.tx_id,
+      [](const LoggedTx& logged, uint64_t tx_id) { return logged.tx_id < tx_id; });
+  LoggedWrite* found = nullptr;
+  if (tx != list.end() && tx->tx_id == v.tx_id) {
+    for (LoggedWrite& w : tx->writes) {
+      if (w.home == home) {
+        found = &w;
+      }
+    }
+  }
+  CCNVME_CHECK(found != nullptr) << "anchored version " << v.tx_id << " of block " << home
+                                 << " is not on area " << v.area << "'s checkpoint list";
+  return *found;
 }
 
 void MqJournal::RevokeBlock(BlockNo block) {
@@ -351,7 +393,7 @@ Status MqJournal::Checkpoint(uint32_t needy, uint64_t needed) {
   // Collect every area's logged transactions up to the horizon; replaying
   // by horizon keeps "no journal copy older than an in-place write" true
   // across areas, which recovery's replay-by-TxID relies on.
-  std::map<BlockNo, const LoggedWrite*> newest;
+  std::map<BlockNo, LoggedWrite> newest;
   std::vector<std::pair<Area*, std::vector<LoggedTx>>> popped;
   for (auto& area_ptr : areas_) {
     Area& area = *area_ptr;
@@ -364,6 +406,7 @@ Status MqJournal::Checkpoint(uint32_t needy, uint64_t needed) {
       popped.emplace_back(&area, std::move(taken));
     }
   }
+  popped_horizon_ = std::max(popped_horizon_, horizon);
   for (auto& [area, txs] : popped) {
     (void)area;
     for (const LoggedTx& tx : txs) {
@@ -376,7 +419,7 @@ Status MqJournal::Checkpoint(uint32_t needy, uint64_t needed) {
   // block was revoked after this copy.
   std::vector<NvmeDriver::RequestHandle> handles;
   for (auto& [home, pw] : newest) {
-    if (Revoked(revoked_, home, pw->tx_id)) {
+    if (Revoked(revoked_, home, pw.tx_id)) {
       continue;
     }
     const size_t t = TreeIndex(home);
@@ -388,7 +431,7 @@ Status MqJournal::Checkpoint(uint32_t needy, uint64_t needed) {
         for (JhVersion& v : chain->versions) {
           if (v.tx_id > horizon) {
             superseded = true;
-          } else if (v.tx_id == pw->tx_id) {
+          } else if (v.tx_id == pw.tx_id) {
             v.state = JhState::kChp;  // being checkpointed (Figure 6)
           }
         }
@@ -397,7 +440,8 @@ Status MqJournal::Checkpoint(uint32_t needy, uint64_t needed) {
     if (superseded) {
       continue;
     }
-    handles.push_back(blk_->SubmitWrite(home, &pw->content, 0));
+    CCNVME_CHECK(pw.content != nullptr) << "checkpoint reached a dropped version of " << home;
+    handles.push_back(blk_->SubmitWrite(home, pw.content.get(), 0));
   }
   for (auto& h : handles) {
     CCNVME_RETURN_IF_ERROR(blk_->Wait(h));
@@ -438,13 +482,27 @@ Status MqJournal::Checkpoint(uint32_t needy, uint64_t needed) {
   return OkStatus();
 }
 
-void MqJournal::KeepNewest(const LoggedTx& tx, std::map<BlockNo, const LoggedWrite*>* newest) {
+void MqJournal::KeepNewest(const LoggedTx& tx, std::map<BlockNo, LoggedWrite>* newest) {
   for (const LoggedWrite& w : tx.writes) {
-    const LoggedWrite*& kept = (*newest)[w.home];
-    if (kept == nullptr || kept->tx_id < w.tx_id) {
-      kept = &w;
+    auto [kept, inserted] = newest->try_emplace(w.home, w);
+    if (!inserted && kept->second.tx_id < w.tx_id) {
+      kept->second = w;
     }
   }
+}
+
+std::map<BlockNo, MqJournal::ListedBlock> MqJournal::ListedBlocks() const {
+  std::map<BlockNo, ListedBlock> blocks;
+  for (const auto& area : areas_) {
+    for (const LoggedTx& tx : area->ckpt) {
+      for (const LoggedWrite& w : tx.writes) {
+        ListedBlock& b = blocks[w.home];
+        b.versions++;
+        b.copies += w.content != nullptr ? 1 : 0;
+      }
+    }
+  }
+  return blocks;
 }
 
 Status MqJournal::WriteAreaSuper(Area& area) {
@@ -512,15 +570,16 @@ Status MqJournal::Shutdown() {
   }
   SimLockGuard guard(ckpt_mu_);
   std::vector<NvmeDriver::RequestHandle> handles;
-  std::map<BlockNo, const LoggedWrite*> newest;
+  std::map<BlockNo, LoggedWrite> newest;
   for (auto& area_ptr : areas_) {
     for (const LoggedTx& tx : area_ptr->ckpt) {
       KeepNewest(tx, &newest);
     }
   }
   for (auto& [home, w] : newest) {
-    if (!Revoked(revoked_, home, w->tx_id)) {
-      handles.push_back(blk_->SubmitWrite(home, &w->content, 0));
+    if (!Revoked(revoked_, home, w.tx_id)) {
+      CCNVME_CHECK(w.content != nullptr) << "shutdown reached a dropped version of " << home;
+      handles.push_back(blk_->SubmitWrite(home, w.content.get(), 0));
     }
   }
   for (auto& h : handles) {

@@ -52,13 +52,13 @@ enum class JhState : uint8_t { kLog, kChp, kLogged };
 struct JhVersion {
   uint64_t tx_id = 0;
   BlockNo journal_lba = 0;
-  uint32_t area = 0;
+  uint32_t area = 0;  // the journal area whose checkpoint list takes it
   JhState state = JhState::kLog;
 };
 
 struct JhChain {
-  std::vector<JhVersion> versions;  // ascending tx_id
-  uint64_t NewestTxId() const { return versions.empty() ? 0 : versions.back().tx_id; }
+  // In publish order: areas build concurrently, so tx ids may interleave.
+  std::vector<JhVersion> versions;
 };
 
 class MqJournal : public Journal {
@@ -77,11 +77,27 @@ class MqJournal : public Journal {
   uint64_t checkpoints() const { return checkpoints_; }
   uint64_t revocations_cancelled() const { return revocations_cancelled_; }
 
+  // Per home block on the checkpoint lists: how many of its versions are
+  // listed, and how many of those still hold bytes.
+  struct ListedBlock {
+    size_t versions = 0;
+    size_t copies = 0;
+  };
+  std::map<BlockNo, ListedBlock> ListedBlocks() const;
+
  private:
+  // One journaled version of a home block. |content| is its only host copy:
+  // the shadow copy BuildTx made (a copy of the frozen page without shadow
+  // paging), which the transaction's journal write reads while in flight.
+  // It is null once a newer version of the block is listed where it is sure
+  // to supersede this one (ListVersion): no checkpoint or shutdown can write
+  // this version home then. A checkpoint or shutdown holds its own reference
+  // to what it writes, so releasing the list's reference never frees bytes
+  // a write still reads.
   struct LoggedWrite {
     BlockNo home = 0;
     uint64_t tx_id = 0;
-    Buffer content;
+    std::shared_ptr<const Buffer> content;
   };
   struct LoggedTx {
     uint64_t tx_id = 0;
@@ -89,16 +105,13 @@ class MqJournal : public Journal {
     uint64_t end_offset = 0;
     std::vector<LoggedWrite> writes;
   };
-  // Keeps the shadow copies and descriptor alive until the ccNVMe
+  // A transaction from BuildTx until FinishTx moves |tx| to the checkpoint
+  // list. Keeps its writes' bytes and the descriptor alive until the ccNVMe
   // transaction completes (fatomic returns before that).
   struct TxRecord {
-    uint64_t tx_id = 0;
+    LoggedTx tx;
     uint32_t area = 0;
-    uint64_t blocks_used = 0;
-    uint64_t end_offset = 0;
-    std::vector<std::shared_ptr<Buffer>> copies;
     std::shared_ptr<Buffer> jd;
-    std::vector<LoggedWrite> writes;
     bool durable = false;
   };
   struct Area {
@@ -129,21 +142,26 @@ class MqJournal : public Journal {
     std::vector<NvmeDriver::RequestHandle> overflow;
   };
 
-  // Stages |op| as transaction |tx_id| on queue |qid| and rings its P-SQDB
-  // (caller holds the area's build_mu).
-  Result<CommittedTx> BuildTx(const SyncOp& op, uint32_t qid, uint32_t area_idx,
-                              uint64_t tx_id);
+  // Stages |op| as transaction |tx_id| on the current queue and rings its
+  // P-SQDB (caller holds the area's build_mu).
+  Result<CommittedTx> BuildTx(const SyncOp& op, uint32_t area_idx, uint64_t tx_id);
 
   size_t TreeIndex(BlockNo home) const {
     return static_cast<size_t>((home / kBlocksPerGroup) % trees_.size());
   }
   // Called from the ccNVMe bottom half when the transaction is durable.
   void FinishTx(const std::shared_ptr<TxRecord>& rec);
+  // Marks |w|'s version logged as it reaches a checkpoint list, and drops
+  // the bytes of whichever of it and the block's newest anchored version
+  // (logged above popped_horizon_) is older.
+  void ListVersion(LoggedWrite& w);
+  // |v|'s write of |home| on its area's checkpoint list.
+  LoggedWrite& ListedWrite(const JhVersion& v, BlockNo home);
   // Horizon-ordered global checkpoint (§5.2): frees space in |needy| by
   // writing back every area's versions up to a tx-id horizon.
   Status Checkpoint(uint32_t needy, uint64_t needed);
   // Keeps in |newest| the newest logged version of each of |tx|'s blocks.
-  static void KeepNewest(const LoggedTx& tx, std::map<BlockNo, const LoggedWrite*>* newest);
+  static void KeepNewest(const LoggedTx& tx, std::map<BlockNo, LoggedWrite>* newest);
   Status WriteAreaSuper(Area& area);
   uint64_t NextOff(const Area& area, uint64_t off) const {
     return off + 1 >= area.blocks ? 1 : off + 1;
@@ -159,6 +177,13 @@ class MqJournal : public Journal {
   std::vector<std::unique_ptr<RadixTree<JhChain>>> trees_;
   std::vector<std::unique_ptr<SimMutex>> tree_mu_;
   SimMutex ckpt_mu_;
+  // The highest horizon a checkpoint has taken versions off the lists up
+  // to. A logged version above it is on its list, and its chain entry stays
+  // until a checkpoint takes it off: it anchors the drop of older bytes.
+  // One at or below it may be a popped version a running checkpoint has not
+  // pruned yet, or a late one such a checkpoint will prune while it is
+  // still listed.
+  uint64_t popped_horizon_ = 0;
 
   Revocations revoked_;  // accepted revocations
   // §5.4 case 1: blocks whose next data write must be journaled.

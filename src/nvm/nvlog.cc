@@ -172,24 +172,24 @@ Status NvLogJournal::Sync(const SyncOp& op, SyncMode mode) {
     const uint64_t tx_id = fs_->AllocTxId();
     MutableTraceContext().tx_id = tx_id;
 
-    // Freeze the pages for the copy into NVM; writers stall until the entry
-    // is durable (not until it drains — that is the whole point). A page an
-    // earlier appender still holds frozen through its barrier (two inodes
-    // share an inode-table block) cannot change either, so it is copied as
-    // is: the entry holds its own copy from here on.
-    std::vector<NvLogBlock> blocks;
-    blocks.reserve(bufs.size());
+    // Freeze the pages; writers stall until the entry is durable (not until
+    // it drains — that is the whole point). The freeze is one flag, not a
+    // count: when two inodes share an inode-table block, the first appender's
+    // EndWriteback thaws the page while a neighbour that froze it too may
+    // still be parked in the space wait below, and a writer can change it
+    // then. That is safe because each chunk copies its blocks only when it
+    // takes its sequence number, under mu_: no entry holds older bytes of a
+    // block than an entry with a lower sequence number, and drain and
+    // recovery apply entries in sequence order. A change made after the
+    // copy is logged again when its own op syncs.
     for (const BlockBufPtr& buf : bufs) {
       buf->BeginWriteback();
-      blocks.push_back(NvLogBlock{buf->block_no, buf->data});
     }
 
     ScopedSpan span(tracer, TracePoint::kNvlogAppend);
     Simulator::Sleep(kFsJournalDescNs);  // build the entry header
-    for (size_t pos = 0; pos < blocks.size(); pos += kNvLogMaxBlocksPerEntry) {
-      const size_t n = std::min(kNvLogMaxBlocksPerEntry, blocks.size() - pos);
-      std::vector<NvLogBlock> chunk(blocks.begin() + static_cast<long>(pos),
-                                    blocks.begin() + static_cast<long>(pos + n));
+    for (size_t pos = 0; pos < bufs.size(); pos += kNvLogMaxBlocksPerEntry) {
+      const size_t n = std::min(kNvLogMaxBlocksPerEntry, bufs.size() - pos);
       const size_t entry_bytes = NvLogEntrySize(n);
       CCNVME_CHECK(entry_bytes + kNvmWordSize < log_.ring_bytes())
           << "sync op larger than the whole NVM log";
@@ -209,6 +209,11 @@ Status NvLogJournal::Sync(const SyncOp& op, SyncMode mode) {
       }
       if (tracer != nullptr) {
         tracer->WaitEdgeEvent(WaitEdge::kNvlogDrain, space_begin, sim_->now());
+      }
+      std::vector<NvLogBlock> chunk;
+      chunk.reserve(n);
+      for (size_t i = pos; i < pos + n; ++i) {
+        chunk.push_back(NvLogBlock{bufs[i]->block_no, bufs[i]->data});
       }
       PendingEntry pe;
       pe.ring_off = log_.tail_off();

@@ -21,11 +21,12 @@ StackConfig Config(uint16_t queues, uint64_t blocks_per_area) {
 }
 
 TEST(MqJournalTest, CrossQueueUpdatesToSharedBlockConvergeToNewest) {
-  // Two queues repeatedly fsync files whose inodes share one table block;
-  // both journal areas accumulate versions of that block. After a crash,
+  // Four queues repeatedly fsync files whose inodes share one table block;
+  // every journal area accumulates versions of that block, yet the journal
+  // holds bytes for at most one of them per home block. After a crash,
   // replay by TxID must converge to the newest state: every file present
   // with its final content.
-  const StackConfig cfg = Config(2, 1024);
+  const StackConfig cfg = Config(4, 1024);
   CrashImage image;
   {
     StorageStack stack(cfg);
@@ -37,10 +38,10 @@ TEST(MqJournalTest, CrossQueueUpdatesToSharedBlockConvergeToNewest) {
       }
     });
     int done = 0;
-    for (uint16_t q = 0; q < 2; ++q) {
+    for (uint16_t q = 0; q < 4; ++q) {
       stack.Spawn("w" + std::to_string(q), [&, q] {
         for (int round = 0; round < 12; ++round) {
-          for (int i = q; i < 8; i += 2) {
+          for (int i = q; i < 8; i += 4) {
             auto ino = stack.fs().Lookup("/s" + std::to_string(i));
             ASSERT_TRUE(ino.ok());
             ASSERT_TRUE(stack.fs().Write(*ino, 0, Buffer(256,
@@ -52,7 +53,15 @@ TEST(MqJournalTest, CrossQueueUpdatesToSharedBlockConvergeToNewest) {
       }, q);
     }
     stack.sim().Run();
-    ASSERT_EQ(done, 2);
+    ASSERT_EQ(done, 4);
+    auto* mq = dynamic_cast<MqJournal*>(stack.fs().journal());
+    ASSERT_NE(mq, nullptr);
+    size_t listed = 0;
+    for (const auto& [home, b] : mq->ListedBlocks()) {
+      listed += b.versions;
+      EXPECT_LE(b.copies, 1u) << "block " << home << " keeps " << b.copies << " copies";
+    }
+    EXPECT_GT(listed, 20u) << "the checkpoint lists must hold superseded versions";
     image = stack.CaptureCrashImage();
   }
   StorageStack after(cfg, image);

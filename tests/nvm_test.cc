@@ -466,6 +466,124 @@ TEST(NvlogJournalTest, RepeatedOverwritesCoalesceInDrain) {
   ASSERT_TRUE(stack.Unmount().ok());
 }
 
+// Three appenders whose inodes share the root's inode-table block, and a
+// creator whose new files land in the next table block but whose creates
+// dirty the root's inode, so its fsyncs log the shared block without first
+// writing to it. The creator's large entries find the small ring full: it
+// parks with the shared block frozen, an appender's barrier thaws the block
+// (the freeze is one flag), and another appender logs a newer copy under a
+// lower sequence number. Had the parked creator copied the block before the
+// wait, its stale copy would win in recovery and an appender would lose
+// acknowledged bytes. A crash image taken right after each fsync returns
+// must recover every acknowledged byte.
+TEST(NvlogJournalTest, FullRingKeepsEveryAcknowledgedAppend) {
+  StackConfig cfg = NvlogStackConfig();
+  cfg.num_queues = 4;
+  cfg.nvm.size_bytes = 64 << 10;
+  constexpr int kAppenders = 3;
+  constexpr int kRounds = 12;
+  constexpr uint64_t kAppendBytes = 1000;
+  constexpr uint64_t kCreateBytes = 10 * kFsBlockSize;
+  const auto byte_at = [](int a, uint64_t off) {
+    return static_cast<uint8_t>(a * 61 + off * 7 + (off >> 12));
+  };
+  struct Cut {
+    CrashImage image;
+    std::vector<uint64_t> acked;  // per appender
+    int created = 0;              // the creator's acknowledged files
+  };
+  std::vector<Cut> cuts;
+  std::vector<InodeNum> inos;
+  {
+    StorageStack stack(cfg);
+    ASSERT_TRUE(stack.MkfsAndMount().ok());
+    const FsLayout& layout = stack.fs().layout();
+    stack.Run([&] {
+      for (int a = 0; a < kAppenders; ++a) {
+        auto ino = stack.fs().Create("/mail" + std::to_string(a));
+        ASSERT_TRUE(ino.ok());
+        ASSERT_TRUE(stack.fs().Fsync(*ino).ok());
+        inos.push_back(*ino);
+      }
+      // Fill the root's table block, so the creator's inodes lie beyond it.
+      for (int f = 0;; ++f) {
+        auto ino = stack.fs().Create("/fill" + std::to_string(f));
+        ASSERT_TRUE(ino.ok());
+        ASSERT_TRUE(stack.fs().Fsync(*ino).ok());
+        if (layout.InodeTableBlock(*ino + 1) != layout.InodeTableBlock(kRootInode)) {
+          break;
+        }
+      }
+    });
+    ASSERT_EQ(layout.InodeTableBlock(inos.back()), layout.InodeTableBlock(kRootInode));
+    std::vector<uint64_t> acked(kAppenders, 0);
+    int created = 0;
+    for (int a = 0; a < kAppenders; ++a) {
+      stack.Spawn("app" + std::to_string(a), [&, a] {
+        for (int round = 0; round < kRounds; ++round) {
+          Buffer data(kAppendBytes);
+          for (uint64_t i = 0; i < data.size(); ++i) {
+            data[i] = byte_at(a, acked[a] + i);
+          }
+          ASSERT_TRUE(stack.fs().Write(inos[a], acked[a], data).ok());
+          ASSERT_TRUE(stack.fs().Fsync(inos[a]).ok());
+          acked[a] += data.size();
+          cuts.push_back({stack.CaptureCrashImage(), acked, created});
+        }
+      }, static_cast<uint16_t>(a));
+    }
+    stack.Spawn("creator", [&] {
+      for (int round = 0; round < kRounds; ++round) {
+        auto ino = stack.fs().Create("/new" + std::to_string(round));
+        ASSERT_TRUE(ino.ok());
+        ASSERT_NE(layout.InodeTableBlock(*ino), layout.InodeTableBlock(kRootInode));
+        ASSERT_TRUE(stack.fs().Write(*ino, 0, Buffer(kCreateBytes, round + 1)).ok());
+        ASSERT_TRUE(stack.fs().Fsync(*ino).ok());
+        created++;
+        cuts.push_back({stack.CaptureCrashImage(), acked, created});
+      }
+    }, kAppenders);
+    stack.sim().Run();
+    ASSERT_EQ(cuts.size(), static_cast<size_t>((kAppenders + 1) * kRounds));
+  }
+  int lost = 0;
+  for (size_t c = 0; c < cuts.size(); ++c) {
+    StorageStack after(cfg, cuts[c].image);
+    ASSERT_TRUE(after.MountExisting().ok());
+    after.Run([&] {
+      for (int a = 0; a < kAppenders; ++a) {
+        const uint64_t acked = cuts[c].acked[a];
+        auto size = after.fs().FileSize(inos[a]);
+        ASSERT_TRUE(size.ok());
+        // A neighbour's entry may carry an append still in flight, so the
+        // file may be longer; its acknowledged bytes must all be there.
+        Buffer got(std::min(*size, acked));
+        ASSERT_TRUE(after.fs().Read(inos[a], 0, got).ok());
+        bool intact = *size >= acked;
+        for (uint64_t i = 0; intact && i < got.size(); ++i) {
+          intact = got[i] == byte_at(a, i);
+        }
+        if (!intact) {
+          lost++;
+          ADD_FAILURE() << "cut " << c << ": /mail" << a << " holds " << *size
+                        << " bytes, acknowledged " << acked;
+        }
+      }
+      for (int round = 0; round < cuts[c].created; ++round) {
+        const std::string path = "/new" + std::to_string(round);
+        auto ino = after.fs().Lookup(path);
+        Buffer got(kCreateBytes);
+        if (!ino.ok() || !after.fs().Read(*ino, 0, got).ok() ||
+            got != Buffer(kCreateBytes, round + 1)) {
+          lost++;
+          ADD_FAILURE() << "cut " << c << ": " << path << " lost its acknowledged bytes";
+        }
+      }
+    });
+  }
+  EXPECT_EQ(lost, 0);
+}
+
 // --- Mount-time charges ----------------------------------------------------
 
 // A mount pays for the bytes its scan of the tier reads (the control block,
